@@ -23,7 +23,6 @@ EXPECTED = {6: 4, 12: 3, 30: 3, 42: 4, 60: 4, 462: 5}
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--tol", type=float, default=1e-3)
     args = ap.parse_args()
 
@@ -35,7 +34,7 @@ def main() -> int:
         p1, p2 = point(0, c.t), point(c.n1, c.t)
         gram = pairing_matrix(c, (p1, p2), args.tol)
         rank = independence_rank(c, (p1, p2), args.tol)
-        sel = selmer_group(c, jobs=args.jobs)
+        sel = selmer_group(c)
         dt = time.perf_counter() - t0
         ok = sel.s2 == expected_s2
         failures += 0 if ok else 1

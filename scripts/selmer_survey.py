@@ -21,7 +21,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--from", dest="lo", type=int, default=2)
     ap.add_argument("--to", dest="hi", type=int, default=200)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     s2_hist = Counter()
@@ -32,7 +31,7 @@ def main() -> int:
     for m in scan_admissible(args.lo, args.hi):
         c = build_curve(m)
         try:
-            sel = selmer_group(c, jobs=args.jobs, want_witness=False)
+            sel = selmer_group(c, want_witness=False)
         except SquarefreePrecondition as e:
             skipped.append(m)
             continue

@@ -31,7 +31,6 @@ class EngineConfig:
     rho_budget: int = DEFAULT_RHO_BUDGET
     tol: float = DEFAULT_TOL
     max_bits: int = DEFAULT_MAX_BITS
-    jobs: int = 1
 
 
 @dataclass
@@ -125,7 +124,7 @@ def run_analysis(
     timings["heights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    selmer = selmer_group(curve, jobs=config.jobs, observer=observer)
+    selmer = selmer_group(curve, observer=observer)
     timings["selmer"] = time.perf_counter() - t0
 
     return AnalysisRecord(

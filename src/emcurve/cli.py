@@ -17,7 +17,7 @@ from . import ENGINE_VERSION
 from .analysis import AnalysisRecord, EngineConfig, run_analysis
 from .cache import ResultCache, resolve_cache_path
 from .curve import point, torsion_group
-from .descent import SquarefreePrecondition, selmer_group
+from .descent import RuleTally, SquarefreePrecondition, selmer_group
 from .family import InadmissibleParameter, build_curve, scan_admissible
 from .heights import HeightBudgetExceeded, independence_rank, pairing_matrix
 from .localsolve import LocalSolverError
@@ -44,12 +44,14 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="newline-delimited JSON output")
     p.add_argument("--csv", action="store_true", help="CSV output")
     p.add_argument("--verbose", action="store_true",
-                   help="print per-candidate descent verdicts and witnesses")
+                   help="print per-rule exclusion counts, then each surviving "
+                        "descent candidate with its verdicts and witnesses")
     p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     p.add_argument("--cache-path", default=None,
                    help="cache file (default ./.emcache.jsonl or $EM_CACHE_PATH)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized stages")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers across scan parameters")
     p.add_argument("--tol", type=float, default=1e-3, help="height tolerance")
     p.add_argument("--rho-budget", type=int, default=10**8,
                    help="Pollard rho iteration budget per cofactor")
@@ -97,7 +99,6 @@ def _config(args) -> EngineConfig:
         seed=args.seed,
         rho_budget=args.rho_budget,
         tol=args.tol,
-        jobs=args.jobs,
     )
 
 
@@ -112,6 +113,9 @@ def _verbose_observer(args):
         return None
 
     def observer(pair):
+        if isinstance(pair, RuleTally):  # a rule's closed-form count, not a pair
+            print(f"  {pair.reason}: {pair.count} cosets")
+            return
         line = f"  ({pair.b1.value}, {pair.b2.value}) -> {pair.status}"
         if pair.reason:
             line += f" [{pair.reason}]"
@@ -293,7 +297,7 @@ def cmd_selmer(args) -> int:
     cache = _cache(args)
     curve = build_curve(args.m, seed=args.seed, rho_budget=args.rho_budget,
                         cache=cache)
-    res = selmer_group(curve, jobs=args.jobs, observer=_verbose_observer(args))
+    res = selmer_group(curve, observer=_verbose_observer(args))
     if args.json:
         import json as _json
         print(_json.dumps({

@@ -2,12 +2,13 @@
 
 Candidate pairs live in Q(S,2) x Q(S,2) where Q(S,2) is generated by [-1],
 [2] and the odd bad primes.  The four torsion images span an order-4
-subgroup H; candidates are enumerated one per H-coset, normalized so that
-b1 > 0 and b2 is odd (each coset contains exactly one such pair, and the
-normalization implies b1*b2 is never divisible by 4).  The pipeline per
-coset is: real place, then the five exclusion rules, then the
-quadratic-symbol necessary conditions, then certified local solvability at
-2, 3 and every odd bad prime; good primes above 3 need no test because the
+subgroup H; each of the 4^(nbits-1) H-cosets has one representative with
+b1 > 0 and b2 odd, so b1*b2 is never divisible by 4.  The five exclusion
+rules are linear in those representatives and leave 2^(nbits-2) of them:
+the descent enumerates only these survivors and counts the excluded cosets
+in closed form.  Each survivor then goes through the quadratic-symbol
+necessary conditions and certified local solvability at the real place, 2,
+3 and every odd bad prime; good primes above 3 need no test because the
 homogeneous space is smooth there and carries mod-ell points by Hasse-Weil.
 
 Internally classes are bitmasks over the generator list; symbol tables per
@@ -17,7 +18,6 @@ odd bad prime make the filters O(popcount).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -27,7 +27,6 @@ from .family import CurveParams
 from .localsolve import (
     LocalVerdict,
     decide_local,
-    is_square_qp,
     real_solvable as _real_verdict,
 )
 from .numtheory import factorize, is_prime, legendre
@@ -121,6 +120,14 @@ class DescentPair:
 
     def key(self) -> tuple[int, int]:
         return (self.b1.value, self.b2.value)
+
+
+@dataclass(frozen=True)
+class RuleTally:
+    """Number of coset representatives that one exclusion rule rejects first."""
+
+    reason: str
+    count: int
 
 
 @dataclass(frozen=True)
@@ -245,6 +252,40 @@ class DescentContext:
     def coset_count(self) -> int:
         return 1 << (2 * (self.nbits - 1))
 
+    def survivor_reps(self) -> Iterator[tuple[int, int]]:
+        """The 2^(nbits-2) coset representatives that no exclusion rule rejects.
+
+        Rules (i), (ii) and (v) clear b2's sign bit, b2's q-bits and b1's
+        2-bit; (iii) clears b1's r-bits and (iv) makes the p-bits of b1 and
+        b2 agree.  So b1 runs over the subsets of the p- and q-primes (the
+        contiguous bits above the 2-bit), and b2 is b1's p-part times any
+        subset of the r-primes (the bits above those).
+        """
+        pq = len(self.curve.p_primes) + len(self.curve.q_primes)
+        for idx in range(1 << (self.nbits - 2)):
+            b1m = (idx & ((1 << pq) - 1)) << 2
+            yield b1m, (b1m & self.p_mask) | ((idx >> pq) << (2 + pq))
+
+    def exclusion_counts(self) -> dict[str, int]:
+        """How many coset representatives each rule (i)-(v) rejects first.
+
+        Closed form: a rule forcing k free bits to zero keeps 1/2^k of the
+        representatives the earlier rules left, independently of them.
+        """
+        forced = (
+            ("(i) b2 < 0", 1),
+            ("(ii) b2 = 0 mod q_i", len(self.curve.q_primes)),
+            ("(iii) b1 = 0 mod r_i", len(self.curve.r_primes)),
+            ("(iv) v_p(b1*b2) = 1", len(self.curve.p_primes)),
+            ("(v) b1*b2 = 2 mod 4", 1),
+        )
+        left = self.coset_count()
+        out = {}
+        for reason, k in forced:
+            out[reason] = left - (left >> k)
+            left >>= k
+        return out
+
     # -- pipeline pieces -------------------------------------------------------
 
     def exclusion_reason(self, b1m: int, b2m: int) -> str | None:
@@ -277,12 +318,13 @@ class DescentContext:
             elif neither & bit:
                 if self.chi(p, b1m) != self.chi(p, b2m):
                     out.append(f"(i) chi_{p}(b1) != chi_{p}(b2)")
+        two = self.index[2]
         for q in self.curve.q_primes:
-            target = legendre(2, q) if b1m >> self.index[q] & 1 else 1
+            target = self.chi_table[q][two] if b1m >> self.index[q] & 1 else 1
             if self.chi(q, b2m & ~(1 << self.index[q])) != target:
                 out.append(f"(ii) chi_{q}(b2) condition")
         for r in self.curve.r_primes:
-            target = legendre(2, r) if b2m >> self.index[r] & 1 else 1
+            target = self.chi_table[r][two] if b2m >> self.index[r] & 1 else 1
             if self.chi(r, b1m & ~(1 << self.index[r])) != target:
                 out.append(f"(iii) chi_{r}(b1) condition")
         if self.mod4(b1m) != 1:
@@ -380,37 +422,52 @@ def local_solvable(
     )
 
 
-def _run_pipeline_range(
+def selmer_group(
     curve: CurveParams,
-    lo: int,
-    hi: int,
-    want_witness: bool,
-    observer: Callable[[DescentPair], None] | None = None,
-) -> tuple[list[DescentPair], dict]:
-    """Run the full pipeline on coset representatives lo..hi (by index)."""
+    *,
+    jobs: int = 1,
+    want_witness: bool = True,
+    observer: Callable[[RuleTally | DescentPair], None] | None = None,
+) -> SelmerResult:
+    """Full 2-Selmer computation: filters, symbols, certified local tests.
+
+    Refuses when m^4-1+4m^2 is not squarefree (a hypothesis of the exclusion
+    lemmas), and raises rather than guess when any local verdict cannot be
+    certified.  s2 satisfies |Sel| = 2^(2+s2) where |Sel| counts 4 elements
+    per member coset.
+
+    The observer first receives one RuleTally per exclusion rule, then every
+    survivor of the rules as a DescentPair.  `jobs` is ignored: the descent
+    runs serially, and `scan --jobs` parallelizes across parameters.
+    """
+    if not curve.r_squarefree:
+        raise SquarefreePrecondition(
+            f"m^4-1+4m^2 = {curve.r_value} is not squarefree for m={curve.m}"
+        )
     ctx = DescentContext(curve)
     places = ctx.local_places()
-    counts = {"excluded": 0, "necessary_fail": 0, "member": 0}
+    rule_counts = ctx.exclusion_counts()
+    if observer:
+        for reason, count in rule_counts.items():
+            observer(RuleTally(reason, count))
+    counts = {"excluded": sum(rule_counts.values()), "necessary_fail": 0, "member": 0}
     members: list[DescentPair] = []
-    for idx in range(lo, hi):
-        b1m, b2m = ctx.rep_of_index(idx)
-        # Rule (i) doubles as the real place, so the exclusion scan covers
-        # the whole pre-filter pipeline.
+    for b1m, b2m in ctx.survivor_reps():
         reason = ctx.exclusion_reason(b1m, b2m)
         if reason is not None:
-            counts["excluded"] += 1
-            if observer:
-                observer(_make_pair(ctx, b1m, b2m, "excluded", reason))
-            continue
+            raise AssertionError(
+                f"enumerated survivor ({ctx.value_of_mask(b1m)}, "
+                f"{ctx.value_of_mask(b2m)}) fails {reason} for m={curve.m}"
+            )
         fails = ctx.necessary_failures(b1m, b2m)
         if fails:
             counts["necessary_fail"] += 1
             if observer:
-                observer(_make_pair(ctx, b1m, b2m, "necessary_fail", "; ".join(fails)))
+                observer(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m),
+                                     "necessary_fail", "; ".join(fails)))
             continue
-        pair = _make_pair(ctx, b1m, b2m, "undecided", None)
+        pair = DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m))
         pair.local_evidence[math.inf] = _real_verdict(pair.b1.value, pair.b2.value)
-        solvable = True
         for ell in places:
             verdict = decide_local(
                 pair.b1.value,
@@ -423,87 +480,16 @@ def _run_pipeline_range(
             )
             pair.local_evidence[ell] = verdict
             if not verdict.is_solvable:
-                solvable = False
+                pair.status = "excluded"
+                pair.reason = f"locally unsolvable at {ell}"
+                counts["excluded"] += 1
                 break
-        if solvable:
+        else:
             pair.status = "member"
             counts["member"] += 1
             members.append(pair)
-        else:
-            pair.status = "excluded"
-            pair.reason = f"locally unsolvable at {ell}"
-            counts["excluded"] += 1
         if observer:
             observer(pair)
-    return members, counts
-
-
-def _make_pair(ctx, b1m, b2m, status, reason) -> DescentPair:
-    return DescentPair(
-        b1=ctx.class_of_mask(b1m),
-        b2=ctx.class_of_mask(b2m),
-        status=status,
-        reason=reason,
-    )
-
-
-def _worker(args):
-    curve, lo, hi, want_witness = args
-    members, counts = _run_pipeline_range(curve, lo, hi, want_witness)
-    return [(p.b1.value, p.b2.value) for p in members], counts
-
-
-def selmer_group(
-    curve: CurveParams,
-    *,
-    jobs: int = 1,
-    want_witness: bool = True,
-    observer: Callable[[DescentPair], None] | None = None,
-) -> SelmerResult:
-    """Full 2-Selmer computation: filters, symbols, certified local tests.
-
-    Refuses when m^4-1+4m^2 is not squarefree (a hypothesis of the exclusion
-    lemmas), and raises rather than guess when any local verdict cannot be
-    certified.  s2 satisfies |Sel| = 2^(2+s2) where |Sel| counts 4 elements
-    per member coset.
-    """
-    if not curve.r_squarefree:
-        raise SquarefreePrecondition(
-            f"m^4-1+4m^2 = {curve.r_value} is not squarefree for m={curve.m}"
-        )
-    ctx = DescentContext(curve)
-    total = ctx.coset_count()
-    if jobs > 1 and observer is None:
-        chunk = (total + jobs - 1) // jobs
-        tasks = [
-            (curve, k * chunk, min((k + 1) * chunk, total), want_witness)
-            for k in range(jobs)
-        ]
-        members_keys: list[tuple[int, int]] = []
-        counts = {"excluded": 0, "necessary_fail": 0, "member": 0}
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for keys, sub in ex.map(_worker, tasks):
-                members_keys.extend(keys)
-                for k, v in sub.items():
-                    counts[k] += v
-        # Re-run the members serially to regain witnesses deterministically.
-        members = []
-        for b1v, b2v in members_keys:
-            pair = DescentPair(
-                square_class(b1v, within=curve), square_class(b2v, within=curve)
-            )
-            pair.local_evidence[math.inf] = _real_verdict(b1v, b2v)
-            for ell in ctx.local_places():
-                pair.local_evidence[ell] = decide_local(
-                    b1v, b2v, curve.a_value, curve.q_value, curve.r_value, ell,
-                    want_witness=want_witness,
-                )
-            pair.status = "member"
-            members.append(pair)
-    else:
-        members, counts = _run_pipeline_range(
-            curve, 0, total, want_witness, observer
-        )
 
     members.sort(key=lambda p: p.key())
     count = len(members)

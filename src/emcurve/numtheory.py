@@ -236,14 +236,16 @@ def sqrt_mod(a: int, p: int) -> int | None:
     """Tonelli-Shanks square root of a modulo an odd prime p.
 
     Returns the smaller of the two roots, 0 when p | a, None when a is a
-    non-residue.
+    non-residue.  Primality is checked once; the residue tests inside use
+    Euler's criterion directly.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"sqrt_mod requires an odd prime modulus, got {p}")
     a %= p
     if a == 0:
         return 0
-    if legendre(a, p) == -1:
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
         return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
@@ -254,7 +256,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
         q //= 2
         s += 1
     z = 2
-    while legendre(z, p) != -1:
+    while pow(z, half, p) != p - 1:
         z += 1
     c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)

@@ -102,6 +102,16 @@ def test_verbose_analyze_prints_audit_trail(capsys):
     assert "place 2: solvable" in out
 
 
+def test_verbose_counts_rules_and_details_survivors(capsys):
+    rc, out, _ = run_cli(capsys, "selmer", "--m", "6", "--verbose", "--no-cache")
+    assert rc == 0
+    lines = out.splitlines()
+    assert "  (i) b2 < 0: 2048 cosets" in lines
+    assert "  (v) b1*b2 = 2 mod 4: 32 cosets" in lines
+    # One line per survivor of the rules (2^(nbits-2) = 32), none per excluded coset.
+    assert sum(" -> " in line for line in lines) == 32
+
+
 def test_record_round_trip():
     rec = run_analysis(6)
     assert AnalysisRecord.from_json(rec.to_json()) == rec

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,3 +246,73 @@ def test_local_solvable_depth_validation(c6):
         local_solvable(c6, pair, 5, depth=1)
     verdict = local_solvable(c6, pair, 5, depth=9)
     assert verdict.is_solvable
+
+
+@pytest.mark.parametrize("m", [6, 12, 462])
+def test_survivor_reps_are_exactly_the_unexcluded_cosets(m):
+    ctx = DescentContext(build_curve(m))
+    survivors = list(ctx.survivor_reps())
+    brute = {rep for rep in ctx.coset_reps() if ctx.exclusion_reason(*rep) is None}
+    assert len(survivors) == len(set(survivors)) == 1 << (ctx.nbits - 2)
+    assert set(survivors) == brute
+
+
+@pytest.mark.parametrize("m", [6, 12, 462])
+def test_exclusion_counts_match_brute_force_tally(m):
+    ctx = DescentContext(build_curve(m))
+    tally = Counter(ctx.exclusion_reason(*rep) for rep in ctx.coset_reps())
+    survivors = tally.pop(None)
+    counts = ctx.exclusion_counts()
+    assert counts == dict(tally)
+    assert [r.split()[0] for r in counts] == ["(i)", "(ii)", "(iii)", "(iv)", "(v)"]
+    assert sum(counts.values()) + survivors == ctx.coset_count()
+
+
+# (excluded, necessary_fail, member) as computed by the full coset scan.
+SEED_STATUS_COUNTS = {
+    6: (4064, 16, 16),
+    12: (261888, 248, 8),
+    30: (261888, 248, 8),
+    42: (1048064, 496, 16),
+    60: (1048064, 496, 16),
+    462: (16320, 32, 32),
+}
+
+
+@pytest.mark.parametrize("m", sorted(SEED_STATUS_COUNTS))
+def test_status_counts_match_full_scan(m):
+    counts = selmer_group(build_curve(m), want_witness=False).status_counts
+    assert (counts["excluded"], counts["necessary_fail"], counts["member"]) == (
+        SEED_STATUS_COUNTS[m]
+    )
+
+
+def test_selmer_starts_no_process_pool(c6, sel6, monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the descent must not start a process pool")
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
+    res = selmer_group(c6, jobs=2)
+    assert [p.key() for p in res.members] == [p.key() for p in sel6.members]
+
+
+def test_selmer_m312_matches_full_scan():
+    # 2^28 cosets, of which 2^13 survive the exclusion rules; the values were
+    # produced by scanning every coset.
+    res = selmer_group(build_curve(312), want_witness=False)
+    assert res.s2 == 4
+    assert res.status_counts == {
+        "excluded": 268427264, "necessary_fail": 8176, "member": 16,
+    }
+    assert [p.key() for p in res.members] == [
+        (1, 1), (5, 5), (18349, 8642556581), (19469, 184492988809459),
+        (91745, 43212782905), (97345, 922464944047295),
+        (357236681, 2064706919), (1786183405, 10323534595),
+        (50268144613, 8698135723), (251340723065, 43490678615),
+        (922370185503937, 97343), (978670507470497, 2077984777),
+        (4611850927519685, 486715), (4893352537352485, 10389923885),
+        (17957625141576149453, 17959101009679167437),
+        (89788125707880747265, 89795505048395837185),
+    ]

@@ -95,6 +95,8 @@ def test_legendre_examples(a, p, expected):
 def test_legendre_rejects_bad_modulus(p):
     with pytest.raises(ValueError):
         legendre(3, p)
+    with pytest.raises(ValueError):
+        sqrt_mod(3, p)
 
 
 @given(st.integers(), st.integers(), st.sampled_from(ODD_PRIMES))
