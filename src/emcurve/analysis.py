@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import ENGINE_VERSION
 from .curve import point, torsion_group
 from .descent import selmer_group
-from .family import build_curve, is_admissible
+from .family import build_curve
 from .heights import (
     DEFAULT_MAX_BITS,
     DEFAULT_TOL,
@@ -99,7 +99,7 @@ def run_analysis(
 
     t0 = time.perf_counter()
     curve = build_curve(m, **factor_kwargs)
-    report = is_admissible(m, **factor_kwargs)
+    report = curve.admissibility
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -54,7 +54,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="parallel workers across scan parameters")
     p.add_argument("--tol", type=float, default=1e-3, help="height tolerance")
     p.add_argument("--rho-budget", type=int, default=10**8,
-                   help="Pollard rho iteration budget per cofactor")
+                   help="work budget per factorization, shared by its "
+                        "cofactors: rho iterations plus ECM steps")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,7 +29,7 @@ from .localsolve import (
     decide_local,
     real_solvable as _real_verdict,
 )
-from .numtheory import factorize, is_prime, legendre
+from .numtheory import _legendre_prime, factorize, is_prime
 
 
 class SquarefreePrecondition(RuntimeError):
@@ -175,7 +175,7 @@ class DescentContext:
         for pi in curve.p_primes + curve.q_primes + curve.r_primes:
             row = []
             for g in self.gens:
-                row.append(0 if g == pi else legendre(g, pi))
+                row.append(0 if g == pi else _legendre_prime(g, pi))
             self.chi_table[pi] = tuple(row)
         # Torsion images phi(T) as mask pairs: (2AB, 2A), (-2A, 2AC), (-B, C).
         pqa = self.two_bit | self.p_mask
@@ -534,12 +534,12 @@ def theorem_lower_bound(curve: CurveParams) -> int:
     w = 0
     for p in curve.p_primes:
         if p % 4 == 1:
-            ok = all(legendre(p, q) == 1 for q in curve.q_primes) and all(
-                legendre(p, r) == 1 for r in curve.r_primes
+            ok = all(_legendre_prime(p, q) == 1 for q in curve.q_primes) and all(
+                _legendre_prime(p, r) == 1 for r in curve.r_primes
             )
         else:
-            ok = all(legendre(p, q) == 1 for q in curve.q_primes) and all(
-                legendre(-p, r) == 1 for r in curve.r_primes
+            ok = all(_legendre_prime(p, q) == 1 for q in curve.q_primes) and all(
+                _legendre_prime(-p, r) == 1 for r in curve.r_primes
             )
         if ok:
             w += 1

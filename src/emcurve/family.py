@@ -54,7 +54,8 @@ class CurveParams:
 
     p_primes, q_primes, r_primes partition the odd bad primes: divisors of
     m^4-1, m^4-1-4m^2 and m^4-1+4m^2 respectively (pairwise coprime since m
-    is even).  s_primes is the full bad set including 2.
+    is even).  s_primes is the full bad set including 2.  admissibility is
+    the report that build_curve proved before deriving the rest.
     """
 
     m: int
@@ -72,6 +73,7 @@ class CurveParams:
     r_primes: tuple[int, ...]
     q_squarefree: bool
     r_squarefree: bool
+    admissibility: AdmissibilityReport
 
     @property
     def roots(self) -> tuple[int, int, int]:
@@ -149,6 +151,7 @@ def build_curve(m: int, **factor_kwargs) -> CurveParams:
         r_primes=fr.primes(),
         q_squarefree=fq.is_squarefree(),
         r_squarefree=fr.is_squarefree(),
+        admissibility=report,
     )
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numtheory import sqrt_mod, sqrt_mod_prime_power
+from .numtheory import _sqrt_mod_prime, sqrt_mod_prime_power
 
 _STRUCTURED_SCAN_CAP = 200_000
 # Below this, the clean-digit scan simply tries every digit, which both
@@ -291,7 +291,7 @@ class _ChartSearch:
                 return []  # nonzero constant
             return [(-r0) * pow(r1, -1, ell) % ell]
         disc = (r1 * r1 - 4 * r2 * r0) % ell
-        s = sqrt_mod(disc, ell)
+        s = _sqrt_mod_prime(disc, ell)
         if s is None:
             return []
         inv = pow(2 * r2, -1, ell)
@@ -492,6 +492,8 @@ def decide_local(
 ) -> LocalVerdict:
     """Q_ell solvability of the pair's homogeneous space, with certificate.
 
+    ell must be prime and is not re-checked here (descent.local_solvable
+    checks it; the descent passes bad primes from complete factorizations).
     depth, when given, is the exhaustion modulus exponent the caller allows;
     it must be at least k* = 2 v_ell(2 b1 b2 A B C) + 3 or DepthExceeded is
     raised (an Unknown is never converted into a verdict).  Odd primes below

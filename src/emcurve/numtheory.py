@@ -4,12 +4,14 @@ Everything here is deterministic for a fixed seed.  Primality uses the
 Miller-Rabin witness set that is provably correct below 3.3e24, which covers
 every integer this package ever has to classify at desk scale; beyond that a
 seeded 64-round probabilistic test takes over.  Factorization is trial
-division up to 10^6 followed by Brent-cycle Pollard rho with an iteration
-budget.
+division up to 10^6, then Brent-cycle Pollard rho, then ECM (Lenstra's
+elliptic curve method on Montgomery curves), under one work budget.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,6 +23,16 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 TRIAL_DIVISION_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 10**8
+
+# Rho iterations per composite cofactor before ECM takes over.
+_RHO_SLICE = 1 << 16
+# ECM stage-1 bounds B1 with their curve counts; the last runs until the
+# budget is spent.  Stage 2 reaches B2 = _ECM_B2_FACTOR * B1 in giant steps
+# of D, against baby steps j < D/2 coprime to D.
+_ECM_SCHEDULE = ((2_000, 25), (11_000, 90), (50_000, None))
+_ECM_B2_FACTOR = 100
+_ECM_D = 210
+_ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -147,6 +159,135 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | N
     return g, used
 
 
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """x-only doubling on the Montgomery curve with a24 = (A + 2) / 4."""
+    s = (x + z) * (x + z) % n
+    d = (x - z) * (x - z) % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple[int, int]:
+    """x-only P + Q given P - Q = (xd : zd)."""
+    u = (xp - zp) * (xq + zq) % n
+    v = (xp + zp) * (xq - zq) % n
+    return zd * (u + v) * (u + v) % n, xd * (u - v) * (u - v) % n
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
+    """Montgomery ladder: (kP, (k+1)P) for k >= 1, one step per bit of k."""
+    x0, z0 = x, z
+    x1, z1 = _xdbl(x, z, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x0, z0 = _xadd(x1, z1, x0, z0, x, z, n)
+            x1, z1 = _xdbl(x1, z1, a24, n)
+        else:
+            x1, z1 = _xadd(x1, z1, x0, z0, x, z, n)
+            x0, z0 = _xdbl(x0, z0, a24, n)
+    return x0, z0, x1, z1
+
+
+@functools.lru_cache(maxsize=None)
+def _stage1_multiplier(b1: int) -> int:
+    """Product over primes p <= b1 of the largest power of p not above b1."""
+    sieve = bytearray([1]) * (b1 + 1)
+    k = 1
+    for p in range(2, b1 + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, b1 + 1, p)))
+            q = p
+            while q * p <= b1:
+                q *= p
+            k *= q
+    return k
+
+
+def _ecm_stage2_span(b1: int) -> range:
+    """Giant steps k: every prime in (b1, _ECM_B2_FACTOR * b1] is k*D +- j."""
+    return range(max(2, b1 // _ECM_D), _ECM_B2_FACTOR * b1 // _ECM_D + 2)
+
+
+def _ecm_cost(b1: int) -> int:
+    """Budget units of one curve: ladder steps plus stage-2 products."""
+    return _stage1_multiplier(b1).bit_length() + len(_ECM_BABY) * len(_ecm_stage2_span(b1))
+
+
+def _ecm_curve(n: int, sigma: int, b1: int) -> int:
+    """One ECM curve with Suyama parameter sigma; gcd(n, result), maybe 1 or n.
+
+    Stage 1 multiplies the start point by every prime power up to b1.  Stage 2
+    catches one further prime l <= _ECM_B2_FACTOR * b1: writing l = k*D +- j,
+    l*Q = 0 (mod p) makes x(kDQ) z(jQ) - x(jQ) z(kDQ) vanish mod p, so the
+    product over all k and j needs no table of primes.
+    """
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    den = 16 * pow(u, 3, n) * v % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    x, z, _, _ = _ladder(_stage1_multiplier(b1), pow(u, 3, n), pow(v, 3, n), a24, n)
+    g = math.gcd(z, n)
+    if g != 1:
+        return g
+    # odd[i] = (2i + 1) Q up to (D/2) Q, by differential additions of 2Q.
+    x2, z2 = _xdbl(x, z, a24, n)
+    odd = [(x, z), _xadd(x2, z2, x, z, x, z, n)]
+    while len(odd) <= _ECM_D // 4:
+        odd.append(_xadd(*odd[-1], x2, z2, *odd[-2], n))
+    baby = [odd[j // 2] for j in _ECM_BABY]
+    xd, zd = _xdbl(*odd[-1], a24, n)
+    span = _ecm_stage2_span(b1)
+    xp, zp, xr, zr = _ladder(span.start - 1, xd, zd, a24, n)
+    acc = 1
+    for _ in span:
+        for xj, zj in baby:
+            acc = acc * (xr * zj - xj * zr) % n
+        xp, zp, (xr, zr) = xr, zr, _xadd(xr, zr, xd, zd, xp, zp, n)
+    return math.gcd(acc, n)
+
+
+def _ecm(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
+    """ECM curves along _ECM_SCHEDULE until one splits n or budget runs out.
+
+    Returns (factor or None, budget units used).  A curve is only started if
+    its whole cost still fits the budget.
+    """
+    used = 0
+    for b1, curves in _ECM_SCHEDULE:
+        cost = _ecm_cost(b1)
+        for _ in itertools.count() if curves is None else range(curves):
+            if used + cost > budget:
+                return None, used
+            used += cost
+            g = _ecm_curve(n, rng.randrange(6, n - 1), b1)
+            if 1 < g < n:
+                return g, used
+    raise AssertionError("the last ECM stage runs until the budget is spent")
+
+
+def _split(c: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
+    """A proper factor of the composite c, or None once budget runs out.
+
+    Returns (factor or None, budget units used).  Brent rho gets the first
+    _RHO_SLICE iterations, which find factors up to about 1e9; ECM takes the
+    rest, since its cost grows far slower than rho's sqrt(p).
+    """
+    used = 0
+    factor = None
+    rho_budget = min(_RHO_SLICE, budget)
+    while factor is None and used < rho_budget:
+        factor, spent = _pollard_rho_brent(c, rng, rho_budget - used)
+        used += spent
+    if factor is None:
+        factor, spent = _ecm(c, rng, budget - used)
+        used += spent
+    assert factor is None or (1 < factor < c and c % factor == 0)
+    return factor, used
+
+
 def factorize(
     n: int,
     *,
@@ -156,8 +297,10 @@ def factorize(
 ) -> Factorization:
     """Complete factorization of n >= 1.
 
-    Trial division up to 10^6, then Pollard rho (Brent) on what remains.
-    Raises FactorizationTimeout if a composite cofactor survives the budget.
+    Trial division up to 10^6, then Brent rho and ECM on what remains (see
+    _split).  rho_budget is shared by every cofactor of n and counts rho
+    iterations plus ECM ladder steps and stage-2 products.  Raises
+    FactorizationTimeout if a composite cofactor survives the budget.
     An optional cache (get_factorization/put_factorization) short-circuits
     repeat values.
     """
@@ -184,24 +327,18 @@ def factorize(
             n //= f
         f += increments[i]
         i = (i + 1) % 8
-    # Whatever survives trial division is prime, or a semiprime-or-worse for rho.
+    # Whatever survives trial division is prime, or a composite for _split.
     stack = [n] if n > 1 else []
     budget_left = rho_budget
     while stack:
         c = stack.pop()
-        if c == 1:
-            continue
         if is_prime(c, seed=seed):
             counts[c] = counts.get(c, 0) + 1
             continue
-        rng = random.Random(f"rho:{seed}:{c}")
-        factor = None
-        while factor is None:
-            factor, used = _pollard_rho_brent(c, rng, budget_left)
-            budget_left -= used
-            if budget_left <= 0 and factor is None:
-                partial = sorted(counts.items())
-                raise FactorizationTimeout(original, partial, c)
+        factor, used = _split(c, random.Random(f"rho:{seed}:{c}"), budget_left)
+        budget_left -= used
+        if factor is None:
+            raise FactorizationTimeout(original, sorted(counts.items()), c)
         stack.append(factor)
         stack.append(c // factor)
 
@@ -225,6 +362,11 @@ def legendre(a: int, p: int) -> int:
     """
     if p == 2 or p < 2 or not is_prime(p):
         raise ValueError(f"legendre requires an odd prime modulus, got {p}")
+    return _legendre_prime(a, p)
+
+
+def _legendre_prime(a: int, p: int) -> int:
+    """legendre for an odd p the caller already knows to be prime."""
     a %= p
     if a == 0:
         return 0
@@ -236,11 +378,15 @@ def sqrt_mod(a: int, p: int) -> int | None:
     """Tonelli-Shanks square root of a modulo an odd prime p.
 
     Returns the smaller of the two roots, 0 when p | a, None when a is a
-    non-residue.  Primality is checked once; the residue tests inside use
-    Euler's criterion directly.
+    non-residue.  Raises ValueError unless p is an odd prime.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"sqrt_mod requires an odd prime modulus, got {p}")
+    return _sqrt_mod_prime(a, p)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """sqrt_mod for an odd p the caller already knows to be prime."""
     a %= p
     if a == 0:
         return 0
@@ -280,6 +426,8 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
 
     For odd p requires (a/p) = 1; for p = 2 requires a = 1 (mod 8) and k >= 3
     (the cases k < 3 are handled directly).  Returns None when no root exists.
+    p must be prime and is not re-checked: callers pass primes from a
+    completed factorization.
     """
     if k < 1:
         raise ValueError("k >= 1 required")
@@ -299,19 +447,19 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
             if (r * r - a) % (1 << (j + 1)) != 0:
                 r += 1 << (j - 1)
         return r % (1 << k)
-    r = sqrt_mod(a % p, p)
+    r = _sqrt_mod_prime(a, p)
     if r is None:
         return None
     if r == 0:
         raise ValueError("unit expected")
+    target = p**k
     pk = p
-    while pk < p**k:
-        pk_next = pk * pk
-        # Newton step on x^2 - a; inverse of 2r exists since r is a unit.
-        inv = pow(2 * r, -1, pk_next)
-        r = (r - (r * r - a) * inv) % pk_next
-        pk = pk_next
-    return r % p**k
+    while pk < target:
+        # Newton step on x^2 - a doubles the precision, capped at p^k; the
+        # inverse of 2r exists since r is a unit.
+        pk = min(pk * pk, target)
+        r = (r - (r * r - a) * pow(2 * r, -1, pk)) % pk
+    return r
 
 
 def valuation(x: int | Fraction, p: int) -> int:

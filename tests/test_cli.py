@@ -117,6 +117,24 @@ def test_record_round_trip():
     assert AnalysisRecord.from_json(rec.to_json()) == rec
 
 
+def test_run_analysis_proves_admissibility_once(monkeypatch):
+    import emcurve.family as family_mod
+
+    factored = []
+
+    def counting_factorize(n, **kwargs):
+        factored.append(n)
+        return factorize(n, **kwargs)
+
+    monkeypatch.setattr(family_mod, "factorize", counting_factorize)
+    rec = run_analysis(60)
+    assert factored.count(60**2 + 1) == 1
+    assert rec.admissible is True
+    assert rec.admissibility == {
+        "is_even": True, "twin_primes": True, "squarefree_check": True,
+    }
+
+
 def test_cache_round_trip_and_determinism(tmp_path, capsys):
     cache_file = tmp_path / "cache.jsonl"
     rc, cold, _ = run_cli(capsys, "analyze", "--m", "6", "--json",

@@ -67,6 +67,52 @@ def test_factorize_timeout_carries_partial():
     assert (2, 2) in exc.value.partial
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_factorize_ladder_top_rung_q(seed):
+    # m^4 - 1 - 4m^2 at m = 10000000278: rho alone needs seconds to tens of
+    # seconds (seed-dependent) for the 15-digit factor; ECM takes it.
+    m = 10000000278
+    f = factorize(m**4 - 1 - 4 * m**2, seed=seed)
+    assert f.primes() == (89, 318811, 172528145104789, 2042757393218353249)
+    assert f.is_squarefree()
+
+
+SEMIPRIME_20_DIGIT = (10**19 + 51) * (10**20 + 39)
+
+
+def test_factorize_semiprime_beyond_rho_budget():
+    # Rho would need about 4e9 iterations here, 40 times the default budget.
+    f = factorize(SEMIPRIME_20_DIGIT)
+    assert f.factors == ((10**19 + 51, 1), (10**20 + 39, 1))
+
+
+def test_factorize_semiprime_small_budget_times_out():
+    with pytest.raises(FactorizationTimeout) as exc:
+        factorize(12 * SEMIPRIME_20_DIGIT, rho_budget=200000)
+    assert exc.value.cofactor == SEMIPRIME_20_DIGIT
+    assert exc.value.partial == [(2, 2), (3, 1)]
+
+
+def test_factorize_repeated_prime_above_trial_bound():
+    assert factorize(1000003**2 * 10000019).factors == ((1000003, 2), (10000019, 1))
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@given(st.integers(min_value=10**6, max_value=10**12),
+       st.integers(min_value=10**6, max_value=10**12))
+@settings(max_examples=30, deadline=None)
+def test_factorize_two_large_primes_recomposes(a, b):
+    p, q = _next_prime(a), _next_prime(b)
+    f = factorize(p * q)
+    assert f.recompose() == p * q
+    assert f.primes() == tuple(sorted({p, q}))
+
+
 @given(st.integers(min_value=2, max_value=200000))
 @settings(max_examples=120, deadline=None)
 def test_factorize_recomposes(n):
@@ -126,6 +172,18 @@ def test_sqrt_mod_squares_back(a, p):
 def test_sqrt_mod_prime_power(a, p, k):
     r = sqrt_mod_prime_power(a, p, k)
     assert r is not None and (r * r - a) % p**k == 0
+
+
+@pytest.mark.parametrize("p", [3, 7, 42689])
+def test_sqrt_mod_prime_power_every_precision(p):
+    residues = [a for a in range(2, 200)
+                if legendre(a, p) == 1 and math.isqrt(a) ** 2 != a][:3]
+    assert residues
+    for a in residues:
+        for k in range(1, 41):
+            r = sqrt_mod_prime_power(a, p, k)
+            assert r is not None and 0 <= r < p**k
+            assert (r * r - a) % p**k == 0
 
 
 @pytest.mark.parametrize("x,p,v", [
