@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from . import ENGINE_VERSION
 from .curve import point, torsion_group
 from .descent import selmer_group
-from .family import build_curve
+from .family import CurveParams, build_curve
 from .heights import (
     DEFAULT_MAX_BITS,
     DEFAULT_TOL,
     HeightBudgetExceeded,
+    PairingMatrix,
     independence_rank,
     pairing_matrix,
 )
@@ -80,6 +81,30 @@ class AnalysisRecord:
     ]
 
 
+def height_certificate(
+    curve: CurveParams, config: EngineConfig
+) -> tuple[PairingMatrix, int, float]:
+    """Height pairing and rank lower bound of (0, t), (n1, t), and the tol used.
+
+    Starts at config.tol and retries ten times coarser whenever the bit cap
+    is hit first; raises HeightBudgetExceeded once tol would pass 1.
+    """
+    p1 = point(0, curve.t)
+    p2 = point(curve.n1, curve.t)
+    tol = config.tol
+    while True:
+        try:
+            gram = pairing_matrix(curve, (p1, p2), tol, max_bits=config.max_bits)
+            rank = independence_rank(curve, (p1, p2), tol, max_bits=config.max_bits)
+            return gram, rank, tol
+        except HeightBudgetExceeded:
+            # Bit cap hit before the gap criterion; a coarser tolerance still
+            # leaves margins far above the rank threshold.
+            tol *= 10
+            if tol > 1.0:
+                raise
+
+
 def run_analysis(
     m: int,
     config: EngineConfig = EngineConfig(),
@@ -107,20 +132,7 @@ def run_analysis(
     timings["torsion"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    p1 = point(0, curve.t)
-    p2 = point(curve.n1, curve.t)
-    tol = config.tol
-    while True:
-        try:
-            gram = pairing_matrix(curve, (p1, p2), tol, max_bits=config.max_bits)
-            rank = independence_rank(curve, (p1, p2), tol, max_bits=config.max_bits)
-            break
-        except HeightBudgetExceeded:
-            # Bit cap hit before the gap criterion; a coarser tolerance still
-            # leaves margins far above the rank threshold.
-            tol *= 10
-            if tol > 1.0:
-                raise
+    gram, rank, tol = height_certificate(curve, config)
     timings["heights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
 from . import ENGINE_VERSION
-from .analysis import AnalysisRecord, EngineConfig, run_analysis
+from .analysis import AnalysisRecord, EngineConfig, height_certificate, run_analysis
 from .cache import ResultCache, resolve_cache_path
-from .curve import point, torsion_group
+from .curve import torsion_group
 from .descent import RuleTally, SquarefreePrecondition, selmer_group
 from .family import InadmissibleParameter, build_curve, scan_admissible
-from .heights import HeightBudgetExceeded, independence_rank, pairing_matrix
+from .heights import HeightBudgetExceeded
 from .localsolve import LocalSolverError
 from .numtheory import FactorizationTimeout
 
@@ -55,10 +56,14 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-3, help="height tolerance")
     p.add_argument("--rho-budget", type=int, default=10**8,
                    help="work budget per factorization, shared by its "
-                        "cofactors: rho iterations plus ECM steps")
+                        "cofactors: rho iterations plus ECM steps (trial "
+                        "division stops below 2^10, so medium factors draw "
+                        "on it too)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every main call."""
     ap = argparse.ArgumentParser(
         prog="emcurve",
         description="Torsion, rank lower bounds and 2-Selmer groups for the "
@@ -318,10 +323,7 @@ def cmd_heights(args) -> int:
     cache = _cache(args)
     curve = build_curve(args.m, seed=args.seed, rho_budget=args.rho_budget,
                         cache=cache)
-    p1 = point(0, curve.t)
-    p2 = point(curve.n1, curve.t)
-    gram = pairing_matrix(curve, (p1, p2), args.tol)
-    rank = independence_rank(curve, (p1, p2), args.tol)
+    gram, rank, _ = height_certificate(curve, _config(args))
     if args.json:
         import json as _json
         print(_json.dumps({

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import CurveParams
-from .numtheory import legendre
+from .numtheory import is_prime, legendre
 
 DEFAULT_COUNT_BOUND = 10**4
 
@@ -154,20 +154,11 @@ class TorsionGroup:
         return 1 + len(self.generators)
 
 
-def _is_small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def _good_odd_primes(c: CurveParams, count: int) -> list[int]:
     out = []
     ell = 3
     while len(out) < count:
-        if _is_small_prime(ell) and c.has_good_reduction(ell):
+        if is_prime(ell) and c.has_good_reduction(ell):
             out.append(ell)
         ell += 2
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .numtheory import factorize, is_prime
+from .numtheory import Factorization, factorize, is_prime
 
 
 class InadmissibleParameter(ValueError):
@@ -107,16 +107,25 @@ def is_admissible(m: int, **factor_kwargs) -> AdmissibilityReport:
     then primes exceeding 3; m = 4 is the one admissible value where that
     derivation fails (m - 1 = 3).
     """
+    return _admissibility(m, **factor_kwargs)[0]
+
+
+def _admissibility(
+    m: int, **factor_kwargs
+) -> tuple[AdmissibilityReport, Factorization | None]:
+    """is_admissible's report, plus the factorization of m^2+1 when computed."""
     if m < 2:
         raise ValueError("m >= 2 required")
     even = m % 2 == 0
     twins = even and is_prime(m - 1) and is_prime(m + 1)
-    sqfree = False
+    f_m2 = None
     if even and twins:
-        sqfree = factorize(m * m + 1, **factor_kwargs).is_squarefree()
-    return AdmissibilityReport(
-        m=m, is_even=even, twin_primes=twins, squarefree_check=sqfree
+        f_m2 = factorize(m * m + 1, **factor_kwargs)
+    report = AdmissibilityReport(
+        m=m, is_even=even, twin_primes=twins,
+        squarefree_check=f_m2 is not None and f_m2.is_squarefree(),
     )
+    return report, f_m2
 
 
 def build_curve(m: int, **factor_kwargs) -> CurveParams:
@@ -126,13 +135,22 @@ def build_curve(m: int, **factor_kwargs) -> CurveParams:
     timeouts.  Squarefreeness of m^4-1 +- 4m^2 is recorded, not required; the
     Selmer computation checks the r-side flag itself.
     """
-    report = is_admissible(m, **factor_kwargs)
+    report, f_m2 = _admissibility(m, **factor_kwargs)
     if not report.admissible:
         raise InadmissibleParameter(report)
     a_value = m**4 - 1
     q_value = a_value - 4 * m**2
     r_value = a_value + 4 * m**2
-    fa = factorize(a_value, **factor_kwargs)
+    # m^4-1 = (m-1)(m+1)(m^2+1): m-1 and m+1 were just proved prime and
+    # m^2+1 just factored, and the three parts are pairwise coprime (m even).
+    fa = Factorization(
+        value=a_value,
+        factors=tuple(sorted(((m - 1, 1), (m + 1, 1)) + f_m2.factors)),
+    )
+    assert fa.recompose() == a_value
+    cache = factor_kwargs.get("cache")
+    if cache is not None and cache.get_factorization(a_value) is None:
+        cache.put_factorization(a_value, fa.factors)
     fq = factorize(q_value, **factor_kwargs)
     fr = factorize(r_value, **factor_kwargs)
     return CurveParams(

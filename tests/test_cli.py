@@ -135,6 +135,93 @@ def test_run_analysis_proves_admissibility_once(monkeypatch):
     }
 
 
+def test_run_analysis_assembles_m4_minus_1(monkeypatch, tmp_path):
+    import emcurve.family as family_mod
+
+    factored = []
+
+    def counting_factorize(n, **kwargs):
+        factored.append(n)
+        return factorize(n, **kwargs)
+
+    monkeypatch.setattr(family_mod, "factorize", counting_factorize)
+    path = str(tmp_path / "cache.jsonl")
+    run_analysis(60, cache=ResultCache(path))
+    assert 60**4 - 1 not in factored
+    stored = ResultCache(path).get_factorization(60**4 - 1)
+    assert stored == list(factorize(60**4 - 1).factors)
+
+
+def test_heights_escalates_tolerance_like_analyze(capsys, monkeypatch):
+    import emcurve.analysis as analysis_mod
+    from emcurve.heights import HeightBudgetExceeded, HeightEstimate
+
+    real = analysis_mod.pairing_matrix
+    tols = []
+
+    def capped_at_default_tol(curve, pts, tol, **kwargs):
+        tols.append(tol)
+        if tol < 1e-2:
+            raise HeightBudgetExceeded(HeightEstimate(0.0, 1, 1.0))
+        return real(curve, pts, tol, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, "pairing_matrix", capped_at_default_tol)
+    rc, out, _ = run_cli(capsys, "heights", "--m", "6", "--json", "--no-cache")
+    assert rc == 0
+    assert tols == [1e-3, 1e-2]
+    assert json.loads(out)["rank_lower_bound"] == 2
+    assert run_analysis(6).heights_tol == 1e-2
+
+
+def test_cache_torn_last_line_is_skipped(tmp_path, capsys):
+    cache_file = tmp_path / "cache.jsonl"
+    rc, cold, _ = run_cli(capsys, "analyze", "--m", "6", "--json",
+                          "--cache-path", str(cache_file))
+    assert rc == 0
+    whole = cache_file.read_bytes()
+    with open(cache_file, "ab") as fh:  # an append cut off mid-line
+        fh.write(b'{"kind": "factorization", "key": "17", "val')
+    rc, out, err = run_cli(capsys, "analyze", "--m", "6", "--json",
+                           "--cache-path", str(cache_file))
+    assert rc == 0 and out == cold
+    assert err.count("warning: skipping torn last line") == 1
+    # The next append replaces the torn tail instead of running on from it.
+    rc, _, err = run_cli(capsys, "analyze", "--m", "12", "--json",
+                         "--cache-path", str(cache_file))
+    assert rc == 0 and err.count("warning") == 1
+    data = cache_file.read_bytes()
+    assert data.startswith(whole) and data.endswith(b"\n")
+    rc, out, err = run_cli(capsys, "analyze", "--m", "6", "--json",
+                           "--cache-path", str(cache_file))
+    assert rc == 0 and out == cold and err == ""
+
+
+def test_cache_malformed_inner_line_raises(tmp_path, capsys):
+    cache_file = tmp_path / "cache.jsonl"
+    rc, _, _ = run_cli(capsys, "analyze", "--m", "6", "--json",
+                       "--cache-path", str(cache_file))
+    assert rc == 0
+    lines = cache_file.read_bytes().split(b"\n")
+    lines[1] = lines[1][:20]
+    cache_file.write_bytes(b"\n".join(lines))
+    rc, out, err = run_cli(capsys, "analyze", "--m", "6", "--json",
+                           "--cache-path", str(cache_file))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "warning" not in err
+
+
+def test_cache_unterminated_whole_last_line_is_kept(tmp_path):
+    cache_file = tmp_path / "cache.jsonl"
+    cache_file.write_bytes(b'{"kind": "factorization", "key": "6", '
+                           b'"value": [["2", 1], ["3", 1]]}')
+    cache = ResultCache(str(cache_file))
+    assert cache.get_factorization(6) == [(2, 1), (3, 1)]
+    cache.put_factorization(10, [(2, 1), (5, 1)])
+    reloaded = ResultCache(str(cache_file))
+    assert reloaded.get_factorization(6) == [(2, 1), (3, 1)]
+    assert reloaded.get_factorization(10) == [(2, 1), (5, 1)]
+
+
 def test_cache_round_trip_and_determinism(tmp_path, capsys):
     cache_file = tmp_path / "cache.jsonl"
     rc, cold, _ = run_cli(capsys, "analyze", "--m", "6", "--json",

@@ -114,3 +114,14 @@ def test_a_value_always_squarefree_for_admissible():
     for m in scan_admissible(2, 300):
         c = build_curve(m)
         assert factorize(c.a_value).is_squarefree()
+
+
+@pytest.mark.parametrize("ms", [
+    list(scan_admissible(2, 2000)),
+    [10008, 100152, 1000038, 100000038],
+])
+def test_p_primes_assembled_match_factorize(ms):
+    # build_curve assembles m^4-1 from m-1, m+1 and m^2+1 instead of factoring it.
+    assert ms
+    for m in ms:
+        assert build_curve(m).p_primes == factorize(m**4 - 1).primes()

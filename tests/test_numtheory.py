@@ -103,6 +103,40 @@ def _next_prime(n):
     return n
 
 
+# Primes in (2^10, 10^6): trial division no longer reaches them, rho does.
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("factors", [
+    ((1031, 6),),
+    ((65537, 6),),
+    ((999983, 6),),
+    ((1031, 1), (1033, 1)),
+    ((1031, 2), (65537, 3), (999983, 1)),
+    ((2, 3), (1021, 1), (1031, 2), (999979, 1), (999983, 2)),
+    ((999961, 1), (999979, 1), (999983, 1)),
+])
+def test_factorize_medium_primes(factors, seed):
+    n = math.prod(p**e for p, e in factors)
+    assert factorize(n, seed=seed).factors == factors
+
+
+@given(st.lists(st.tuples(st.integers(min_value=2**10, max_value=999983),
+                          st.integers(min_value=1, max_value=4)),
+                min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=2))
+@settings(max_examples=60, deadline=None)
+def test_factorize_medium_smooth_recomposes(parts, seed):
+    expected = {}
+    for a, e in parts:
+        p = _next_prime(a)
+        expected[p] = expected.get(p, 0) + e
+    n = math.prod(p**e for p, e in expected.items())
+    f = factorize(n, seed=seed)
+    assert f.recompose() == n
+    assert all(is_prime(p) for p in f.primes())
+    assert list(f.primes()) == sorted(set(f.primes()))
+    assert dict(f.factors) == expected
+
+
 @given(st.integers(min_value=10**6, max_value=10**12),
        st.integers(min_value=10**6, max_value=10**12))
 @settings(max_examples=30, deadline=None)
