@@ -20,7 +20,7 @@ from .heights import (
     DEFAULT_TOL,
     HeightBudgetExceeded,
     PairingMatrix,
-    independence_rank,
+    gram_rank,
     pairing_matrix,
 )
 from .numtheory import DEFAULT_RHO_BUDGET
@@ -32,6 +32,16 @@ class EngineConfig:
     rho_budget: int = DEFAULT_RHO_BUDGET
     tol: float = DEFAULT_TOL
     max_bits: int = DEFAULT_MAX_BITS
+
+    @property
+    def record_key(self) -> str:
+        """The engine version and the settings that can change a record.
+
+        seed and rho_budget are left out: they change how long a
+        factorization takes, or whether it runs out of budget, never its
+        result.
+        """
+        return f"{ENGINE_VERSION}:tol={self.tol!r}:max_bits={self.max_bits}"
 
 
 @dataclass
@@ -81,6 +91,12 @@ class AnalysisRecord:
     ]
 
 
+def analysis_curve(m: int, config: EngineConfig, cache=None) -> CurveParams:
+    """build_curve(m) with config's factorization settings and the cache."""
+    return build_curve(m, seed=config.seed, rho_budget=config.rho_budget,
+                       cache=cache)
+
+
 def height_certificate(
     curve: CurveParams, config: EngineConfig
 ) -> tuple[PairingMatrix, int, float]:
@@ -95,8 +111,7 @@ def height_certificate(
     while True:
         try:
             gram = pairing_matrix(curve, (p1, p2), tol, max_bits=config.max_bits)
-            rank = independence_rank(curve, (p1, p2), tol, max_bits=config.max_bits)
-            return gram, rank, tol
+            return gram, gram_rank(gram, tol), tol
         except HeightBudgetExceeded:
             # Bit cap hit before the gap criterion; a coarser tolerance still
             # leaves margins far above the rank threshold.
@@ -118,12 +133,10 @@ def run_analysis(
     timeouts, height budget errors and local-solver failures (callers map
     those to exit codes).
     """
-    factor_kwargs = {"seed": config.seed, "rho_budget": config.rho_budget,
-                     "cache": cache}
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    curve = build_curve(m, **factor_kwargs)
+    curve = analysis_curve(m, config, cache)
     report = curve.admissibility
     timings["build"] = time.perf_counter() - t0
 

@@ -1,9 +1,11 @@
 """Append-only JSONL cache for factorizations and analysis records.
 
 One JSON object per line, keyed by integer value for factorizations and by
-(m, engine version) for analyses.  Later lines win on duplicate keys, so the
-file can simply be appended to.  Writes are serialized by a lock; readers
-see a dict snapshot loaded at construction.  A torn last line, left by an
+(m, EngineConfig.record_key) for analyses, so a record computed under
+another engine version, height tolerance or bit cap is never served.  Later
+lines win on duplicate keys, so the file can simply be appended to.  Writes
+are serialized by a lock; readers see a dict snapshot loaded at
+construction.  A torn last line, left by an
 interrupted append, is skipped with a warning on stderr.
 """
 
@@ -75,8 +77,8 @@ class ResultCache:
     def put_factorization(self, n: int, factors) -> None:
         self._put("factorization", str(n), [[str(p), e] for p, e in factors])
 
-    def get_analysis(self, m: int, version: str) -> dict | None:
-        return self._data.get(("analysis", f"{m}:{version}"))
+    def get_analysis(self, m: int, record_key: str) -> dict | None:
+        return self._data.get(("analysis", f"{m}:{record_key}"))
 
-    def put_analysis(self, m: int, version: str, record: dict) -> None:
-        self._put("analysis", f"{m}:{version}", record)
+    def put_analysis(self, m: int, record_key: str, record: dict) -> None:
+        self._put("analysis", f"{m}:{record_key}", record)

@@ -1,25 +1,36 @@
 """Command-line front end.
 
-Subcommands: analyze, scan, table1, selmer, heights, torsion.  Output is a
-human-readable table by default, newline-delimited JSON with --json, or CSV
-with --csv.  Exit codes: 0 success, 1 reference-table mismatch, 2 invalid
-input, 3 resource exhaustion.
+Subcommands: analyze, scan, table1, selmer, heights, torsion.  Each command
+opens the result cache at most once.  analyze, scan and table1 share one
+flow: cached records are served, the rest run through run_analysis (in
+worker processes with --jobs), and the main process writes them back.
+selmer, heights and torsion build the curve as run_analysis does and run
+only their stage.  Output is a human-readable table by default,
+newline-delimited JSON with --json, or CSV with --csv.  Exit codes: 0
+success, 1 reference-table mismatch, 2 invalid input, 3 resource exhaustion.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import json
 import math
 import sys
 
-from . import ENGINE_VERSION
-from .analysis import AnalysisRecord, EngineConfig, height_certificate, run_analysis
+from .analysis import (
+    AnalysisRecord,
+    EngineConfig,
+    analysis_curve,
+    height_certificate,
+    run_analysis,
+)
 from .cache import ResultCache, resolve_cache_path
 from .curve import torsion_group
 from .descent import RuleTally, SquarefreePrecondition, selmer_group
-from .family import InadmissibleParameter, build_curve, scan_admissible
+from .family import InadmissibleParameter, scan_admissible
 from .heights import HeightBudgetExceeded
 from .localsolve import LocalSolverError
 from .numtheory import FactorizationTimeout
@@ -52,7 +63,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="cache file (default ./.emcache.jsonl or $EM_CACHE_PATH)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized stages")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers across scan parameters")
+                   help="parallel workers across the parameters of scan "
+                        "and table1")
     p.add_argument("--tol", type=float, default=1e-3, help="height tolerance")
     p.add_argument("--rho-budget", type=int, default=10**8,
                    help="work budget per factorization, shared by its "
@@ -139,19 +151,6 @@ def _verbose_observer(args):
     return observer
 
 
-def _analysis_record(m: int, args) -> AnalysisRecord:
-    cache = _cache(args)
-    if cache is not None:
-        hit = cache.get_analysis(m, ENGINE_VERSION)
-        if hit is not None:
-            return AnalysisRecord(**hit)
-    record = run_analysis(m, _config(args), cache=cache,
-                          observer=_verbose_observer(args))
-    if cache is not None:
-        cache.put_analysis(m, ENGINE_VERSION, record.__dict__)
-    return record
-
-
 def _print_record_human(r: AnalysisRecord) -> None:
     print(f"m = {r.m}")
     print(f"  admissible:      {r.admissible}")
@@ -168,54 +167,17 @@ def _print_record_human(r: AnalysisRecord) -> None:
 
 
 def _emit_records(records, args) -> None:
-    if args.json:
-        for r in records:
+    """Print records as they arrive; the CSV header goes before the first."""
+    writer = csv.writer(sys.stdout)
+    for i, r in enumerate(records):
+        if args.json:
             print(r.to_json())
-    elif args.csv:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(AnalysisRecord.CSV_HEADER)
-        for r in records:
-            writer.writerow(r.csv_row())
-    else:
-        for r in records:
-            _print_record_human(r)
-
-
-def cmd_analyze(args) -> int:
-    record = _analysis_record(args.m, args)
-    _emit_records([record], args)
-    return EXIT_OK
-
-
-def cmd_scan(args) -> int:
-    if args.lo > args.hi:
-        print("error: --from must not exceed --to", file=sys.stderr)
-        return EXIT_INVALID
-    lo = max(args.lo, 2)
-    if args.admissible_only:
-        ms = list(scan_admissible(lo, args.hi, seed=args.seed))
-        if args.json:
-            import json as _json
-            print(_json.dumps(ms))
-        else:
-            print(" ".join(str(m) for m in ms))
-        return EXIT_OK
-    wrote_header = False
-    for m, outcome in _scan_records(lo, args.hi, args):
-        if isinstance(outcome, Exception):
-            print(f"m = {m}: failed ({outcome})", file=sys.stderr)
-            continue
-        record = outcome
-        if args.csv and not wrote_header:
-            csv.writer(sys.stdout).writerow(AnalysisRecord.CSV_HEADER)
-            wrote_header = True
-        if args.json:
-            print(record.to_json())
         elif args.csv:
-            csv.writer(sys.stdout).writerow(record.csv_row())
+            if i == 0:
+                writer.writerow(AnalysisRecord.CSV_HEADER)
+            writer.writerow(r.csv_row())
         else:
-            _print_record_human(record)
-    return EXIT_OK
+            _print_record_human(r)
 
 
 _SCAN_ERRORS = (FactorizationTimeout, HeightBudgetExceeded, LocalSolverError,
@@ -223,54 +185,88 @@ _SCAN_ERRORS = (FactorizationTimeout, HeightBudgetExceeded, LocalSolverError,
 
 
 def _scan_worker(task):
-    m, config = task
+    """run_analysis on (m, config, cache, observer); returns a scan error
+    instead of raising it, so that one failing m does not end a scan."""
+    m, config, cache, observer = task
     try:
-        return m, run_analysis(m, config)
+        return run_analysis(m, config, cache=cache, observer=observer)
     except _SCAN_ERRORS as e:
-        return m, e
+        return e
 
 
-def _scan_records(lo, hi, args):
-    """(m, AnalysisRecord | Exception) for every admissible m, in order.
+def _analyses(ms, args):
+    """(m, AnalysisRecord | scan error) for each m, in the order given.
 
-    With --jobs the per-m analyses run in worker processes (cache writes
-    happen in the parent so the file sees one writer); output order stays
-    canonical either way.
+    Opens the command's one cache and serves its hits in place.  The misses
+    run through _scan_worker, in --jobs worker processes when there are two
+    or more of them and --verbose is off, else in this process.  Either way
+    the results stream in order, and only this process writes the cache.
     """
-    ms = list(scan_admissible(lo, hi, seed=args.seed))
+    config = _config(args)
+    key = config.record_key
     cache = _cache(args)
-    if args.jobs > 1 and not args.verbose:
-        from concurrent.futures import ProcessPoolExecutor
+    hits = [None if cache is None else cache.get_analysis(m, key) for m in ms]
+    misses = [m for m, hit in zip(ms, hits) if hit is None]
+    with contextlib.ExitStack() as stack:
+        if args.jobs > 1 and len(misses) > 1 and not args.verbose:
+            from concurrent.futures import ProcessPoolExecutor
 
-        pending = []
-        results = {}
-        for m in ms:
-            hit = None if cache is None else cache.get_analysis(m, ENGINE_VERSION)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            fresh = pool.map(_scan_worker, [(m, config, None, None) for m in misses])
+        else:
+            observer = _verbose_observer(args)
+            fresh = map(_scan_worker, [(m, config, cache, observer) for m in misses])
+        for m, hit in zip(ms, hits):
             if hit is not None:
-                results[m] = AnalysisRecord(**hit)
+                yield m, AnalysisRecord(**hit)
+                continue
+            outcome = next(fresh)
+            if cache is not None and isinstance(outcome, AnalysisRecord):
+                cache.put_analysis(m, key, outcome.__dict__)
+            yield m, outcome
+
+
+def _raising(outcomes):
+    """The records of _analyses, raising the first scan error instead."""
+    for _, outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
+
+
+def cmd_analyze(args) -> int:
+    _emit_records(_raising(_analyses([args.m], args)), args)
+    return EXIT_OK
+
+
+def cmd_scan(args) -> int:
+    if args.lo > args.hi:
+        print("error: --from must not exceed --to", file=sys.stderr)
+        return EXIT_INVALID
+    ms = list(scan_admissible(max(args.lo, 2), args.hi, seed=args.seed))
+    if args.admissible_only:
+        if args.json:
+            print(json.dumps(ms))
+        else:
+            print(" ".join(str(m) for m in ms))
+        return EXIT_OK
+
+    def records():
+        for m, outcome in _analyses(ms, args):
+            if isinstance(outcome, Exception):
+                print(f"m = {m}: failed ({outcome})", file=sys.stderr)
             else:
-                pending.append(m)
-        config = _config(args)
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            for m, outcome in ex.map(_scan_worker, [(m, config) for m in pending]):
-                results[m] = outcome
-                if cache is not None and isinstance(outcome, AnalysisRecord):
-                    cache.put_analysis(m, ENGINE_VERSION, outcome.__dict__)
-        for m in ms:
-            yield m, results[m]
-        return
-    for m in ms:
-        try:
-            yield m, _analysis_record(m, args)
-        except _SCAN_ERRORS as e:
-            yield m, e
+                yield outcome
+
+    _emit_records(records(), args)
+    return EXIT_OK
 
 
 def cmd_table1(args) -> int:
     rows = []
     ok = True
-    for m, ref in REFERENCE_ROWS.items():
-        record = _analysis_record(m, args)
+    for record in _raising(_analyses(list(REFERENCE_ROWS), args)):
+        m, ref = record.m, REFERENCE_ROWS[record.m]
         s2_match = record.s2 == ref["s2"]
         rank_ok = record.independence >= 2 and record.independence <= record.s2
         if ref["rank_exact"] is not None:
@@ -278,9 +274,8 @@ def cmd_table1(args) -> int:
         ok = ok and s2_match and rank_ok
         rows.append((m, record, ref, s2_match, rank_ok))
     if args.json:
-        import json as _json
         for m, record, ref, s2_match, rank_ok in rows:
-            print(_json.dumps({
+            print(json.dumps({
                 "m": m, "s2": record.s2, "s2_reference": ref["s2"],
                 "s2_match": s2_match, "torsion": record.torsion_structure,
                 "rank_lower_bound": record.independence,
@@ -299,14 +294,15 @@ def cmd_table1(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _curve(args):
+    """The curve of --m, built as run_analysis builds it, through the cache."""
+    return analysis_curve(args.m, _config(args), _cache(args))
+
+
 def cmd_selmer(args) -> int:
-    cache = _cache(args)
-    curve = build_curve(args.m, seed=args.seed, rho_budget=args.rho_budget,
-                        cache=cache)
-    res = selmer_group(curve, observer=_verbose_observer(args))
+    res = selmer_group(_curve(args), observer=_verbose_observer(args))
     if args.json:
-        import json as _json
-        print(_json.dumps({
+        print(json.dumps({
             "m": args.m, "s2": res.s2, "size_log2": res.size_log2,
             "theorem_w": res.theorem_w, "corollary": res.corollary_value,
             "members": [[str(p.b1.value), str(p.b2.value)] for p in res.members],
@@ -320,13 +316,9 @@ def cmd_selmer(args) -> int:
 
 
 def cmd_heights(args) -> int:
-    cache = _cache(args)
-    curve = build_curve(args.m, seed=args.seed, rho_budget=args.rho_budget,
-                        cache=cache)
-    gram, rank, _ = height_certificate(curve, _config(args))
+    gram, rank, _ = height_certificate(_curve(args), _config(args))
     if args.json:
-        import json as _json
-        print(_json.dumps({
+        print(json.dumps({
             "m": args.m,
             "entries": [list(r) for r in gram.entries],
             "determinant": gram.determinant,
@@ -341,13 +333,9 @@ def cmd_heights(args) -> int:
 
 
 def cmd_torsion(args) -> int:
-    cache = _cache(args)
-    curve = build_curve(args.m, seed=args.seed, rho_budget=args.rho_budget,
-                        cache=cache)
-    tors = torsion_group(curve)
+    tors = torsion_group(_curve(args))
     if args.json:
-        import json as _json
-        print(_json.dumps({
+        print(json.dumps({
             "m": args.m, "structure": tors.structure,
             "points": [None] + [[str(p.x), str(p.y)] for p in tors.generators],
         }, sort_keys=True))

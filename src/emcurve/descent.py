@@ -12,7 +12,11 @@ necessary conditions and certified local solvability at the real place, 2,
 homogeneous space is smooth there and carries mod-ell points by Hasse-Weil.
 
 Internally classes are bitmasks over the generator list; symbol tables per
-odd bad prime make the filters O(popcount).
+odd bad prime make the filters O(popcount).  DescentContext is the interface
+to those pieces: the generators of Q(S,2) (`gens`), the exclusion rules
+(`exclusion_reason`) and the symbol conditions (`necessary_failures`) act on
+mask pairs, and `coset_reps` lists every coset, the brute-force reference
+for `survivor_reps`.  selmer_group is the one descent entry point.
 """
 
 from __future__ import annotations
@@ -24,11 +28,7 @@ from typing import Callable, Iterator
 
 from .curve import RationalPoint, contains
 from .family import CurveParams
-from .localsolve import (
-    LocalVerdict,
-    decide_local,
-    real_solvable as _real_verdict,
-)
+from .localsolve import LocalVerdict, decide_local, real_solvable
 from .numtheory import _legendre_prime, factorize, is_prime
 
 
@@ -337,14 +337,6 @@ class DescentContext:
         return tuple(dict.fromkeys(places))
 
 
-def q_s_2(curve: CurveParams) -> list[SquareClass]:
-    """Generators of Q(S,2): [-1], [2], and each odd bad prime."""
-    out = [SquareClass(-1, ()), SquareClass(1, (2,))]
-    for p in curve.p_primes + curve.q_primes + curve.r_primes:
-        out.append(SquareClass(1, (p,)))
-    return out
-
-
 def phi_image(curve: CurveParams, pt: RationalPoint, **factor_kwargs) -> DescentPair:
     """Image of a rational point under the descent map.
 
@@ -367,37 +359,6 @@ def phi_image(curve: CurveParams, pt: RationalPoint, **factor_kwargs) -> Descent
         b1 = square_class_of_rational(pt.x - curve.e1, **factor_kwargs)
         b2 = square_class_of_rational(pt.x + curve.e1, **factor_kwargs)
     return DescentPair(b1, b2)
-
-
-def candidate_pairs(curve: CurveParams) -> Iterator[DescentPair]:
-    """One candidate per coset of the torsion image, in canonical mask order.
-
-    Representatives have b1 > 0 and b2 odd, hence b1*b2 is never 0 mod 4.
-    """
-    ctx = DescentContext(curve)
-    for b1m, b2m in ctx.coset_reps():
-        yield DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m))
-
-
-def lemma_exclusion_filter(curve: CurveParams, pair: DescentPair) -> str | None:
-    """First matching exclusion among the five printed rules, else None."""
-    ctx = DescentContext(curve)
-    return ctx.exclusion_reason(
-        ctx.mask_of_class(pair.b1), ctx.mask_of_class(pair.b2)
-    )
-
-
-def necessary_conditions(curve: CurveParams, pair: DescentPair) -> tuple[bool, list[str]]:
-    """Symbol conditions every Selmer member satisfies; (ok, failed rules)."""
-    ctx = DescentContext(curve)
-    fails = ctx.necessary_failures(
-        ctx.mask_of_class(pair.b1), ctx.mask_of_class(pair.b2)
-    )
-    return (not fails, fails)
-
-
-def real_solvable(curve: CurveParams, pair: DescentPair) -> LocalVerdict:
-    return _real_verdict(pair.b1.value, pair.b2.value)
 
 
 def local_solvable(
@@ -425,8 +386,6 @@ def local_solvable(
 def selmer_group(
     curve: CurveParams,
     *,
-    jobs: int = 1,
-    want_witness: bool = True,
     observer: Callable[[RuleTally | DescentPair], None] | None = None,
 ) -> SelmerResult:
     """Full 2-Selmer computation: filters, symbols, certified local tests.
@@ -436,9 +395,9 @@ def selmer_group(
     certified.  s2 satisfies |Sel| = 2^(2+s2) where |Sel| counts 4 elements
     per member coset.
 
-    The observer first receives one RuleTally per exclusion rule, then every
-    survivor of the rules as a DescentPair.  `jobs` is ignored: the descent
-    runs serially, and `scan --jobs` parallelizes across parameters.
+    Every member carries a witness at each tested place.  The observer
+    first receives one RuleTally per exclusion rule, then every survivor of
+    the rules as a DescentPair.
     """
     if not curve.r_squarefree:
         raise SquarefreePrecondition(
@@ -467,7 +426,7 @@ def selmer_group(
                                      "necessary_fail", "; ".join(fails)))
             continue
         pair = DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m))
-        pair.local_evidence[math.inf] = _real_verdict(pair.b1.value, pair.b2.value)
+        pair.local_evidence[math.inf] = real_solvable(pair.b1.value, pair.b2.value)
         for ell in places:
             verdict = decide_local(
                 pair.b1.value,
@@ -476,7 +435,6 @@ def selmer_group(
                 curve.q_value,
                 curve.r_value,
                 ell,
-                want_witness=want_witness,
             )
             pair.local_evidence[ell] = verdict
             if not verdict.is_solvable:

@@ -32,6 +32,10 @@ class HeightBudgetExceeded(RuntimeError):
         )
         self.estimate = estimate
 
+    def __reduce__(self):
+        # Rebuilt from the estimate, so that it unpickles in a scan --jobs parent.
+        return type(self), (self.estimate,)
+
 
 @dataclass(frozen=True)
 class HeightEstimate:
@@ -183,14 +187,18 @@ def independence_rank(
     *,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> int:
-    """Certified lower bound on the Mordell-Weil rank.
+    """Certified lower bound on the Mordell-Weil rank: gram_rank of the
+    pairing matrix of pts."""
+    return gram_rank(pairing_matrix(c, pts, tol, max_bits=max_bits), tol)
 
-    Numerical rank of the Gram matrix of the height pairing: pivots from
-    Gaussian elimination with full pivoting, counted while they exceed
-    50*tol.  Positive-semidefiniteness of the pairing makes this a lower
-    bound on the number of independent points.
+
+def gram_rank(gram: PairingMatrix, tol: float) -> int:
+    """Numerical rank of a height-pairing Gram matrix computed at tol.
+
+    Pivots from Gaussian elimination with full pivoting, counted while they
+    exceed 50*tol.  Positive-semidefiniteness of the pairing makes this a
+    lower bound on the number of independent points.
     """
-    gram = pairing_matrix(c, pts, tol, max_bits=max_bits)
     a = [list(r) for r in gram.entries]
     n = len(a)
     threshold = RANK_PIVOT_FACTOR * tol

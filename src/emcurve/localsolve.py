@@ -97,15 +97,6 @@ class LocalVerdict:
         return self.outcome in ("solvable", "real_solvable")
 
 
-def _vl(n: int, ell: int) -> int:
-    v = 0
-    n = abs(n)
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
-
-
 def _val_unit(n: int, ell: int) -> tuple[int, int]:
     v = 0
     while n % ell == 0:
@@ -130,7 +121,7 @@ def is_square_qp(n, ell: int) -> bool:
 
 def kstar(b1: int, b2: int, a_value: int, q_value: int, r_value: int, ell: int) -> int:
     """Exhaustion modulus exponent sufficient to decide solvability at ell."""
-    return 2 * _vl(2 * b1 * b2 * a_value * q_value * r_value, ell) + 3
+    return 2 * _val_unit(2 * b1 * b2 * a_value * q_value * r_value, ell)[0] + 3
 
 
 class _Quadratic:
@@ -206,7 +197,7 @@ class _ChartSearch:
             val = q(r) % mod
             if val == 0:
                 return r
-            v_val = _vl(val, self.ell)
+            v_val = _val_unit(val, self.ell)[0]
             der = q.deriv(r)
             e, du = _val_unit(der, self.ell)
             if v_val >= self.prec - 1:
@@ -227,9 +218,9 @@ class _ChartSearch:
         der = q.deriv(c)
         if der == 0:
             return None
-        e = _vl(der, self.ell)
+        e = _val_unit(der, self.ell)[0]
         if val != 0:
-            v = _vl(val, self.ell)
+            v = _val_unit(val, self.ell)[0]
             if v <= 2 * e or v - e < j:
                 return None
         r = self._refine_root(i, c)
@@ -245,7 +236,8 @@ class _ChartSearch:
         # Non-square at the root.  Once the companion value is stable on the
         # whole class (its perturbation h'(r)*(x-r) + O((x-r)^2) cannot reach
         # the unit digits), no x in the class can work.
-        e2 = _vl(self.p[1 - i].deriv(r), self.ell) if self.p[1 - i].deriv(r) else self.prec
+        d2 = self.p[1 - i].deriv(r)
+        e2 = _val_unit(d2, self.ell)[0] if d2 else self.prec
         margin = 3 if self.ell == 2 else 1
         if v2 + margin <= min(e2 + j, 2 * j):
             return "prune"
@@ -276,7 +268,7 @@ class _ChartSearch:
         alpha = q(c)
         beta = q.deriv(c) * step
         gamma = q.q2 * step * step
-        vals = [_vl(t, self.ell) for t in (alpha, beta, gamma) if t != 0]
+        vals = [_val_unit(t, self.ell)[0] for t in (alpha, beta, gamma) if t != 0]
         g = min(vals)
         sc = self.ell**g
         rbar = ((alpha // sc) % self.ell, (beta // sc) % self.ell,
@@ -588,8 +580,8 @@ def _try_build_witness(b1, b2, a_value, q_value, ell, chart, x, zero_at, prec):
 
     res1 = (b1 * Z1 * Z1 - b2 * Z2 * Z2 + 2 * a_value * W * W) % mod
     res2 = (b1 * Z1 * Z1 - b1 * b2 * Z3 * Z3 + q_value * W * W) % mod
-    rv1 = prec if res1 == 0 else _vl(res1, ell)
-    rv2 = prec if res2 == 0 else _vl(res2, ell)
+    rv1 = prec if res1 == 0 else _val_unit(res1, ell)[0]
+    rv2 = prec if res2 == 0 else _val_unit(res2, ell)[0]
 
     j1 = (2 * b1 * Z1 % mod, -2 * b2 * Z2 % mod, 0, 4 * a_value * W % mod)
     j2 = (2 * b1 * Z1 % mod, 0, -2 * b1 * b2 * Z3 % mod, 2 * q_value * W % mod)
@@ -603,7 +595,7 @@ def _try_build_witness(b1, b2, a_value, q_value, ell, chart, x, zero_at, prec):
             minor = (j1[k] * j2[l] - j1[l] * j2[k]) % mod
             if minor == 0:
                 continue
-            mv = _vl(minor, ell)
+            mv = _val_unit(minor, ell)[0]
             if tau is None or mv < tau:
                 tau = mv
     if tau is None or rv1 < 2 * tau + 1 or rv2 < 2 * tau + 1:

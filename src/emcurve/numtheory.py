@@ -55,6 +55,10 @@ class FactorizationTimeout(Exception):
         self.partial = partial
         self.cofactor = cofactor
 
+    def __reduce__(self):
+        # Rebuilt from the fields, so that it unpickles in a scan --jobs parent.
+        return type(self), (self.n, self.partial, self.cofactor)
+
 
 @dataclass(frozen=True)
 class Factorization:

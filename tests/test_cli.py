@@ -1,13 +1,18 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from emcurve.analysis import AnalysisRecord, run_analysis
+from emcurve.analysis import AnalysisRecord, EngineConfig, run_analysis
 from emcurve.cache import ResultCache
 from emcurve.cli import main
 from emcurve.numtheory import factorize
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
+)
 
 
 def run_cli(capsys, *argv):
@@ -79,7 +84,7 @@ def test_analyze_csv(capsys):
     rc, out, _ = run_cli(capsys, "analyze", "--m", "6", "--csv", "--no-cache")
     assert rc == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == AnalysisRecord.CSV_HEADER
+    assert len(rows) == 2 and rows[0] == AnalysisRecord.CSV_HEADER
     assert rows[1][0] == "6" and rows[1][4] == "4"
 
 
@@ -244,7 +249,7 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert cache_file.exists()
     cache = ResultCache(str(cache_file))
-    assert cache.get_analysis(6, "1") is not None or True
+    assert cache.get_analysis(6, EngineConfig().record_key) is not None
     # Factorizations were cached under their integer keys.
     assert cache.get_factorization(6**4 - 1) == list(factorize(6**4 - 1).factors)
 
@@ -304,3 +309,115 @@ def test_scan_jobs_matches_serial(capsys):
         for line in text.splitlines()
     ]
     assert strip(serial) == strip(parallel)
+
+
+def test_cache_keeps_analyses_apart_by_tol(tmp_path, capsys):
+    path = str(tmp_path / "cache.jsonl")
+    rc, coarse, _ = run_cli(capsys, "analyze", "--m", "6", "--json", "--tol", "0.5",
+                            "--cache-path", path)
+    assert rc == 0 and json.loads(coarse)["heights_tol"] == 0.5
+    rc, default, _ = run_cli(capsys, "analyze", "--m", "6", "--json",
+                             "--cache-path", path)
+    assert rc == 0 and json.loads(default)["heights_tol"] == 1e-3
+    # Both records stay cached; seed and rho budget never change a record,
+    # so a run that differs only in those is served the same entry.
+    rc, again, _ = run_cli(capsys, "analyze", "--m", "6", "--json", "--tol", "0.5",
+                           "--seed", "3", "--rho-budget", "1000000",
+                           "--cache-path", path)
+    assert rc == 0 and again == coarse
+
+
+def strip_timings(text):
+    return [{k: v for k, v in json.loads(line).items() if k != "timings"}
+            for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_matches_golden_analyze_records(capsys, jobs):
+    rc, out, _ = run_cli(capsys, "scan", "--from", "2", "--to", "300", "--json",
+                         "--no-cache", "--jobs", jobs)
+    assert rc == 0
+    records = strip_timings(out)
+    assert [r["m"] for r in records] == GOLDEN["replay_ms"]
+    assert records == [GOLDEN["analyze"][str(r["m"])] for r in records]
+
+
+@pytest.mark.parametrize("m", [10008, 100152, 1000038])
+def test_heights_and_torsion_match_golden(capsys, m):
+    rc, out, _ = run_cli(capsys, "heights", "--m", str(m), "--json", "--no-cache")
+    assert rc == 0 and json.loads(out) == GOLDEN["heights"][str(m)]
+    rc, out, _ = run_cli(capsys, "torsion", "--m", str(m), "--json", "--no-cache")
+    assert rc == 0 and out.strip() == GOLDEN["torsion"][str(m)]
+
+
+def test_warm_scan_opens_the_cache_once(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "cache.jsonl")
+    rc, cold, _ = run_cli(capsys, "scan", "--from", "2", "--to", "300", "--json",
+                          "--cache-path", path)
+    assert rc == 0
+    opened = []
+    real_init = ResultCache.__init__
+
+    def counting_init(self, cache_path):
+        opened.append(cache_path)
+        real_init(self, cache_path)
+
+    monkeypatch.setattr(ResultCache, "__init__", counting_init)
+    rc, warm, _ = run_cli(capsys, "scan", "--from", "2", "--to", "300", "--json",
+                          "--cache-path", path)
+    assert rc == 0 and warm == cold
+    assert opened == [path]
+
+
+def test_torn_last_line_warns_once_per_command(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    rc, cold, _ = run_cli(capsys, "table1", "--json", "--cache-path", str(path))
+    assert rc == 0
+    with open(path, "ab") as fh:  # an append cut off mid-line
+        fh.write(b'{"kind": "analysis", "key": "4:1')
+    rc, out, err = run_cli(capsys, "table1", "--json", "--cache-path", str(path))
+    assert rc == 0 and out == cold
+    assert err.count("warning: skipping torn last line") == 1
+    # m = 4 is not in the table, so this scan appends and repairs the tail.
+    rc, _, err = run_cli(capsys, "scan", "--from", "2", "--to", "12", "--json",
+                         "--cache-path", str(path))
+    assert rc == 0 and err.count("warning: skipping torn last line") == 1
+    rc, _, err = run_cli(capsys, "scan", "--from", "2", "--to", "12", "--json",
+                         "--cache-path", str(path))
+    assert rc == 0 and err == ""
+
+
+def test_scan_jobs_reports_budget_failures_like_serial(capsys):
+    # Every m here exhausts a budget of one step; the errors that workers
+    # send back must unpickle, so the scan reports each m and goes on.
+    argv = ["scan", "--from", "10000", "--to", "10300", "--json", "--no-cache",
+            "--rho-budget", "1"]
+    rc, serial_out, serial_err = run_cli(capsys, *argv)
+    assert rc == 0 and serial_err.count("failed (factorization budget") == 4
+    rc, out, err = run_cli(capsys, *argv, "--jobs", "2")
+    assert rc == 0 and err == serial_err
+    assert strip_timings(out) == strip_timings(serial_out)
+
+
+def test_scan_csv_without_records_prints_no_header(capsys):
+    rc, out, err = run_cli(capsys, "scan", "--from", "595", "--to", "610", "--csv",
+                           "--no-cache")
+    assert rc == 0 and out == ""
+    assert "m = 600: failed" in err
+
+
+def test_run_analysis_pairs_each_height_once(monkeypatch):
+    import emcurve.heights as heights_mod
+
+    calls = []
+    real = heights_mod.canonical_height
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(heights_mod, "canonical_height", counting)
+    rec = run_analysis(6)
+    # Three pairings of two points, three heights each.
+    assert len(calls) == 9
+    assert rec.independence == 2

@@ -13,19 +13,15 @@ from emcurve.descent import (
     SquareClass,
     SquarefreePrecondition,
     UnsupportedClass,
-    candidate_pairs,
     corollary_rank,
-    lemma_exclusion_filter,
     local_solvable,
-    necessary_conditions,
     phi_image,
-    q_s_2,
-    real_solvable,
     selmer_group,
     square_class,
     theorem_lower_bound,
 )
 from emcurve.family import build_curve
+from emcurve.localsolve import real_solvable
 from emcurve.numtheory import legendre
 
 
@@ -62,12 +58,12 @@ def test_square_class_group_law(a, b):
 
 
 def test_q_s_2_generators(c6):
-    gens = q_s_2(c6)
+    ctx = DescentContext(c6)
+    gens = [ctx.class_of_mask(1 << i) for i in range(ctx.nbits)]
     assert [g.value for g in gens] == [-1, 2, 5, 7, 37, 1151, 1439]
     # Group order 2^(2 + |P| + |Q| + |R|).
     assert 2 ** len(gens) == 2**7
-    gens12 = q_s_2(build_curve(12))
-    assert len(gens12) == 10
+    assert DescentContext(build_curve(12)).nbits == 10
     assert IDENTITY_CLASS * gens[0] == gens[0]
 
 
@@ -97,7 +93,9 @@ def test_phi_is_homomorphism_on_samples(c6):
 
 
 def test_candidate_pairs_count_and_identity(c6):
-    pairs = list(candidate_pairs(c6))
+    ctx = DescentContext(c6)
+    pairs = [DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m))
+             for b1m, b2m in ctx.coset_reps()]
     assert len(pairs) == 4096  # 2^(2*(2+5)) / 4
     assert pairs[0].b1.is_identity and pairs[0].b2.is_identity
     # Normalization: b1 positive, b2 odd, so b1*b2 is never 0 mod 4.
@@ -119,46 +117,51 @@ def test_candidate_pairs_cover_cosets_once(c6):
         assert ctx.canonical_rep(h[0] ^ 0, h[1] ^ 0) == (0, 0)
 
 
-def test_lemma_exclusion_rules(c6):
-    def pair(b1, b2):
-        return DescentPair(square_class(b1, within=c6), square_class(b2, within=c6))
+def masks(ctx, b1, b2):
+    """The mask pair of the classes of b1 and b2 in ctx's Q(S,2)."""
+    return ctx.mask_of_class(square_class(b1)), ctx.mask_of_class(square_class(b2))
 
-    assert lemma_exclusion_filter(c6, pair(1, -1)) == "(i) b2 < 0"
-    assert lemma_exclusion_filter(c6, pair(1, 1151)) == "(ii) b2 = 0 mod q_i"
-    assert lemma_exclusion_filter(c6, pair(1439, 1)) == "(iii) b1 = 0 mod r_i"
-    assert lemma_exclusion_filter(c6, pair(5, 1)) == "(iv) v_p(b1*b2) = 1"
-    assert lemma_exclusion_filter(c6, pair(2, 1)) == "(v) b1*b2 = 2 mod 4"
-    assert lemma_exclusion_filter(c6, pair(5, 5)) is None
+
+def test_lemma_exclusion_rules(c6):
+    ctx = DescentContext(c6)
+    assert ctx.exclusion_reason(*masks(ctx, 1, -1)) == "(i) b2 < 0"
+    assert ctx.exclusion_reason(*masks(ctx, 1, 1151)) == "(ii) b2 = 0 mod q_i"
+    assert ctx.exclusion_reason(*masks(ctx, 1439, 1)) == "(iii) b1 = 0 mod r_i"
+    assert ctx.exclusion_reason(*masks(ctx, 5, 1)) == "(iv) v_p(b1*b2) = 1"
+    assert ctx.exclusion_reason(*masks(ctx, 2, 1)) == "(v) b1*b2 = 2 mod 4"
+    assert ctx.exclusion_reason(*masks(ctx, 5, 5)) is None
     # First matching rule wins when several apply.
-    assert lemma_exclusion_filter(c6, pair(1439, -1151)) == "(i) b2 < 0"
+    assert ctx.exclusion_reason(*masks(ctx, 1439, -1151)) == "(i) b2 < 0"
 
 
 def test_necessary_conditions_examples(c6):
-    def pair(b1, b2):
-        return DescentPair(square_class(b1, within=c6), square_class(b2, within=c6))
-
-    ok, fails = necessary_conditions(c6, pair(5, 5))
-    assert ok, fails
-    assert legendre(-1, 5) == 1 and legendre(5, 1151) == 1 and legendre(5, 1439) == 1
-    ok, fails = necessary_conditions(c6, pair(7, 7))
-    assert not ok and any("(iv)" in f for f in fails)  # 7 = 3 mod 4
-    # Torsion image (after normalization) passes: Sel contains it.
     ctx = DescentContext(c6)
+    fails = ctx.necessary_failures(*masks(ctx, 5, 5))
+    assert not fails, fails
+    assert legendre(-1, 5) == 1 and legendre(5, 1151) == 1 and legendre(5, 1439) == 1
+    fails = ctx.necessary_failures(*masks(ctx, 7, 7))
+    assert fails and any("(iv)" in f for f in fails)  # 7 = 3 mod 4
+    # Torsion image (after normalization) passes: Sel contains it.
     for b1m, b2m in ctx.torsion_image_masks():
         rep = ctx.canonical_rep(b1m, b2m)
-        p = DescentPair(ctx.class_of_mask(rep[0]), ctx.class_of_mask(rep[1]))
-        assert lemma_exclusion_filter(c6, p) is None
-        ok, fails = necessary_conditions(c6, p)
-        assert ok, fails
+        assert ctx.exclusion_reason(*rep) is None
+        fails = ctx.necessary_failures(*rep)
+        assert not fails, fails
 
 
-def test_real_solvable(c6):
+def test_real_solvable(c6, sel6):
     def pair(b1, b2):
         return DescentPair(square_class(b1), square_class(b2))
 
-    assert real_solvable(c6, pair(1, 1)).is_solvable
-    assert not real_solvable(c6, pair(1, -1)).is_solvable
-    assert real_solvable(c6, pair(-1151, 5)).is_solvable
+    def real(p):
+        return real_solvable(p.b1.value, p.b2.value)
+
+    assert real(pair(1, 1)).is_solvable
+    assert not real(pair(1, -1)).is_solvable
+    assert real(pair(-1151, 5)).is_solvable
+    # The descent records this verdict at the real place of every member.
+    for p in sel6.members:
+        assert p.local_evidence[math.inf] == real(p)
 
 
 def test_difference_identity_per_curve():
@@ -233,12 +236,6 @@ def test_selmer_refuses_non_squarefree_r(c6):
         selmer_group(broken)
 
 
-def test_selmer_jobs_parallel_matches_serial(c6, sel6):
-    res = selmer_group(c6, jobs=2)
-    assert res.s2 == sel6.s2
-    assert [p.key() for p in res.members] == [p.key() for p in sel6.members]
-
-
 def test_local_solvable_depth_validation(c6):
     from emcurve.localsolve import DepthExceeded
     pair = DescentPair(square_class(5), square_class(5))
@@ -281,7 +278,7 @@ SEED_STATUS_COUNTS = {
 
 @pytest.mark.parametrize("m", sorted(SEED_STATUS_COUNTS))
 def test_status_counts_match_full_scan(m):
-    counts = selmer_group(build_curve(m), want_witness=False).status_counts
+    counts = selmer_group(build_curve(m)).status_counts
     assert (counts["excluded"], counts["necessary_fail"], counts["member"]) == (
         SEED_STATUS_COUNTS[m]
     )
@@ -294,14 +291,14 @@ def test_selmer_starts_no_process_pool(c6, sel6, monkeypatch):
         raise AssertionError("the descent must not start a process pool")
 
     monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
-    res = selmer_group(c6, jobs=2)
+    res = selmer_group(c6)
     assert [p.key() for p in res.members] == [p.key() for p in sel6.members]
 
 
 def test_selmer_m312_matches_full_scan():
     # 2^28 cosets, of which 2^13 survive the exclusion rules; the values were
     # produced by scanning every coset.
-    res = selmer_group(build_curve(312), want_witness=False)
+    res = selmer_group(build_curve(312))
     assert res.s2 == 4
     assert res.status_counts == {
         "excluded": 268427264, "necessary_fail": 8176, "member": 16,

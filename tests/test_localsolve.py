@@ -125,6 +125,7 @@ def test_real_place():
     assert real_solvable(1, 1).outcome == "real_solvable"
     assert real_solvable(-5, 7).outcome == "real_solvable"
     assert real_solvable(1, -1).outcome == "real_unsolvable"
+    assert real_solvable(-1151, 5).is_solvable
 
 
 def test_oracle_agreement_small_primes_random_pairs():
