@@ -184,14 +184,28 @@ _SCAN_ERRORS = (FactorizationTimeout, HeightBudgetExceeded, LocalSolverError,
                 SquarefreePrecondition)
 
 
-def _scan_worker(task):
-    """run_analysis on (m, config, cache, observer); returns a scan error
-    instead of raising it, so that one failing m does not end a scan."""
-    m, config, cache, observer = task
+def _scan_worker(m, config, cache, observer):
+    """run_analysis, returning a scan error instead of raising it, so that
+    one failing m does not end a scan."""
     try:
         return run_analysis(m, config, cache=cache, observer=observer)
     except _SCAN_ERRORS as e:
         return e
+
+
+class _FactorizationLog(dict):
+    """A --jobs worker's stand-in for the cache: keeps what it factors."""
+
+    get_factorization = dict.get
+    put_factorization = dict.__setitem__
+
+
+def _pool_worker(task):
+    """_scan_worker in a --jobs process, which never touches the cache file:
+    the factorizations it made come back with the outcome."""
+    m, config = task
+    log = _FactorizationLog()
+    return _scan_worker(m, config, log, None), dict(log)
 
 
 def _analyses(ms, args):
@@ -200,7 +214,8 @@ def _analyses(ms, args):
     Opens the command's one cache and serves its hits in place.  The misses
     run through _scan_worker, in --jobs worker processes when there are two
     or more of them and --verbose is off, else in this process.  Either way
-    the results stream in order, and only this process writes the cache.
+    the results stream in order, and only this process writes the cache,
+    workers' factorizations included.
     """
     config = _config(args)
     key = config.record_key
@@ -212,17 +227,22 @@ def _analyses(ms, args):
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
-            fresh = pool.map(_scan_worker, [(m, config, None, None) for m in misses])
+            fresh = pool.map(_pool_worker, [(m, config) for m in misses])
         else:
             observer = _verbose_observer(args)
-            fresh = map(_scan_worker, [(m, config, cache, observer) for m in misses])
+            fresh = ((_scan_worker(m, config, cache, observer), {})
+                     for m in misses)
         for m, hit in zip(ms, hits):
             if hit is not None:
                 yield m, AnalysisRecord(**hit)
                 continue
-            outcome = next(fresh)
-            if cache is not None and isinstance(outcome, AnalysisRecord):
-                cache.put_analysis(m, key, outcome.__dict__)
+            outcome, factored = next(fresh)
+            if cache is not None:
+                for n, factors in factored.items():
+                    if cache.get_factorization(n) is None:
+                        cache.put_factorization(n, factors)
+                if isinstance(outcome, AnalysisRecord):
+                    cache.put_analysis(m, key, outcome.__dict__)
             yield m, outcome
 
 

@@ -7,14 +7,18 @@ need exactness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .family import CurveParams
 from .numtheory import is_prime, legendre
 
 DEFAULT_COUNT_BOUND = 10**4
+# Good odd primes torsion_bound_generic may count at before giving up.
+_TORSION_BOUND_PRIMES = 12
 
 
 class BadReductionError(ValueError):
@@ -154,20 +158,22 @@ class TorsionGroup:
         return 1 + len(self.generators)
 
 
-def _good_odd_primes(c: CurveParams, count: int) -> list[int]:
-    out = []
+def _good_odd_primes(c: CurveParams) -> Iterator[int]:
+    """The odd primes of good reduction, ascending."""
     ell = 3
-    while len(out) < count:
+    while True:
         if is_prime(ell) and c.has_good_reduction(ell):
-            out.append(ell)
+            yield ell
         ell += 2
-    return out
 
 
-def torsion_bound_generic(c: CurveParams, *, primes_to_try: int = 8) -> int:
-    """gcd of #E(F_ell) over several good odd ell: an upper bound on |tors|."""
+def torsion_bound_generic(c: CurveParams) -> int:
+    """gcd of #E(F_ell) over good odd ell, ascending, stopping once it is 4.
+
+    An upper bound on |tors|; at most _TORSION_BOUND_PRIMES primes are used.
+    """
     g = 0
-    for ell in _good_odd_primes(c, primes_to_try):
+    for ell in itertools.islice(_good_odd_primes(c), _TORSION_BOUND_PRIMES):
         g = math.gcd(g, count_points_mod(reduce_mod(c, ell)))
         if g == 4:
             break
@@ -178,30 +184,20 @@ def torsion_group(c: CurveParams) -> TorsionGroup:
     """The full torsion subgroup: Z/2 x Z/2 on the three rational roots.
 
     The three 2-torsion points come from the rational roots of the cubic.
-    The matching upper bound |tors| <= 4 comes from injecting torsion into
-    E(F_3), where the curve reduces to y^2 = x^3 - x with exactly 4 points;
-    3 is good whenever m >= 6 is admissible (then 3 | m).  For m = 4 (where
-    3 | m^4-1) the bound falls back to a gcd of point counts at several good
-    primes.  Either route failing to give 4 is an internal inconsistency.
+    The matching upper bound |tors| <= 4 is torsion_bound_generic.  For
+    admissible m >= 6 its first prime is 3, which is good because 3 | m;
+    there the curve reduces to y^2 = x^3 - x with exactly 4 points, so one
+    count settles it.  For m = 4 (where 3 | m^4-1) the gcd needs 7 and 13.
+    A bound other than 4 is an internal inconsistency.
     """
     two_torsion = tuple(point(e, 0) for e in c.roots)
     for pt in two_torsion:
         if not contains(c, pt):
             raise PointNotOnCurve(f"root point {pt} not on curve for m={c.m}")
-    if c.has_good_reduction(3):
-        n3 = count_points_mod(reduce_mod(c, 3))
-        if n3 != 4:
-            raise AssertionError(
-                f"count at 3 gave {n3}, expected 4; curve data for m={c.m} is inconsistent"
-            )
-        # Cross-check the same bound with the generic multi-prime route.
-        if torsion_bound_generic(c) != 4:
-            raise AssertionError(
-                f"generic torsion bound disagrees with mod-3 count for m={c.m}"
-            )
-    else:
-        if torsion_bound_generic(c, primes_to_try=12) != 4:
-            raise AssertionError(
-                f"generic torsion bound did not reach 4 for m={c.m}"
-            )
+    g = torsion_bound_generic(c)
+    if g != 4:
+        raise AssertionError(
+            f"torsion bound from point counts is {g}, not 4; curve data for "
+            f"m={c.m} is inconsistent"
+        )
     return TorsionGroup(structure="Z/2 x Z/2", generators=two_torsion)

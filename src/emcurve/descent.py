@@ -28,8 +28,8 @@ from typing import Callable, Iterator
 
 from .curve import RationalPoint, contains
 from .family import CurveParams
-from .localsolve import LocalVerdict, decide_local, real_solvable
-from .numtheory import _legendre_prime, factorize, is_prime
+from .localsolve import decide_local, real_solvable
+from .numtheory import _legendre_prime, factorize
 
 
 class SquarefreePrecondition(RuntimeError):
@@ -139,10 +139,6 @@ class SelmerResult:
     theorem_w: int
     corollary_value: int | None
     status_counts: dict
-
-    @property
-    def rank_upper_bound(self) -> int:
-        return self.s2
 
 
 class DescentContext:
@@ -359,28 +355,6 @@ def phi_image(curve: CurveParams, pt: RationalPoint, **factor_kwargs) -> Descent
         b1 = square_class_of_rational(pt.x - curve.e1, **factor_kwargs)
         b2 = square_class_of_rational(pt.x + curve.e1, **factor_kwargs)
     return DescentPair(b1, b2)
-
-
-def local_solvable(
-    curve: CurveParams,
-    pair: DescentPair,
-    place: int,
-    depth: int | None = None,
-    **solver_kwargs,
-) -> LocalVerdict:
-    """Certified Q_place solvability of the pair's homogeneous space."""
-    if place != 2 and not is_prime(place):
-        raise ValueError(f"place must be a prime, got {place}")
-    return decide_local(
-        pair.b1.value,
-        pair.b2.value,
-        curve.a_value,
-        curve.q_value,
-        curve.r_value,
-        place,
-        depth=depth,
-        **solver_kwargs,
-    )
 
 
 def selmer_group(

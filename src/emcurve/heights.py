@@ -11,6 +11,7 @@ doubling, so a bit-length cap bounds the work.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,22 +128,6 @@ def canonical_height(
             )
 
 
-def height_pairing(
-    c: CurveParams,
-    p: RationalPoint,
-    q: RationalPoint,
-    tol: float = DEFAULT_TOL,
-    *,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> float:
-    """<P, Q> = h-hat(P+Q) - h-hat(P) - h-hat(Q), each height at tol/3."""
-    each = tol / 3.0
-    hsum = canonical_height(c, add(c, p, q), each, max_bits=max_bits).value
-    hp = canonical_height(c, p, each, max_bits=max_bits).value
-    hq = canonical_height(c, q, each, max_bits=max_bits).value
-    return hsum - hp - hq
-
-
 def pairing_matrix(
     c: CurveParams,
     pts: list[RationalPoint] | tuple[RationalPoint, ...],
@@ -150,13 +135,23 @@ def pairing_matrix(
     *,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> PairingMatrix:
+    """Gram matrix of <P, Q> = h-hat(P+Q) - h-hat(P) - h-hat(Q).
+
+    Every height is taken at tol/3 and computed once per distinct point:
+    h-hat(P) once per point, h-hat(P+Q) once per pair.
+    """
     pts = tuple(pts)
     k = len(pts)
+
+    @functools.cache
+    def height(p: RationalPoint) -> float:
+        return canonical_height(c, p, tol / 3.0, max_bits=max_bits).value
+
     entries = [[0.0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            val = height_pairing(c, pts[i], pts[j], tol, max_bits=max_bits)
-            entries[i][j] = entries[j][i] = val
+            hsum = height(add(c, pts[i], pts[j]))
+            entries[i][j] = entries[j][i] = hsum - height(pts[i]) - height(pts[j])
     rows = tuple(tuple(r) for r in entries)
     return PairingMatrix(points=pts, entries=rows, determinant=_det(rows))
 

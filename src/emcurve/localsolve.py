@@ -27,10 +27,16 @@ rejected.  Both cutoffs keep the depth below
     k* = 2 * v_ell(2 * b1 * b2 * A * B * C) + 3,
 
 the modulus at which a surviving primitive candidate would already be
-Hensel-liftable.  For primes too large to scan a digit level exhaustively,
-exact character-sum formulas for quadratics (plus the Weil bound for the
-non-degenerate quartic product) prove that a digit passing both square
-tests exists, and a short scan locates it.
+Hensel-liftable; the search runs to that depth (plus a fixed slack) and
+raises rather than guess if an ambiguity survives it.  At ell = 2 every
+digit is tried.  At odd ell a digit line is analysed through the mod-ell
+reductions of the two quadratics: only their roots (at most four digits)
+need a deeper look, and a "clean" digit where both square tests pass
+outright is searched for directly.  Below ell = 256 the clean-digit scan
+tries every digit.  Above it, a proportionality screen decides exactly when
+no clean digit exists (one reduction a non-residue times a square, or the
+two reductions proportional by a non-residue); otherwise the Weil bound
+guarantees one and a short scan finds it.
 
 Every Solvable verdict carries a witness quadruple modulo ell^N together
 with a smooth-lift certificate: residuals of both quadrics vanish to order
@@ -42,19 +48,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numtheory import _sqrt_mod_prime, sqrt_mod_prime_power
+from .numtheory import _legendre_prime, _sqrt_mod_prime, sqrt_mod_prime_power
 
 _STRUCTURED_SCAN_CAP = 200_000
-# Below this, the clean-digit scan simply tries every digit, which both
-# decides exactly and avoids char-p quirks in the degeneracy screens.
+# Up to this, the clean-digit scan simply tries every digit; above it,
+# _no_clean_digit and the Weil bound decide whether a clean digit exists.
 _CLEAN_EXHAUST_BOUND = 256
 _DEPTH_SLACK = 6
 
 REAL_PLACE = math.inf
-
-
-class DepthExceeded(ValueError):
-    """Caller-supplied depth is below the proven-sufficient modulus k*."""
 
 
 class LocalSolverError(RuntimeError):
@@ -90,7 +92,6 @@ class LocalVerdict:
     place: int | float
     outcome: str  # solvable | unsolvable | real_solvable | real_unsolvable
     witness: Witness | None = None
-    exhaustion_depth: int | None = None
 
     @property
     def is_solvable(self) -> bool:
@@ -98,25 +99,14 @@ class LocalVerdict:
 
 
 def _val_unit(n: int, ell: int) -> tuple[int, int]:
+    """(v_ell(n), n / ell^v) for a nonzero integer n."""
+    if n == 0:
+        raise ValueError("valuation of 0 is +infinity; callers must branch first")
     v = 0
     while n % ell == 0:
         n //= ell
         v += 1
     return v, n
-
-
-def is_square_qp(n, ell: int) -> bool:
-    """Exact square test in Q_ell for a rational (Fraction or int); 0 counts."""
-    if n == 0:
-        return True
-    vn, un = _val_unit(getattr(n, "numerator", n), ell)
-    vd, ud = _val_unit(getattr(n, "denominator", 1), ell)
-    if (vn - vd) % 2:
-        return False
-    if ell == 2:
-        return un * pow(ud, -1, 8) % 8 == 1
-    u = un * pow(ud, -1, ell) % ell
-    return pow(u, (ell - 1) // 2, ell) == 1
 
 
 def kstar(b1: int, b2: int, a_value: int, q_value: int, r_value: int, ell: int) -> int:
@@ -144,13 +134,10 @@ class _Quadratic:
 class _ChartSearch:
     """Decide whether two quadratics take simultaneous Q_ell square values on Z_ell."""
 
-    def __init__(self, p1: _Quadratic, p2: _Quadratic, ell: int, kmax: int,
-                 exhaustive_below: int):
+    def __init__(self, p1: _Quadratic, p2: _Quadratic, ell: int, kmax: int):
         self.p = (p1, p2)
         self.ell = ell
         self.kmax = kmax
-        self.exhaustive_below = exhaustive_below
-        self.chi_exp = (ell - 1) // 2 if ell > 2 else 0
         # Newton refinement precision; generous relative to kmax so that
         # witness certification never outruns a followed root.
         self.prec = 2 * kmax + 40
@@ -158,16 +145,12 @@ class _ChartSearch:
 
     # -- square-status primitives ------------------------------------------
 
-    def _chi(self, u: int) -> int:
-        t = pow(u % self.ell, self.chi_exp, self.ell)
-        return 1 if t == 1 else -1
-
     def _unit_square(self, v: int, unit: int) -> bool:
         if v % 2:
             return False
         if self.ell == 2:
             return unit % 8 == 1
-        return self._chi(unit) == 1
+        return _legendre_prime(unit, self.ell) == 1
 
     def _exact_square(self, n: int) -> bool:
         if n == 0:
@@ -290,75 +273,36 @@ class _ChartSearch:
         roots = {(-r1 + s) * inv % ell, (-r1 - s) * inv % ell}
         return sorted(roots)
 
-    def _rbar_is_scaled_square(self, rbar) -> int | None:
-        """If rbar = e * (linear or constant)^2 in F_ell[d], return chi(e), else None."""
-        r0, r1, r2 = rbar
-        ell = self.ell
-        if r2 == 0 and r1 == 0:
-            return self._chi(r0)
-        if r2 == 0:
-            return None  # genuinely linear
-        disc = (r1 * r1 - 4 * r2 * r0) % ell
-        if disc == 0:
-            return self._chi(r2)
-        return None
+    def _no_clean_digit(self, rb1, rb2) -> bool:
+        """True when no digit off the roots makes both reductions residues.
 
-    def _product_forced_opposite(self, rb1, rb2) -> bool:
-        """True when chi(R1(d) * R2(d)) = -1 for every d away from the roots.
-
-        That happens exactly when R1*R2 is a non-residue scalar times a
-        square in F_ell[d]; detected from the squarefree part of the product.
+        A reduction that is e * (constant or linear)^2 has chi(e) at every
+        such digit: a non-residue e rules them all out, and if both are such
+        with residue e, every digit is clean.  Otherwise R1*R2 is a constant
+        times a square exactly when R2 = lam * R1, and then chi(R1)*chi(R2) =
+        chi(lam) at every such digit, so there is no clean digit iff
+        chi(lam) = -1.  In every other case the Weil bound (ell > 256)
+        guarantees a clean digit.
         """
-        prod = self._poly_mul(rb1, rb2)
-        sq_scalar = self._poly_square_classify(prod)
-        return sq_scalar == -1
-
-    def _poly_mul(self, a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for k, bk in enumerate(b):
-                out[i + k] = (out[i + k] + ai * bk) % self.ell
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return out
-
-    def _poly_square_classify(self, f) -> int | None:
-        """chi(e) if f = e * T^2 in F_ell[d] (T possibly constant), else None."""
         ell = self.ell
-        fd = [(k * ck) % ell for k, ck in enumerate(f)][1:] or [0]
-        while len(fd) > 1 and fd[-1] == 0:
-            fd.pop()
-        if fd == [0]:
-            # Degree 0, or char divides every exponent (impossible: deg <= 4 < ell here).
-            return self._chi(f[0]) if len(f) == 1 else None
-        g = self._poly_gcd(f, fd)
-        # f = e*T^2 (squarefree part trivial) iff deg f = 2 * deg gcd(f, f').
-        if len(f) - 1 == 2 * (len(g) - 1):
-            return self._chi(f[-1])
-        return None
-
-    def _poly_gcd(self, a, b):
-        a, b = list(a), list(b)
-        while len(b) > 1 or b[0] != 0:
-            a, b = b, self._poly_rem(a, b)
-        return a
-
-    def _poly_rem(self, a, b):
-        ell = self.ell
-        a = list(a)
-        inv = pow(b[-1], -1, ell)
-        while len(a) >= len(b) and (len(a) > 1 or a[0] != 0):
-            f = a[-1] * inv % ell
-            shift = len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * bi) % ell
-            while len(a) > 1 and a[-1] == 0:
-                a.pop()
-            if len(a) < len(b):
-                break
-        return a
+        chis = []
+        for r0, r1, r2 in (rb1, rb2):
+            if r2 == 0 and r1 == 0:
+                chis.append(_legendre_prime(r0, ell))
+            elif r2 != 0 and (r1 * r1 - 4 * r2 * r0) % ell == 0:
+                chis.append(_legendre_prime(r2, ell))
+            else:
+                chis.append(None)  # linear, or two distinct roots or none
+        if -1 in chis:
+            return True
+        if chis == [1, 1]:
+            return False
+        # rbar is never zero (its content is stripped), so k exists.
+        k = next(i for i, r in enumerate(rb1) if r)
+        lam = rb2[k] * pow(rb1[k], -1, ell) % ell
+        if any((lam * a - b) % ell for a, b in zip(rb1, rb2)):
+            return False
+        return _legendre_prime(lam, ell) == -1
 
     def _children_structured(self, c: int, j: int):
         """Digit analysis for odd ell without scanning every digit.
@@ -370,9 +314,9 @@ class _ChartSearch:
         four), and a "clean" digit where both square tests pass outright
         exists iff both contents are even and the two chi-conditions are
         jointly attainable.  Small ell settles attainability by trying
-        every digit; large ell screens the degenerate cases exactly and is
-        otherwise guaranteed a hit by the Weil bound (the joint count is at
-        least (ell - 3*sqrt(ell) - 24)/4 > 0 for ell > 256).
+        every digit; large ell first asks _no_clean_digit, which is exact,
+        and is otherwise guaranteed a hit by the Weil bound (the joint count
+        is at least (ell - 3*sqrt(ell) - 24)/4 > 0 for ell > 256).
         """
         ell = self.ell
         step = self.ell**j
@@ -390,7 +334,7 @@ class _ChartSearch:
                     continue  # ambiguous for this condition
                 g = g1 if i == 0 else g2
                 val = self._eval_rbar(rb, d)
-                if not (g % 2 == 0 and self._chi(val) == 1):
+                if not (g % 2 == 0 and _legendre_prime(val, ell) == 1):
                     ok = False
                     break
             if ok:
@@ -399,18 +343,13 @@ class _ChartSearch:
         if g1 % 2 or g2 % 2:
             return children, None
         skip = set(roots1) | set(roots2)
-        if ell > _CLEAN_EXHAUST_BOUND:
-            c1 = self._rbar_is_scaled_square(rb1)
-            c2 = self._rbar_is_scaled_square(rb2)
-            if c1 == -1 or c2 == -1:
-                return children, None
-            if not (c1 == 1 and c2 == 1) and self._product_forced_opposite(rb1, rb2):
-                return children, None
+        if ell > _CLEAN_EXHAUST_BOUND and self._no_clean_digit(rb1, rb2):
+            return children, None
         for d in range(min(ell, _STRUCTURED_SCAN_CAP)):
             if d in skip:
                 continue
-            if self._chi(self._eval_rbar(rb1, d)) == 1 and \
-               self._chi(self._eval_rbar(rb2, d)) == 1:
+            if _legendre_prime(self._eval_rbar(rb1, d), ell) == 1 and \
+               _legendre_prime(self._eval_rbar(rb2, d), ell) == 1:
                 return children, c + d * step
         if ell <= _STRUCTURED_SCAN_CAP:
             return children, None  # scan was exhaustive: no clean digit
@@ -442,7 +381,7 @@ class _ChartSearch:
             raise LocalSolverError(
                 f"ambiguity survived past the exhaustion modulus ell^{self.kmax}"
             )
-        if self.ell == 2 or self.ell < self.exhaustive_below:
+        if self.ell == 2:
             children, hit = self._children_small(c, j)
         else:
             children, hit = self._children_structured(c, j)
@@ -478,27 +417,21 @@ def decide_local(
     r_value: int,
     ell: int,
     *,
-    depth: int | None = None,
-    exhaustive_below: int = 3,
     want_witness: bool = True,
 ) -> LocalVerdict:
     """Q_ell solvability of the pair's homogeneous space, with certificate.
 
-    ell must be prime and is not re-checked here (descent.local_solvable
-    checks it; the descent passes bad primes from complete factorizations).
-    depth, when given, is the exhaustion modulus exponent the caller allows;
-    it must be at least k* = 2 v_ell(2 b1 b2 A B C) + 3 or DepthExceeded is
-    raised (an Unknown is never converted into a verdict).  Odd primes below
-    exhaustive_below take the plain digit loop instead of the character-sum
-    analysis; the default leaves that loop to ell = 2 only.
+    ell must be prime and is not re-checked here: the descent passes 2, 3
+    and bad primes from complete factorizations.  The search runs to the
+    exhaustion modulus k* = 2 v_ell(2 b1 b2 A B C) + 3 plus a fixed slack,
+    trying every digit at ell = 2 and analysing each digit line through its
+    mod-ell reductions at odd ell; an ambiguity that outlives it raises
+    LocalSolverError (an Unknown is never converted into a verdict).
     """
     ks = kstar(b1, b2, a_value, q_value, r_value, ell)
-    if depth is not None and depth < ks:
-        raise DepthExceeded(f"depth {depth} below required exhaustion modulus {ks}")
-    kmax = (depth if depth is not None else ks) + _DEPTH_SLACK
+    kmax = ks + _DEPTH_SLACK
     for chart, (p1, p2) in _charts(b1, b2, a_value, q_value, ell).items():
-        searcher = _ChartSearch(p1, p2, ell, kmax, exhaustive_below)
-        found = searcher.search()
+        found = _ChartSearch(p1, p2, ell, kmax).search()
         if found is not None:
             x, zero_at = found
             witness = None
@@ -507,7 +440,7 @@ def decide_local(
                     b1, b2, a_value, q_value, ell, chart, x, zero_at, ks
                 )
             return LocalVerdict(place=ell, outcome="solvable", witness=witness)
-    return LocalVerdict(place=ell, outcome="unsolvable", exhaustion_depth=kmax)
+    return LocalVerdict(place=ell, outcome="unsolvable")
 
 
 def _sqrt_qp(value: int, ell: int, prec: int) -> tuple[int | None, int]:

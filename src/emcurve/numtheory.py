@@ -1,4 +1,4 @@
-"""Exact integer/rational arithmetic: primality, factorization, quadratic residues.
+"""Exact integer arithmetic: primality, factorization, quadratic residues.
 
 Everything here is deterministic for a fixed seed.  Primality uses the
 Miller-Rabin witness set that is provably correct below 3.3e24, which covers
@@ -16,7 +16,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 # Deterministic for all n < 3,317,044,064,679,887,385,961,981 (~3.3e24).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -468,17 +467,3 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
         pk = min(pk * pk, target)
         r = (r - (r * r - a) * pow(2 * r, -1, pk)) % pk
     return r
-
-
-def valuation(x: int | Fraction, p: int) -> int:
-    """Exact p-adic valuation of a nonzero rational."""
-    if x == 0:
-        raise ValueError("valuation of 0 is +infinity; callers must branch first")
-    if isinstance(x, Fraction):
-        return valuation(x.numerator, p) - valuation(x.denominator, p)
-    x = abs(x)
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v

@@ -311,6 +311,25 @@ def test_scan_jobs_matches_serial(capsys):
     assert strip(serial) == strip(parallel)
 
 
+def test_scan_jobs_caches_the_same_factorizations(tmp_path, capsys):
+    def factorization_keys(path):
+        return {key for kind, key in ResultCache(str(path))._data
+                if kind == "factorization"}
+
+    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+    argv = ("scan", "--from", "2", "--to", "100", "--json")
+    rc, serial_out, _ = run_cli(capsys, *argv, "--cache-path", str(serial))
+    assert rc == 0
+    rc, parallel_out, _ = run_cli(capsys, *argv, "--cache-path", str(parallel),
+                                  "--jobs", "2")
+    assert rc == 0 and strip_timings(parallel_out) == strip_timings(serial_out)
+    keys = factorization_keys(serial)
+    assert keys and factorization_keys(parallel) == keys
+    # Each factorization is written once.
+    lines = parallel.read_text().splitlines()
+    assert sum('"factorization"' in line for line in lines) == len(keys)
+
+
 def test_cache_keeps_analyses_apart_by_tol(tmp_path, capsys):
     path = str(tmp_path / "cache.jsonl")
     rc, coarse, _ = run_cli(capsys, "analyze", "--m", "6", "--json", "--tol", "0.5",
@@ -418,6 +437,6 @@ def test_run_analysis_pairs_each_height_once(monkeypatch):
 
     monkeypatch.setattr(heights_mod, "canonical_height", counting)
     rec = run_analysis(6)
-    # Three pairings of two points, three heights each.
-    assert len(calls) == 9
+    # h(P1), h(P2), h(2 P1), h(P1 + P2), h(2 P2): each distinct height once.
+    assert len(calls) == 5
     assert rec.independence == 2

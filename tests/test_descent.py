@@ -14,7 +14,6 @@ from emcurve.descent import (
     SquarefreePrecondition,
     UnsupportedClass,
     corollary_rank,
-    local_solvable,
     phi_image,
     selmer_group,
     square_class,
@@ -174,7 +173,6 @@ def test_selmer_m6(c6, sel6):
     assert sel6.s2 == 4
     assert sel6.size_log2 == 6
     assert len(sel6.members) == 16
-    assert sel6.rank_upper_bound == 4
     assert sel6.theorem_w == 3
     assert sel6.corollary_value == 4
     assert sel6.theorem_w <= sel6.s2
@@ -234,15 +232,6 @@ def test_selmer_refuses_non_squarefree_r(c6):
     broken = dataclasses.replace(c6, r_squarefree=False)
     with pytest.raises(SquarefreePrecondition):
         selmer_group(broken)
-
-
-def test_local_solvable_depth_validation(c6):
-    from emcurve.localsolve import DepthExceeded
-    pair = DescentPair(square_class(5), square_class(5))
-    with pytest.raises(DepthExceeded):
-        local_solvable(c6, pair, 5, depth=1)
-    verdict = local_solvable(c6, pair, 5, depth=9)
-    assert verdict.is_solvable
 
 
 @pytest.mark.parametrize("m", [6, 12, 462])

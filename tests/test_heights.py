@@ -8,7 +8,6 @@ from emcurve.family import build_curve
 from emcurve.heights import (
     HeightBudgetExceeded,
     canonical_height,
-    height_pairing,
     independence_rank,
     naive_height,
     pairing_matrix,
@@ -69,9 +68,9 @@ def test_budget_error_carries_estimate(c6, pts6):
 
 def test_pairing_definition_consistency(c6, pts6):
     p1, p2, _ = pts6
-    self_pair = height_pairing(c6, p1, p1, TOL)
+    gram = pairing_matrix(c6, (p1, point(c6.e1, 0)), TOL)
+    self_pair, torsion_pair = gram.entries[0]
     assert self_pair == pytest.approx(2 * canonical_height(c6, p1, TOL / 3).value, abs=10 * TOL)
-    torsion_pair = height_pairing(c6, p1, point(c6.e1, 0), TOL)
     assert abs(torsion_pair) < 10 * TOL
 
 

@@ -4,14 +4,12 @@ import pytest
 
 from emcurve.family import build_curve
 from emcurve.localsolve import (
-    DepthExceeded,
-    LocalVerdict,
+    _ChartSearch,
+    _Quadratic,
     decide_local,
-    is_square_qp,
     kstar,
     real_solvable,
 )
-from fractions import Fraction
 
 from oracle import oracle_local_solvable
 
@@ -22,16 +20,6 @@ def curve_constants(m):
 
 
 A6, B6, C6 = 1295, 1151, 1439
-
-
-def test_is_square_qp():
-    assert is_square_qp(0, 7)
-    assert is_square_qp(4, 7) and not is_square_qp(3, 7)
-    assert not is_square_qp(49 * 3, 7)
-    assert not is_square_qp(7 * 4, 7)
-    assert is_square_qp(49 * 4, 7)
-    assert is_square_qp(17, 2) and not is_square_qp(3, 2) and not is_square_qp(2, 2)
-    assert is_square_qp(Fraction(4, 9), 3) and not is_square_qp(Fraction(1, 3), 3)
 
 
 def test_kstar_examples():
@@ -116,11 +104,6 @@ def test_valuation_pattern_of_witnesses_lemma():
                     assert v1 == v2
 
 
-def test_depth_exceeded():
-    with pytest.raises(DepthExceeded):
-        decide_local(5, 5, A6, B6, C6, 5, depth=2)
-
-
 def test_real_place():
     assert real_solvable(1, 1).outcome == "real_solvable"
     assert real_solvable(-5, 7).outcome == "real_solvable"
@@ -157,10 +140,66 @@ def test_structured_path_matches_digit_loop_midsize():
             if random.random() < 0.35:
                 b2 *= g
         for ell in (1061, 211):
-            fast = decide_local(b1, b2, a, b, c, ell, want_witness=False)
-            slow = decide_local(b1, b2, a, b, c, ell, want_witness=False,
-                                exhaustive_below=10**6)
-            assert fast.is_solvable == slow.is_solvable, (b1, b2, ell)
+            ks = kstar(b1, b2, a, b, c, ell)
+            mine = decide_local(b1, b2, a, b, c, ell, want_witness=False)
+            naive = oracle_local_solvable(b1, b2, a, b, ell, ks + 6)
+            assert mine.is_solvable == naive, (b1, b2, ell)
+
+
+def _digit_polys(ell, rng):
+    """Reductions of every shape the screen must decide, with random roots
+    and scalars: constant, linear, l(d-a)^2, l(d-a)(d-b), and l times an
+    irreducible quadratic."""
+    def unit():
+        return rng.randrange(1, ell)
+
+    def times(poly, scale):
+        return tuple(scale * t % ell for t in poly)
+
+    a, b = rng.sample(range(ell), 2)
+    nonres = next(n for n in range(2, ell) if pow(n, (ell - 1) // 2, ell) != 1)
+    return [
+        (unit(), 0, 0),
+        times((-a, 1, 0), unit()),
+        times((a * a, -2 * a, 1), unit()),
+        times((a * b, -a - b, 1), unit()),
+        times((-nonres * a * a % ell, 0, 1), unit()),  # (d^2 - n a^2), no roots
+    ]
+
+
+def _brute_no_clean_digit(ell, rb1, rb2):
+    """True when no digit off the roots of R1 and R2 makes both residues."""
+    residues = {x * x % ell for x in range(1, ell)}
+
+    def value(rb, d):
+        return (rb[0] + rb[1] * d + rb[2] * d * d) % ell
+
+    return not any(value(rb1, d) in residues and value(rb2, d) in residues
+                   for d in range(ell))
+
+
+@pytest.mark.parametrize("ell", [257, 263, 269, 271])
+def test_no_clean_digit_screen_matches_digit_scan(ell):
+    rng = random.Random(ell)
+    search = _ChartSearch(_Quadratic(1, 0, 1), _Quadratic(1, 0, 1), ell, 3)
+    pairs = []
+    for _ in range(20):
+        polys = _digit_polys(ell, rng)
+        pairs += [(p, q) for p in polys for q in polys]
+        # Proportional pairs, by a residue and by a non-residue.
+        lam = rng.randrange(2, ell)
+        pairs += [(p, tuple(lam * t % ell for t in p)) for p in polys]
+        # The shared-root pair (d-a)^2, (d-a)(d-b), with random scalars.
+        a, b = rng.sample(range(ell), 2)
+        l1, l2 = rng.randrange(1, ell), rng.randrange(1, ell)
+        pairs.append(((l1 * a * a % ell, -2 * l1 * a % ell, l1),
+                      (l2 * a * b % ell, -l2 * (a + b) % ell, l2)))
+    outcomes = set()
+    for rb1, rb2 in pairs:
+        expected = _brute_no_clean_digit(ell, rb1, rb2)
+        assert search._no_clean_digit(rb1, rb2) == expected, (rb1, rb2)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_huge_prime_corollary_witnesses():
