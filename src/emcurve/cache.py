@@ -3,18 +3,22 @@
 One JSON object per line, keyed by integer value for factorizations and by
 (m, EngineConfig.record_key) for analyses, so a record computed under
 another engine version, height tolerance or bit cap is never served.  Later
-lines win on duplicate keys, so the file can simply be appended to.  Writes
-are serialized by a lock; readers see a dict snapshot loaded at
-construction.  A torn last line, left by an
+lines win on duplicate keys, so the file can simply be appended to.  Readers
+see a dict snapshot loaded at construction.  A torn last line, left by an
 interrupted append, is skipped with a warning on stderr.
+
+Appends are serialized across threads and processes by an exclusive flock.
+Under it, each append repairs whatever the file ends with after its last
+newline, as it is at that moment: a whole line gets its newline, a torn one
+is cut off.  Then the new line goes out in one write.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sys
-import threading
 
 DEFAULT_CACHE_PATH = ".emcache.jsonl"
 CACHE_PATH_ENV = "EM_CACHE_PATH"
@@ -29,15 +33,10 @@ def resolve_cache_path(explicit: str | None = None) -> str:
 class ResultCache:
     def __init__(self, path: str):
         self.path = path
-        self._lock = threading.Lock()
         self._data: dict[tuple[str, str], object] = {}
-        # (offset, bytes): what replaces an unterminated last line before the
-        # next append, so that append starts a line of its own.
-        self._tail: tuple[int, bytes] | None = None
         if os.path.exists(path):
             with open(path, "rb") as fh:
-                data = fh.read()
-            *whole, last = data.split(b"\n")
+                *whole, last = fh.read().split(b"\n")
             for line in whole:
                 self._load_line(line)
             if last.strip():
@@ -45,28 +44,24 @@ class ResultCache:
                 # only there is damage skipped, anywhere else it raises.
                 try:
                     self._load_line(last)
-                    self._tail = (len(data) - len(last), last + b"\n")
                 except ValueError:
                     print(f"warning: skipping torn last line of cache {path}",
                           file=sys.stderr)
-                    self._tail = (len(data) - len(last), b"")
 
     def _load_line(self, line: bytes) -> None:
         if line.strip():
-            obj = json.loads(line)
-            self._data[(obj["kind"], obj["key"])] = obj["value"]
+            key, value = _parse_line(line)
+            self._data[key] = value
 
     def _put(self, kind: str, key: str, value) -> None:
         line = json.dumps({"kind": kind, "key": key, "value": value}) + "\n"
-        with self._lock:
-            self._data[(kind, key)] = value
-            with open(self.path, "ab") as fh:
-                if self._tail is not None:
-                    offset, repaired = self._tail
-                    fh.truncate(offset)
-                    fh.write(repaired)
-                    self._tail = None
-                fh.write(line.encode("utf-8"))
+        self._data[(kind, key)] = value
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close
+            os.write(fd, _repair_tail(fd) + line.encode("utf-8"))
+        finally:
+            os.close(fd)
 
     def get_factorization(self, n: int) -> list[tuple[int, int]] | None:
         raw = self._data.get(("factorization", str(n)))
@@ -82,3 +77,30 @@ class ResultCache:
 
     def put_analysis(self, m: int, record_key: str, record: dict) -> None:
         self._put("analysis", f"{m}:{record_key}", record)
+
+
+def _parse_line(line: bytes) -> tuple[tuple[str, str], object]:
+    obj = json.loads(line)
+    return (obj["kind"], obj["key"]), obj["value"]
+
+
+def _repair_tail(fd: int) -> bytes:
+    """Make the locked file end at a line boundary before an append.
+
+    Returns the newline that ends a whole last line, or b"" after cutting
+    off a torn one (bytes after the last newline that do not parse).
+    """
+    end = os.fstat(fd).st_size
+    start, tail = end, b""
+    while start and b"\n" not in tail:
+        start = max(0, start - 4096)
+        tail = os.pread(fd, end - start, start)
+    tail = tail[tail.rfind(b"\n") + 1:]
+    if not tail.strip():
+        return b""
+    try:
+        _parse_line(tail)
+    except ValueError:
+        os.ftruncate(fd, end - len(tail))
+        return b""
+    return b"\n"

@@ -131,7 +131,7 @@ def _verbose_observer(args):
         return None
 
     def observer(pair):
-        if isinstance(pair, RuleTally):  # a rule's closed-form count, not a pair
+        if isinstance(pair, RuleTally):  # a closed-form count, not a pair
             print(f"  {pair.reason}: {pair.count} cosets")
             return
         line = f"  ({pair.b1.value}, {pair.b2.value}) -> {pair.status}"

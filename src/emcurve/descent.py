@@ -5,18 +5,24 @@ Candidate pairs live in Q(S,2) x Q(S,2) where Q(S,2) is generated by [-1],
 subgroup H; each of the 4^(nbits-1) H-cosets has one representative with
 b1 > 0 and b2 odd, so b1*b2 is never divisible by 4.  The five exclusion
 rules are linear in those representatives and leave 2^(nbits-2) of them:
-the descent enumerates only these survivors and counts the excluded cosets
-in closed form.  Each survivor then goes through the quadratic-symbol
-necessary conditions and certified local solvability at the real place, 2,
-3 and every odd bad prime; good primes above 3 need no test because the
+the descent indexes these survivors by their nbits-2 free bits and counts
+the excluded cosets in closed form.  On the survivors every quadratic-symbol
+necessary condition is an affine F2 form in the free bits, so the conditions
+are solved as one linear system over F2 and only its solution coset is
+enumerated; the survivors it rejects are counted in closed form too.  Each
+solution then goes through certified local solvability at the real place,
+2, 3 and every odd bad prime; good primes above 3 need no test because the
 homogeneous space is smooth there and carries mod-ell points by Hasse-Weil.
 
-Internally classes are bitmasks over the generator list; symbol tables per
-odd bad prime make the filters O(popcount).  DescentContext is the interface
-to those pieces: the generators of Q(S,2) (`gens`), the exclusion rules
-(`exclusion_reason`) and the symbol conditions (`necessary_failures`) act on
-mask pairs, and `coset_reps` lists every coset, the brute-force reference
-for `survivor_reps`.  selmer_group is the one descent entry point.
+Internally classes are bitmasks over the generator list, and a quadratic
+character is the mask of the generators it sends to -1, so a symbol is a
+popcount parity.  DescentContext is the interface to those pieces: the
+generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`) and
+the symbol conditions (`necessary_failures`) act on mask pairs, which
+selmer_group re-checks on every enumerated candidate; `coset_reps` lists
+every coset, the brute-force reference for `survivor_reps`, and
+`survivor_reps` is the reference for `symbol_solutions`.  selmer_group is
+the one descent entry point.
 """
 
 from __future__ import annotations
@@ -106,10 +112,9 @@ def square_class_of_rational(x: Fraction, **kwargs) -> SquareClass:
 class DescentPair:
     """Candidate ([b1], [b2]) with its pipeline status and evidence.
 
-    status: undecided | excluded | necessary_fail | member.
-    reason is set for the two failure statuses (first failing rule, in the
-    printed order of the exclusion lemma); local_evidence maps places to
-    verdicts accumulated by the pipeline.
+    status: undecided | excluded | member.  reason is set for an excluded
+    pair (the place where it is locally unsolvable); local_evidence maps
+    places to verdicts accumulated by the pipeline.
     """
 
     b1: SquareClass
@@ -124,7 +129,8 @@ class DescentPair:
 
 @dataclass(frozen=True)
 class RuleTally:
-    """Number of coset representatives that one exclusion rule rejects first."""
+    """Number of coset representatives that one exclusion rule rejects first,
+    or that the symbol conditions reject after all five rules."""
 
     reason: str
     count: int
@@ -165,14 +171,13 @@ class DescentContext:
         self.mod4_mask = self.sign_bit | mask_of(
             [g for g in self.gens[2:] if g % 4 == 3]
         )
-        # chi tables: for each odd bad prime pi, the Legendre symbol of every
-        # generator; the entry at pi itself is 0 and must never be consumed.
-        self.chi_table: dict[int, tuple[int, ...]] = {}
-        for pi in curve.p_primes + curve.q_primes + curve.r_primes:
-            row = []
-            for g in self.gens:
-                row.append(0 if g == pi else _legendre_prime(g, pi))
-            self.chi_table[pi] = tuple(row)
+        # Quadratic characters: for each odd bad prime pi, the mask of the
+        # generators other than pi that are non-residues mod pi.
+        self.nonres: dict[int, int] = {
+            pi: mask_of([g for g in self.gens
+                         if g != pi and _legendre_prime(g, pi) == -1])
+            for pi in self.gens[2:]
+        }
         # Torsion images phi(T) as mask pairs: (2AB, 2A), (-2A, 2AC), (-B, C).
         pqa = self.two_bit | self.p_mask
         self.h2 = (self.two_bit | self.p_mask | self.q_mask, pqa)
@@ -205,16 +210,11 @@ class DescentContext:
 
     def chi(self, pi: int, mask: int) -> int:
         """Legendre symbol of the class `mask` at pi; pi must not divide it."""
-        row = self.chi_table[pi]
-        out = 1
-        for i in range(self.nbits):
-            if mask >> i & 1:
-                out *= row[i]
-        return out
+        return -1 if (mask & self.nonres[pi]).bit_count() & 1 else 1
 
     def mod4(self, mask: int) -> int:
         """Residue mod 4 of an odd class value."""
-        return 3 if bin(mask & self.mod4_mask).count("1") % 2 else 1
+        return 3 if (mask & self.mod4_mask).bit_count() & 1 else 1
 
     # -- coset machinery ------------------------------------------------------
 
@@ -257,10 +257,14 @@ class DescentContext:
         contiguous bits above the 2-bit), and b2 is b1's p-part times any
         subset of the r-primes (the bits above those).
         """
-        pq = len(self.curve.p_primes) + len(self.curve.q_primes)
         for idx in range(1 << (self.nbits - 2)):
-            b1m = (idx & ((1 << pq) - 1)) << 2
-            yield b1m, (b1m & self.p_mask) | ((idx >> pq) << (2 + pq))
+            yield self.survivor_rep(idx)
+
+    def survivor_rep(self, idx: int) -> tuple[int, int]:
+        """Survivor #idx; the map is F2-linear in the bits of idx."""
+        pq = len(self.curve.p_primes) + len(self.curve.q_primes)
+        b1m = (idx & ((1 << pq) - 1)) << 2
+        return b1m, (b1m & self.p_mask) | ((idx >> pq) << (2 + pq))
 
     def exclusion_counts(self) -> dict[str, int]:
         """How many coset representatives each rule (i)-(v) rejects first.
@@ -308,24 +312,76 @@ class DescentContext:
             if both & bit:
                 # The class of b1*b2/p^2 is the symmetric difference of the
                 # masks (the shared p-bit squares away); prepend a sign flip.
-                val = self.chi_table[p][0] * self.chi(p, b1m ^ b2m)
+                val = self.chi(p, self.sign_bit) * self.chi(p, b1m ^ b2m)
                 if val != 1:
                     out.append(f"(i) chi_{p}(-b1*b2/p^2) != 1")
             elif neither & bit:
                 if self.chi(p, b1m) != self.chi(p, b2m):
                     out.append(f"(i) chi_{p}(b1) != chi_{p}(b2)")
-        two = self.index[2]
         for q in self.curve.q_primes:
-            target = self.chi_table[q][two] if b1m >> self.index[q] & 1 else 1
+            target = self.chi(q, self.two_bit) if b1m >> self.index[q] & 1 else 1
             if self.chi(q, b2m & ~(1 << self.index[q])) != target:
                 out.append(f"(ii) chi_{q}(b2) condition")
         for r in self.curve.r_primes:
-            target = self.chi_table[r][two] if b2m >> self.index[r] & 1 else 1
+            target = self.chi(r, self.two_bit) if b2m >> self.index[r] & 1 else 1
             if self.chi(r, b1m & ~(1 << self.index[r])) != target:
                 out.append(f"(iii) chi_{r}(b1) condition")
         if self.mod4(b1m) != 1:
             out.append("(iv) b1 != 1 mod 4")
         return out
+
+    def symbol_solutions(self) -> tuple[int, list[int]]:
+        """(rank, ascending indices of the survivors passing every condition).
+
+        On a survivor of rules (i)-(v) the p-bits of b1 and b2 agree and b2
+        has no q-bits, so each condition of necessary_failures fails exactly
+        when (b1 & u) ^ (b2 & v) has odd popcount for a mask pair (u, v):
+        one per p-, q- and r-prime, then b1 = 1 mod 4.  That makes it an
+        affine F2 form in the nbits-2 index bits.  Its values at 0 and at
+        the unit vectors give the system, solved by column elimination on
+        bitmasks: a particular solution plus the kernel, 2^(nbits-2-rank)
+        indices, or none when the system is inconsistent.
+        """
+        c, nr = self.curve, self.nonres
+
+        def odd(pi, gen_bit):  # pi's own bit when the generator is a non-residue
+            return 1 << self.index[pi] if nr[pi] & gen_bit else 0
+
+        forms = (
+            [(nr[p] ^ odd(p, self.sign_bit), nr[p]) for p in c.p_primes]
+            + [(odd(q, self.two_bit), nr[q]) for q in c.q_primes]
+            + [(nr[r], odd(r, self.two_bit)) for r in c.r_primes]
+            + [(self.mod4_mask, 0)]
+        )
+
+        def row(idx):
+            b1m, b2m = self.survivor_rep(idx)
+            return sum((((b1m & u) ^ (b2m & v)).bit_count() & 1) << j
+                       for j, (u, v) in enumerate(forms))
+
+        basis: dict[int, tuple[int, int]] = {}  # leading bit -> (column, combo)
+
+        def reduce(col, combo):
+            while col and col.bit_length() - 1 in basis:
+                v, k = basis[col.bit_length() - 1]
+                col, combo = col ^ v, combo ^ k
+            return col, combo
+
+        base = row(0)
+        kernel = []
+        for i in range(self.nbits - 2):
+            col, combo = reduce(row(1 << i) ^ base, 1 << i)
+            if col:
+                basis[col.bit_length() - 1] = (col, combo)
+            else:
+                kernel.append(combo)
+        rest, x = reduce(base, 0)
+        if rest:
+            return len(basis), []
+        solutions = [x]
+        for k in kernel:
+            solutions += [s ^ k for s in solutions]
+        return len(basis), sorted(solutions)
 
     def local_places(self) -> tuple[int, ...]:
         odd = sorted(set(self.curve.s_primes) - {2})
@@ -370,8 +426,8 @@ def selmer_group(
     per member coset.
 
     Every member carries a witness at each tested place.  The observer
-    first receives one RuleTally per exclusion rule, then every survivor of
-    the rules as a DescentPair.
+    first receives one RuleTally per exclusion rule and one for the symbol
+    conditions, then every candidate passing them as a DescentPair.
     """
     if not curve.r_squarefree:
         raise SquarefreePrecondition(
@@ -380,25 +436,26 @@ def selmer_group(
     ctx = DescentContext(curve)
     places = ctx.local_places()
     rule_counts = ctx.exclusion_counts()
+    rank, solutions = ctx.symbol_solutions()
+    # 2^(nbits-2) - 2^(nbits-2-rank), or every survivor if inconsistent.
+    symbol_fails = (1 << (ctx.nbits - 2)) - len(solutions)
     if observer:
         for reason, count in rule_counts.items():
             observer(RuleTally(reason, count))
-    counts = {"excluded": sum(rule_counts.values()), "necessary_fail": 0, "member": 0}
+        observer(RuleTally(f"necessary_fail (symbol system of F2 rank {rank})",
+                           symbol_fails))
+    counts = {"excluded": sum(rule_counts.values()), "necessary_fail": symbol_fails,
+              "member": 0}
     members: list[DescentPair] = []
-    for b1m, b2m in ctx.survivor_reps():
-        reason = ctx.exclusion_reason(b1m, b2m)
-        if reason is not None:
+    for idx in solutions:
+        b1m, b2m = ctx.survivor_rep(idx)
+        reason = (ctx.exclusion_reason(b1m, b2m)
+                  or "; ".join(ctx.necessary_failures(b1m, b2m)))
+        if reason:
             raise AssertionError(
-                f"enumerated survivor ({ctx.value_of_mask(b1m)}, "
-                f"{ctx.value_of_mask(b2m)}) fails {reason} for m={curve.m}"
+                f"symbol solution ({ctx.value_of_mask(b1m)}, {ctx.value_of_mask(b2m)}) "
+                f"fails {reason} for m={curve.m}"
             )
-        fails = ctx.necessary_failures(b1m, b2m)
-        if fails:
-            counts["necessary_fail"] += 1
-            if observer:
-                observer(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m),
-                                     "necessary_fail", "; ".join(fails)))
-            continue
         pair = DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m))
         pair.local_evidence[math.inf] = real_solvable(pair.b1.value, pair.b2.value)
         for ell in places:

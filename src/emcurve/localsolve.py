@@ -443,13 +443,16 @@ def decide_local(
     return LocalVerdict(place=ell, outcome="unsolvable")
 
 
-def _sqrt_qp(value: int, ell: int, prec: int) -> tuple[int | None, int]:
-    """(valuation/2, unit sqrt mod ell^prec) of a square integer; (None, 0) for 0."""
+def _sqrt_qp(value: int, ell: int, prec: int, mod: int) -> tuple[int | None, int]:
+    """(valuation/2, unit sqrt mod ell^prec) of a square integer; (None, 0) for 0.
+
+    mod is ell^prec, which the caller has already computed.
+    """
     if value == 0:
         return None, 0
     v, u = _val_unit(value, ell)
     assert v % 2 == 0
-    root = sqrt_mod_prime_power(u % ell**prec, ell, prec)
+    root = sqrt_mod_prime_power(u % mod, ell, prec)
     if root is None:
         raise LocalSolverError("witness value is not a square; decision bug")
     return v // 2, root
@@ -482,12 +485,13 @@ def _try_build_witness(b1, b2, a_value, q_value, ell, chart, x, zero_at, prec):
     # Coordinates as (valuation, unit) pairs; None valuation means exact zero.
     vb2, ub2 = _val_unit(b2, ell)
     vb12, ub12 = _val_unit(b1 * b2, ell)
+    mod = ell**prec
 
     def coord_from_sqrt(val, vden, uden, forced_zero):
         if forced_zero or val == 0:
             return (None, 0)
-        h, root = _sqrt_qp(val, ell, prec)
-        return (h - vden, root * pow(uden, -1, ell**prec))
+        h, root = _sqrt_qp(val, ell, prec, mod)
+        return (h - vden, root * pow(uden, -1, mod))
 
     z2 = coord_from_sqrt(val1, vb2, ub2, zero_at == 0)
     z3 = coord_from_sqrt(val2, vb12, ub12, zero_at == 1)
@@ -500,7 +504,6 @@ def _try_build_witness(b1, b2, a_value, q_value, ell, chart, x, zero_at, prec):
 
     finite = [v for v, _ in (z1, z2, z3, w) if v is not None]
     shift = -min(finite)
-    mod = ell**prec
 
     def materialize(coord):
         v, u = coord

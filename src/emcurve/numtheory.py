@@ -6,7 +6,9 @@ every integer this package ever has to classify at desk scale; beyond that a
 seeded 64-round probabilistic test takes over.  Factorization is trial
 division below 2^10, then a Brent-cycle Pollard rho slice that takes
 factors up to about 1e9, then ECM (Lenstra's elliptic curve method on
-Montgomery curves), under one work budget.
+Montgomery curves), under one work budget.  Square roots modulo p^k are
+Hensel-lifted from Tonelli-Shanks by the Newton iteration for the inverse
+square root, which needs no modular inverse beyond one mod p.
 """
 
 from __future__ import annotations
@@ -435,6 +437,11 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
     (the cases k < 3 are handled directly).  Returns None when no root exists.
     p must be prime and is not re-checked: callers pass primes from a
     completed factorization.
+
+    For odd p the returned root is the unique lift of _sqrt_mod_prime(a, p).
+    It is found as a * y, where y = a^(-1/2) is lifted by the division-free
+    Newton iteration y <- y (3 - a y^2) / 2, which doubles the precision per
+    step without the modular inverse a direct lift of x^2 - a needs.
     """
     if k < 1:
         raise ValueError("k >= 1 required")
@@ -460,10 +467,12 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
     if r == 0:
         raise ValueError("unit expected")
     target = p**k
+    y = pow(r, -1, p)
     pk = p
     while pk < target:
-        # Newton step on x^2 - a doubles the precision, capped at p^k; the
-        # inverse of 2r exists since r is a unit.
+        # a y^2 = 1 mod pk gives a y'^2 = 1 mod pk^2, capped at p^k; halving
+        # mod the odd pk is a shift, after adding pk to an odd value.
         pk = min(pk * pk, target)
-        r = (r - (r * r - a) * pow(2 * r, -1, pk)) % pk
-    return r
+        v = y * (3 - a * y * y % pk) % pk
+        y = v >> 1 if v % 2 == 0 else (v + pk) >> 1
+    return a * y % target

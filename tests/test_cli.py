@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import emcurve
 from emcurve.analysis import AnalysisRecord, EngineConfig, run_analysis
 from emcurve.cache import ResultCache
 from emcurve.cli import main
@@ -13,6 +17,7 @@ from emcurve.numtheory import factorize
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
 )
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -113,8 +118,11 @@ def test_verbose_counts_rules_and_details_survivors(capsys):
     lines = out.splitlines()
     assert "  (i) b2 < 0: 2048 cosets" in lines
     assert "  (v) b1*b2 = 2 mod 4: 32 cosets" in lines
-    # One line per survivor of the rules (2^(nbits-2) = 32), none per excluded coset.
-    assert sum(" -> " in line for line in lines) == 32
+    # Of the 2^(nbits-2) = 32 survivors of the rules, the rank-1 symbol system
+    # rejects 16 in one line; one line per solution, none per rejected coset.
+    assert "  necessary_fail (symbol system of F2 rank 1): 16 cosets" in lines
+    assert sum(" -> " in line for line in lines) == 16
+    assert "necessary_fail [" not in out
 
 
 def test_record_round_trip():
@@ -225,6 +233,79 @@ def test_cache_unterminated_whole_last_line_is_kept(tmp_path):
     reloaded = ResultCache(str(cache_file))
     assert reloaded.get_factorization(6) == [(2, 1), (3, 1)]
     assert reloaded.get_factorization(10) == [(2, 1), (5, 1)]
+
+
+TORN = b'{"kind": "factorization", "key": "17", "val'
+
+
+def test_cache_repair_keeps_records_of_other_writers(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    ResultCache(str(path)).put_factorization(6, [(2, 1), (3, 1)])
+    with open(path, "ab") as fh:
+        fh.write(TORN)
+    a, b = ResultCache(str(path)), ResultCache(str(path))
+    b.put_factorization(21, [(3, 1), (7, 1)])
+    a.put_factorization(33, [(3, 1), (11, 1)])
+    assert capsys.readouterr().err.count("warning") == 2
+    reloaded = ResultCache(str(path))
+    assert capsys.readouterr().err == ""
+    assert [reloaded.get_factorization(n) for n in (6, 21, 33)] == [
+        [(2, 1), (3, 1)], [(3, 1), (7, 1)], [(3, 1), (11, 1)]]
+
+
+def test_cache_writer_loaded_before_a_tear_starts_a_line(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    ResultCache(str(path)).put_factorization(6, [(2, 1), (3, 1)])
+    early = ResultCache(str(path))
+    with open(path, "ab") as fh:
+        fh.write(TORN)
+    early.put_factorization(33, [(3, 1), (11, 1)])
+    reloaded = ResultCache(str(path))
+    assert capsys.readouterr().err == ""
+    assert reloaded.get_factorization(6) == [(2, 1), (3, 1)]
+    assert reloaded.get_factorization(33) == [(3, 1), (11, 1)]
+
+
+def test_cache_repair_reads_back_past_long_tails(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    ResultCache(str(path)).put_factorization(6, [(2, 1), (3, 1)])
+    long_factors = [[str(p), 1] for p in range(3, 6000, 2)]  # a 10 kB line
+    whole = json.dumps({"kind": "factorization", "key": "1", "value": long_factors})
+    with open(path, "ab") as fh:
+        fh.write(whole.encode())
+    ResultCache(str(path)).put_factorization(10, [(2, 1), (5, 1)])
+    with open(path, "ab") as fh:
+        fh.write(whole[:9000].encode())
+    ResultCache(str(path)).put_factorization(14, [(2, 1), (7, 1)])
+    reloaded = ResultCache(str(path))
+    assert capsys.readouterr().err.count("warning") == 1
+    assert [len(reloaded.get_factorization(n)) for n in (6, 1, 10, 14)] == [
+        2, len(long_factors), 2, 2]
+
+
+def test_cache_concurrent_processes_append_whole_lines(tmp_path):
+    # Three writers of 200 appends each, more than a two-core box runs at once.
+    path = tmp_path / "cache.jsonl"
+    script = (
+        "import sys\n"
+        "from emcurve.cache import ResultCache\n"
+        "cache = ResultCache(sys.argv[1])\n"
+        "for n in range(int(sys.argv[2]), int(sys.argv[2]) + 200):\n"
+        "    cache.put_factorization(n, [(n, 1)])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(emcurve.__file__).resolve().parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(path), str(start)],
+                              env=env)
+             for start in (1000, 2000, 3000)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
+    lines = path.read_bytes().split(b"\n")
+    assert lines[-1] == b"" and len(lines) == 601
+    assert all(json.loads(line)["kind"] == "factorization" for line in lines[:-1])
+    reloaded = ResultCache(str(path))
+    for n in [*range(1000, 1200), *range(2000, 2200), *range(3000, 3200)]:
+        assert reloaded.get_factorization(n) == [(n, 1)]
 
 
 def test_cache_round_trip_and_determinism(tmp_path, capsys):
@@ -359,6 +440,18 @@ def test_scan_matches_golden_analyze_records(capsys, jobs):
     records = strip_timings(out)
     assert [r["m"] for r in records] == GOLDEN["replay_ms"]
     assert records == [GOLDEN["analyze"][str(r["m"])] for r in records]
+
+
+def test_scan_to_2000_matches_pinned_records(capsys):
+    # Every admissible m <= 2000, captured before the symbol conditions were
+    # solved as an F2 system and the witness roots lifted without inverses.
+    rc, out, err = run_cli(capsys, "scan", "--from", "2", "--to", "2000", "--json",
+                           "--no-cache")
+    assert rc == 0
+    pinned = (DATA / "scan2000.jsonl").read_text().splitlines()
+    assert strip_timings(out) == [json.loads(line) for line in pinned]
+    assert err == ("m = 600: failed (m^4-1+4m^2 = 129601439999 is not squarefree "
+                   "for m=600)\n")
 
 
 @pytest.mark.parametrize("m", [10008, 100152, 1000038])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -271,6 +272,32 @@ def test_status_counts_match_full_scan(m):
     assert (counts["excluded"], counts["necessary_fail"], counts["member"]) == (
         SEED_STATUS_COUNTS[m]
     )
+
+
+@pytest.mark.parametrize("m", [6, 12, 30, 42, 60, 312, 462, 1302])
+def test_symbol_solutions_match_brute_force_scan(m):
+    ctx = DescentContext(build_curve(m))
+    rank, solutions = ctx.symbol_solutions()
+    brute = [idx for idx, rep in enumerate(ctx.survivor_reps())
+             if not ctx.necessary_failures(*rep)]
+    assert solutions == brute
+    assert len(solutions) == 1 << (ctx.nbits - 2 - rank)
+
+
+# sha256 of repr([(key, local_evidence)]) over the members, captured before
+# the witness roots were lifted by the inverse-square-root iteration.
+WITNESS_DIGESTS = {
+    6: "284d3e17a9e0d9a3ea8e3a94609e8346b96fba7b2af9fadd935c2ae3c2a0ceeb",
+    42: "9def75f3c554f19394a8fd9394210c09dbd9672c3c6f1ae449dc0ba1637e0cf8",
+    462: "9f4e2b9d91937605d8ff3ebe8edae9066261fda798adec99b597444f617106af",
+}
+
+
+@pytest.mark.parametrize("m", sorted(WITNESS_DIGESTS))
+def test_member_witnesses_are_pinned(m):
+    members = selmer_group(build_curve(m)).members
+    text = repr([(p.key(), p.local_evidence) for p in members])
+    assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGESTS[m]
 
 
 def test_selmer_starts_no_process_pool(c6, sel6, monkeypatch):

@@ -11,6 +11,7 @@ from emcurve.numtheory import (
     is_prime,
     is_squarefree,
     legendre,
+    _sqrt_mod_prime,
     sqrt_mod,
     sqrt_mod_prime_power,
 )
@@ -208,16 +209,19 @@ def test_sqrt_mod_prime_power(a, p, k):
     assert r is not None and (r * r - a) % p**k == 0
 
 
-@pytest.mark.parametrize("p", [3, 7, 42689])
+# 45557487359 and 45559194911 are q and r of m = 462.
+@pytest.mark.parametrize("p", [3, 7, 42689, 45557487359, 45559194911])
 def test_sqrt_mod_prime_power_every_precision(p):
     residues = [a for a in range(2, 200)
                 if legendre(a, p) == 1 and math.isqrt(a) ** 2 != a][:3]
     assert residues
     for a in residues:
-        for k in range(1, 41):
+        for k in range(1, 61):
             r = sqrt_mod_prime_power(a, p, k)
             assert r is not None and 0 <= r < p**k
             assert (r * r - a) % p**k == 0
+            # The lift of the mod-p root, not the other root.
+            assert r % p == _sqrt_mod_prime(a, p)
 
 
 @pytest.mark.parametrize("x,p,v", [
