@@ -31,7 +31,6 @@ class EngineConfig:
     seed: int = 0
     rho_budget: int = DEFAULT_RHO_BUDGET
     tol: float = DEFAULT_TOL
-    max_bits: int = DEFAULT_MAX_BITS
 
     @property
     def record_key(self) -> str:
@@ -39,9 +38,10 @@ class EngineConfig:
 
         seed and rho_budget are left out: they change how long a
         factorization takes, or whether it runs out of budget, never its
-        result.
+        result.  The height bit cap is the fixed DEFAULT_MAX_BITS; it stays
+        in the key so that records cached under it keep their keys.
         """
-        return f"{ENGINE_VERSION}:tol={self.tol!r}:max_bits={self.max_bits}"
+        return f"{ENGINE_VERSION}:tol={self.tol!r}:max_bits={DEFAULT_MAX_BITS}"
 
 
 @dataclass
@@ -110,7 +110,7 @@ def height_certificate(
     tol = config.tol
     while True:
         try:
-            gram = pairing_matrix(curve, (p1, p2), tol, max_bits=config.max_bits)
+            gram = pairing_matrix(curve, (p1, p2), tol)
             return gram, gram_rank(gram, tol), tol
         except HeightBudgetExceeded:
             # Bit cap hit before the gap criterion; a coarser tolerance still

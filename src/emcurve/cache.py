@@ -80,8 +80,15 @@ class ResultCache:
 
 
 def _parse_line(line: bytes) -> tuple[tuple[str, str], object]:
+    """((kind, key), value); ValueError unless a kind/key/value object."""
     obj = json.loads(line)
-    return (obj["kind"], obj["key"]), obj["value"]
+    try:
+        key = obj["kind"], obj["key"]
+        hash(key)  # an unhashable kind or key would fail only when stored
+        return key, obj["value"]
+    except (KeyError, TypeError) as e:
+        raise ValueError(
+            f"cache line is not a kind/key/value object: {line[:80]!r}") from e
 
 
 def _repair_tail(fd: int) -> bytes:

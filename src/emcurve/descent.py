@@ -10,9 +10,15 @@ the excluded cosets in closed form.  On the survivors every quadratic-symbol
 necessary condition is an affine F2 form in the free bits, so the conditions
 are solved as one linear system over F2 and only its solution coset is
 enumerated; the survivors it rejects are counted in closed form too.  Each
-solution then goes through certified local solvability at the real place,
-2, 3 and every odd bad prime; good primes above 3 need no test because the
-homogeneous space is smooth there and carries mod-ell points by Hasse-Weil.
+solution then goes through certified local solvability at the bad places
+S u {inf}: the real place and curve.s_primes, which is 2 and the odd bad
+primes.  An odd prime p outside S needs no test, 3 included (3 | m for
+every admissible m >= 6).  There b1 and b2 are p-units, and up to sign the
+six 2x2 minors of the two diagonal quadrics are b1*b2, b1^2*b2, b1*R,
+b1*b2^2, b2*Q and 2A*b1*b2 (A, Q, R = m^4-1, m^4-1 -+ 4m^2), all units at
+p.  So the space is a smooth genus-1 curve mod p, Hasse-Weil gives it at
+least p + 1 - 2 sqrt(p) > 0 points over F_p, and Hensel's lemma lifts one
+to Z_p.
 
 Internally classes are bitmasks over the generator list, and a quadratic
 character is the mask of the generators it sends to -1, so a symbol is a
@@ -384,9 +390,8 @@ class DescentContext:
         return len(basis), sorted(solutions)
 
     def local_places(self) -> tuple[int, ...]:
-        odd = sorted(set(self.curve.s_primes) - {2})
-        places = [2, 3] + [p for p in odd if p != 3]
-        return tuple(dict.fromkeys(places))
+        """The finite places tested: the bad primes, 2 first, then ascending."""
+        return self.curve.s_primes
 
 
 def phi_image(curve: CurveParams, pt: RationalPoint, **factor_kwargs) -> DescentPair:
@@ -425,7 +430,7 @@ def selmer_group(
     certified.  s2 satisfies |Sel| = 2^(2+s2) where |Sel| counts 4 elements
     per member coset.
 
-    Every member carries a witness at each tested place.  The observer
+    Every member carries a witness at each place of S u {inf}.  The observer
     first receives one RuleTally per exclusion rule and one for the symbol
     conditions, then every candidate passing them as a DescentPair.
     """

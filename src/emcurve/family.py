@@ -54,8 +54,9 @@ class CurveParams:
 
     p_primes, q_primes, r_primes partition the odd bad primes: divisors of
     m^4-1, m^4-1-4m^2 and m^4-1+4m^2 respectively (pairwise coprime since m
-    is even).  s_primes is the full bad set including 2.  admissibility is
-    the report that build_curve proved before deriving the rest.
+    is even).  s_primes, 2 and then these ascending, is the one bad-place set.
+    admissibility is the report that build_curve proved before deriving the
+    rest.
     """
 
     m: int
@@ -83,10 +84,6 @@ class CurveParams:
     def s_primes(self) -> tuple[int, ...]:
         return tuple(sorted((2,) + self.p_primes + self.q_primes + self.r_primes))
 
-    @property
-    def discriminant_divisor(self) -> int:
-        return 2**6 * self.a_value**2 * self.q_value**2 * self.r_value**2
-
     def cubic_coefficients(self) -> tuple[int, int, int]:
         """(a, b, c) of y^2 = x^3 + a x^2 + b x + c.
 
@@ -97,7 +94,9 @@ class CurveParams:
         return (-4 * self.m**2, -(A**2), 4 * self.m**2 * A**2)
 
     def has_good_reduction(self, ell: int) -> bool:
-        return self.discriminant_divisor % ell != 0
+        """True when the prime ell is outside S: the discriminant 16 prod
+        (e_i - e_j)^2 = 2^6 (a_value q_value r_value)^2 has no other primes."""
+        return ell not in self.s_primes
 
 
 def is_admissible(m: int, **factor_kwargs) -> AdmissibilityReport:

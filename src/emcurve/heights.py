@@ -132,8 +132,6 @@ def pairing_matrix(
     c: CurveParams,
     pts: list[RationalPoint] | tuple[RationalPoint, ...],
     tol: float = DEFAULT_TOL,
-    *,
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> PairingMatrix:
     """Gram matrix of <P, Q> = h-hat(P+Q) - h-hat(P) - h-hat(Q).
 
@@ -145,7 +143,7 @@ def pairing_matrix(
 
     @functools.cache
     def height(p: RationalPoint) -> float:
-        return canonical_height(c, p, tol / 3.0, max_bits=max_bits).value
+        return canonical_height(c, p, tol / 3.0).value
 
     entries = [[0.0] * k for _ in range(k)]
     for i in range(k):
@@ -179,12 +177,10 @@ def independence_rank(
     c: CurveParams,
     pts: list[RationalPoint] | tuple[RationalPoint, ...],
     tol: float = DEFAULT_TOL,
-    *,
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> int:
     """Certified lower bound on the Mordell-Weil rank: gram_rank of the
     pairing matrix of pts."""
-    return gram_rank(pairing_matrix(c, pts, tol, max_bits=max_bits), tol)
+    return gram_rank(pairing_matrix(c, pts, tol), tol)
 
 
 def gram_rank(gram: PairingMatrix, tol: float) -> int:

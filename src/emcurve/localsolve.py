@@ -421,8 +421,8 @@ def decide_local(
 ) -> LocalVerdict:
     """Q_ell solvability of the pair's homogeneous space, with certificate.
 
-    ell must be prime and is not re-checked here: the descent passes 2, 3
-    and bad primes from complete factorizations.  The search runs to the
+    ell must be prime and is not re-checked here: the descent passes the
+    bad primes s_primes, from complete factorizations.  The search runs to the
     exhaustion modulus k* = 2 v_ell(2 b1 b2 A B C) + 3 plus a fixed slack,
     trying every digit at ell = 2 and analysing each digit line through its
     mod-ell reductions at odd ell; an ambiguity that outlives it raises

@@ -105,11 +105,51 @@ def test_selmer_heights_torsion_subcommands(capsys):
     assert ["1295", "0"] in data["points"]
 
 
+def test_plain_heights_and_torsion_output(capsys):
+    rc, out, _ = run_cli(capsys, "heights", "--m", "6", "--no-cache")
+    assert rc == 0 and out == (
+        "m = 6: height pairing of (0,t), (n1,t)\n"
+        "  [  3.630782   -1.774988]\n"
+        "  [ -1.774988    5.345440]\n"
+        "  det = 16.257547, rank lower bound 2\n")
+    rc, out, _ = run_cli(capsys, "torsion", "--m", "6", "--no-cache")
+    assert rc == 0
+    assert out == "m = 6: Z/2 x Z/2  {O, (1295, 0), (-1295, 0), (144, 0)}\n"
+
+
+def test_scan_admissible_only_json(capsys):
+    rc, out, _ = run_cli(capsys, "scan", "--from", "2", "--to", "50",
+                         "--admissible-only", "--json", "--no-cache")
+    assert rc == 0 and out == "[4, 6, 12, 30, 42]\n"
+
+
 def test_verbose_analyze_prints_audit_trail(capsys):
     rc, out, _ = run_cli(capsys, "analyze", "--m", "6", "--verbose", "--no-cache")
     assert rc == 0
     assert "(i) b2 < 0" in out
     assert "place 2: solvable" in out
+    # 3 is a good prime for m = 6, so no local test runs there.
+    assert "place 3:" not in out
+
+
+def test_verbose_prints_locally_excluded_candidates(capsys):
+    # m = 1950: 11^2 and 19^2 divide m^4-1-4m^2, and four symbol solutions
+    # fail at 11, each after passing at 2 and with the real place recorded.
+    rc, out, _ = run_cli(capsys, "selmer", "--m", "1950", "--verbose", "--no-cache")
+    assert rc == 0
+    lines = out.splitlines()
+    excluded = [i for i, line in enumerate(lines) if " -> excluded" in line]
+    assert [lines[i] for i in excluded] == [
+        f"  {pair} -> excluded [locally unsolvable at 11]" for pair in (
+            "(23046958561, 56052667241)",
+            "(13180395051029416573, 81444482663827)",
+            "(6061, 980871139)",
+            "(23739224947380580297, 9760785911386536737)",
+        )]
+    for i in excluded:
+        assert lines[i + 1].startswith("      place 2: solvable witness chart=")
+        assert lines[i + 2:i + 4] == ["      place 11: unsolvable",
+                                      "      place inf: real_solvable"]
 
 
 def test_verbose_counts_rules_and_details_survivors(capsys):
@@ -221,6 +261,34 @@ def test_cache_malformed_inner_line_raises(tmp_path, capsys):
                            "--cache-path", str(cache_file))
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "warning" not in err
+
+
+@pytest.mark.parametrize("line", [
+    b'{"kind": "x"}', b"[1, 2]", b'{"kind": ["x"], "key": "1", "value": 1}'])
+def test_cache_line_of_wrong_shape_is_malformed(tmp_path, capsys, line):
+    # Valid JSON that is not a kind/key/value object: an error inside the
+    # file, a torn line at its end.
+    cache_file = tmp_path / "cache.jsonl"
+    rc, cold, _ = run_cli(capsys, "analyze", "--m", "6", "--json",
+                          "--cache-path", str(cache_file))
+    assert rc == 0
+    whole = cache_file.read_bytes()
+    cache_file.write_bytes(line + b"\n" + whole)
+    rc, out, err = run_cli(capsys, "analyze", "--m", "6", "--json",
+                           "--cache-path", str(cache_file))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    cache_file.write_bytes(whole + line)
+    rc, out, err = run_cli(capsys, "analyze", "--m", "6", "--json",
+                           "--cache-path", str(cache_file))
+    assert rc == 0 and out == cold
+    assert err.count("warning: skipping torn last line") == 1
+    rc, _, err = run_cli(capsys, "analyze", "--m", "12", "--json",
+                         "--cache-path", str(cache_file))
+    assert rc == 0
+    data = cache_file.read_bytes()
+    assert data.startswith(whole + b'{"kind": ') and data.endswith(b"\n")
+    assert line not in data
 
 
 def test_cache_unterminated_whole_last_line_is_kept(tmp_path):

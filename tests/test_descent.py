@@ -284,12 +284,14 @@ def test_symbol_solutions_match_brute_force_scan(m):
     assert len(solutions) == 1 << (ctx.nbits - 2 - rank)
 
 
-# sha256 of repr([(key, local_evidence)]) over the members, captured before
-# the witness roots were lifted by the inverse-square-root iteration.
+# sha256 of repr([(key, local_evidence)]) over the members.  Captured from
+# the descent that also tested place 3 (a good prime for m >= 6), with key 3
+# dropped from each member's local_evidence before hashing, so the evidence
+# at every other place, witnesses included, is pinned byte for byte.
 WITNESS_DIGESTS = {
-    6: "284d3e17a9e0d9a3ea8e3a94609e8346b96fba7b2af9fadd935c2ae3c2a0ceeb",
-    42: "9def75f3c554f19394a8fd9394210c09dbd9672c3c6f1ae449dc0ba1637e0cf8",
-    462: "9f4e2b9d91937605d8ff3ebe8edae9066261fda798adec99b597444f617106af",
+    6: "52ae70e8b6ca66726b68bf931312738447f6bd8a04224f674fe6e3b22069b523",
+    42: "55595f5f857fffd62e7874f6863fdae565c44b24fe7da7bc62527ea4a11b41cd",
+    462: "31944709e9186e021aac6aea8dfab328a3697ade05879fc54a09b763d5f5712c",
 }
 
 
@@ -298,6 +300,16 @@ def test_member_witnesses_are_pinned(m):
     members = selmer_group(build_curve(m)).members
     text = repr([(p.key(), p.local_evidence) for p in members])
     assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGESTS[m]
+
+
+@pytest.mark.parametrize("m", [4, 6, 462])
+def test_local_places_are_the_bad_primes(m):
+    c = build_curve(m)
+    places = DescentContext(c).local_places()
+    assert places == c.s_primes
+    assert places[0] == 2 and list(places) == sorted(places)
+    # 3 is bad only at m = 4, where 3 = m - 1 divides m^4 - 1.
+    assert (3 in places) == (m == 4)
 
 
 def test_selmer_starts_no_process_pool(c6, sel6, monkeypatch):

@@ -83,7 +83,15 @@ def test_three_good_for_admissible_m_at_least_6():
     for m in scan_admissible(6, 200):
         c = build_curve(m)
         assert m % 3 == 0
-        assert c.discriminant_divisor % 3 != 0
+        # The odd prime support of the discriminant is the odd part of S.
+        e1, e2, e3 = c.roots
+        rest = 16 * ((e1 - e2) * (e1 - e3) * (e2 - e3)) ** 2
+        for p in c.s_primes[1:]:
+            assert rest % p == 0
+            while rest % p == 0:
+                rest //= p
+        assert rest & (rest - 1) == 0  # a power of 2: no other odd prime
+        assert 3 not in c.s_primes and c.has_good_reduction(3)
 
 
 def test_gcd_invariant_for_exclusion_lemma():
