@@ -15,11 +15,12 @@ sys.path.insert(0, "src")
 
 from emcurve.analysis import EngineConfig, analysis_curve, run_analysis
 from emcurve.cli import REFERENCE_ROWS
+from emcurve.heights import DEFAULT_TOL
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tol", type=float, default=1e-3)
+    ap.add_argument("--tol", type=float, default=DEFAULT_TOL)
     args = ap.parse_args()
     config = EngineConfig(tol=args.tol)
 

@@ -7,7 +7,8 @@ worker processes with --jobs), and the main process writes them back.
 selmer, heights and torsion build the curve as run_analysis does and run
 only their stage.  Output is a human-readable table by default,
 newline-delimited JSON with --json, or CSV with --csv.  Exit codes: 0
-success, 1 reference-table mismatch, 2 invalid input, 3 resource exhaustion.
+success, 1 reference-table mismatch, 2 invalid input (an unusable cache path
+included), 3 resource exhaustion.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .analysis import (
 from .cache import ResultCache, resolve_cache_path
 from .curve import torsion_group
 from .descent import RuleTally, SquarefreePrecondition, selmer_group
-from .family import InadmissibleParameter, scan_admissible
-from .heights import HeightBudgetExceeded
+from .family import scan_admissible
+from .heights import DEFAULT_TOL, HeightBudgetExceeded
 from .localsolve import LocalSolverError
-from .numtheory import FactorizationTimeout
+from .numtheory import DEFAULT_RHO_BUDGET, FactorizationTimeout
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -65,8 +66,9 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers across the parameters of scan "
                         "and table1")
-    p.add_argument("--tol", type=float, default=1e-3, help="height tolerance")
-    p.add_argument("--rho-budget", type=int, default=10**8,
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="height tolerance, finite and positive")
+    p.add_argument("--rho-budget", type=int, default=DEFAULT_RHO_BUDGET,
                    help="work budget per factorization, shared by its "
                         "cofactors: rho iterations plus ECM steps (trial "
                         "division stops below 2^10, so medium factors draw "
@@ -263,7 +265,8 @@ def cmd_scan(args) -> int:
     if args.lo > args.hi:
         print("error: --from must not exceed --to", file=sys.stderr)
         return EXIT_INVALID
-    ms = list(scan_admissible(max(args.lo, 2), args.hi, seed=args.seed))
+    lo = max(args.lo, 2)  # a window that ends below 2 is empty
+    ms = list(scan_admissible(lo, args.hi, seed=args.seed)) if lo <= args.hi else []
     if args.admissible_only:
         if args.json:
             print(json.dumps(ms))
@@ -379,10 +382,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except InadmissibleParameter as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, SquarefreePrecondition) as e:
+    except (ValueError, OSError, SquarefreePrecondition) as e:
+        # ValueError covers InadmissibleParameter; OSError an unusable cache path.
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except (FactorizationTimeout, HeightBudgetExceeded, LocalSolverError) as e:

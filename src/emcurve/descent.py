@@ -7,13 +7,14 @@ b1 > 0 and b2 odd, so b1*b2 is never divisible by 4.  The five exclusion
 rules are linear in those representatives and leave 2^(nbits-2) of them:
 the descent indexes these survivors by their nbits-2 free bits and counts
 the excluded cosets in closed form.  On the survivors every quadratic-symbol
-necessary condition is an affine F2 form in the free bits, so the conditions
-are solved as one linear system over F2 and only its solution coset is
-enumerated; the survivors it rejects are counted in closed form too.  Each
-solution then goes through certified local solvability at the bad places
-S u {inf}: the real place and curve.s_primes, which is 2 and the odd bad
-primes.  An odd prime p outside S needs no test, 3 included (3 | m for
-every admissible m >= 6).  There b1 and b2 are p-units, and up to sign the
+necessary condition is a linear F2 form in the free bits, so the conditions
+cut out a subgroup, the kernel of one homogeneous F2 system, and only that
+kernel is enumerated; the survivors it rejects are counted in closed form
+too.  Each solution then goes through certified local solvability at the bad
+places S u {inf}: the real place and curve.s_primes, which is 2 and the odd
+bad primes.  The members that pass are a subgroup too, checked by one rank
+test.  An odd prime p outside S needs no test, 3 included (3 | m for every
+admissible m >= 6).  There b1 and b2 are p-units, and up to sign the
 six 2x2 minors of the two diagonal quadrics are b1*b2, b1^2*b2, b1*R,
 b1*b2^2, b2*Q and 2A*b1*b2 (A, Q, R = m^4-1, m^4-1 -+ 4m^2), all units at
 p.  So the space is a smooth genus-1 curve mod p, Hasse-Weil gives it at
@@ -27,8 +28,8 @@ generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`) and
 the symbol conditions (`necessary_failures`) act on mask pairs, which
 selmer_group re-checks on every enumerated candidate; `coset_reps` lists
 every coset, the brute-force reference for `survivor_reps`, and
-`survivor_reps` is the reference for `symbol_solutions`.  selmer_group is
-the one descent entry point.
+`survivor_reps` is the reference for `symbol_solutions`.  `_f2_eliminate`
+is the one F2 eliminator.  selmer_group is the one descent entry point.
 """
 
 from __future__ import annotations
@@ -342,11 +343,11 @@ class DescentContext:
         On a survivor of rules (i)-(v) the p-bits of b1 and b2 agree and b2
         has no q-bits, so each condition of necessary_failures fails exactly
         when (b1 & u) ^ (b2 & v) has odd popcount for a mask pair (u, v):
-        one per p-, q- and r-prime, then b1 = 1 mod 4.  That makes it an
-        affine F2 form in the nbits-2 index bits.  Its values at 0 and at
-        the unit vectors give the system, solved by column elimination on
-        bitmasks: a particular solution plus the kernel, 2^(nbits-2-rank)
-        indices, or none when the system is inconsistent.
+        one per p-, q- and r-prime, then b1 = 1 mod 4.  survivor_rep is
+        F2-linear and survivor 0 is the identity pair, so each condition is
+        a linear F2 form in the nbits-2 index bits.  Its values at the unit
+        vectors give a homogeneous system; the solutions are its kernel,
+        2^(nbits-2-rank) indices.
         """
         c, nr = self.curve, self.nonres
 
@@ -365,33 +366,35 @@ class DescentContext:
             return sum((((b1m & u) ^ (b2m & v)).bit_count() & 1) << j
                        for j, (u, v) in enumerate(forms))
 
-        basis: dict[int, tuple[int, int]] = {}  # leading bit -> (column, combo)
-
-        def reduce(col, combo):
-            while col and col.bit_length() - 1 in basis:
-                v, k = basis[col.bit_length() - 1]
-                col, combo = col ^ v, combo ^ k
-            return col, combo
-
-        base = row(0)
-        kernel = []
-        for i in range(self.nbits - 2):
-            col, combo = reduce(row(1 << i) ^ base, 1 << i)
-            if col:
-                basis[col.bit_length() - 1] = (col, combo)
-            else:
-                kernel.append(combo)
-        rest, x = reduce(base, 0)
-        if rest:
-            return len(basis), []
-        solutions = [x]
+        rank, kernel = _f2_eliminate([row(1 << i) for i in range(self.nbits - 2)])
+        solutions = [0]
         for k in kernel:
             solutions += [s ^ k for s in solutions]
-        return len(basis), sorted(solutions)
+        return rank, sorted(solutions)
 
     def local_places(self) -> tuple[int, ...]:
         """The finite places tested: the bad primes, 2 first, then ascending."""
         return self.curve.s_primes
+
+
+def _f2_eliminate(vectors: list[int]) -> tuple[int, list[int]]:
+    """(rank, kernel) of F2 vectors given as bitmasks.
+
+    Column elimination on leading bits.  The kernel is a basis of the
+    combinations that sum to zero, each a bitmask over the input positions.
+    """
+    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, combo)
+    kernel = []
+    for i, vec in enumerate(vectors):
+        combo = 1 << i
+        while vec and vec.bit_length() - 1 in basis:
+            v, k = basis[vec.bit_length() - 1]
+            vec, combo = vec ^ v, combo ^ k
+        if vec:
+            basis[vec.bit_length() - 1] = (vec, combo)
+        else:
+            kernel.append(combo)
+    return len(basis), kernel
 
 
 def phi_image(curve: CurveParams, pt: RationalPoint, **factor_kwargs) -> DescentPair:
@@ -442,7 +445,6 @@ def selmer_group(
     places = ctx.local_places()
     rule_counts = ctx.exclusion_counts()
     rank, solutions = ctx.symbol_solutions()
-    # 2^(nbits-2) - 2^(nbits-2-rank), or every survivor if inconsistent.
     symbol_fails = (1 << (ctx.nbits - 2)) - len(solutions)
     if observer:
         for reason, count in rule_counts.items():
@@ -452,6 +454,7 @@ def selmer_group(
     counts = {"excluded": sum(rule_counts.values()), "necessary_fail": symbol_fails,
               "member": 0}
     members: list[DescentPair] = []
+    member_masks = []  # b1m << nbits | b2m
     for idx in solutions:
         b1m, b2m = ctx.survivor_rep(idx)
         reason = (ctx.exclusion_reason(b1m, b2m)
@@ -482,41 +485,29 @@ def selmer_group(
             pair.status = "member"
             counts["member"] += 1
             members.append(pair)
+            member_masks.append(b1m << ctx.nbits | b2m)
         if observer:
             observer(pair)
 
     members.sort(key=lambda p: p.key())
-    count = len(members)
-    s2 = count.bit_length() - 1
-    if 1 << s2 != count:
+    # Survivor reps are canonical (b1 > 0, b2 odd) and so is the XOR of two,
+    # so XOR is the H-coset product.  The members lie in the 2^s2-element
+    # span of their masks, and are that subgroup iff there are 2^s2 of them.
+    s2, _ = _f2_eliminate(member_masks)
+    if len(members) != 1 << s2:
         raise AssertionError(
-            f"member coset count {count} is not a power of two for m={curve.m}"
+            f"the {len(members)} member cosets are not a subgroup "
+            f"(their masks span 2^{s2}) for m={curve.m}"
         )
-    _check_group_closure(ctx, members)
-    corollary = corollary_rank(curve)
     return SelmerResult(
         curve=curve,
         members=tuple(members),
         size_log2=2 + s2,
         s2=s2,
         theorem_w=theorem_lower_bound(curve),
-        corollary_value=corollary,
+        corollary_value=corollary_rank(curve),
         status_counts=counts,
     )
-
-
-def _check_group_closure(ctx: DescentContext, members: list[DescentPair]) -> None:
-    keys = {
-        ctx.canonical_rep(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
-        for p in members
-    }
-    for a in keys:
-        for b in keys:
-            prod = ctx.canonical_rep(a[0] ^ b[0], a[1] ^ b[1])
-            if prod not in keys:
-                raise AssertionError(
-                    "member set not closed under componentwise multiplication"
-                )
 
 
 def theorem_lower_bound(curve: CurveParams) -> int:

@@ -74,9 +74,8 @@ def _duplication_step(
     v2 = v * v
     uv = u * v
     nu = u2 * u2 - 2 * b * u2 * v2 - 8 * c * uv * v2 + (b * b - 4 * a * c) * v2 * v2
+    # 4 v^4 f(u/v) = 4 v^4 y^2, so dv stays positive along with v.
     dv = 4 * v * (u2 * u + a * u2 * v + b * u * v2 + c * v2 * v)
-    if dv < 0:
-        nu, dv = -nu, -dv
     for p in strip:
         while nu % p == 0 and dv % p == 0:
             nu //= p
@@ -93,12 +92,13 @@ def canonical_height(
 ) -> HeightEstimate:
     """Neron-Tate height by the doubling limit, exactly 0 on torsion.
 
-    Stops once successive normalized estimates differ by less than tol;
+    Stops once successive normalized estimates differ by less than tol,
+    which must be finite and positive (ValueError otherwise);
     raises HeightBudgetExceeded (carrying the last estimate) if the
     coordinate bit-length cap is reached first.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # also false for nan
+        raise ValueError("tol must be finite and positive")
     if not contains(c, p):
         raise ValueError(f"{p} is not on the curve for m={c.m}")
     if p.is_infinity or p.y == 0:

@@ -96,11 +96,11 @@ def _miller_rabin_composite_witness(a: int, n: int, d: int, s: int) -> bool:
     return True
 
 
-def is_prime(n: int, *, rounds: int = 64, seed: int = 0) -> bool:
+def is_prime(n: int, *, seed: int = 0) -> bool:
     """Primality test, deterministic below ~3.3e24, else seeded Miller-Rabin.
 
     Composites are never reported prime within the deterministic range; beyond
-    it the error probability is at most 4^-rounds (rounds >= 64 by default).
+    it 64 seeded bases bound the error probability by 4^-64.
     """
     if n < 0:
         raise ValueError("is_prime expects n >= 0")
@@ -117,7 +117,7 @@ def is_prime(n: int, *, rounds: int = 64, seed: int = 0) -> bool:
         bases = _MR_WITNESSES
     else:
         rng = random.Random(f"mr:{seed}:{n}")
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(max(rounds, 64)))
+        bases = tuple(rng.randrange(2, n - 1) for _ in range(64))
     return not any(_miller_rabin_composite_witness(a, n, d, s) for a in bases)
 
 

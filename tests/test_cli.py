@@ -71,6 +71,16 @@ def test_scan_empty_window(capsys):
     assert out.strip() == ""
 
 
+@pytest.mark.parametrize("lo, hi", [(1, 1), (0, 1), (-5, 0)])
+def test_scan_window_ending_below_2_is_empty(capsys, lo, hi):
+    rc, out, err = run_cli(capsys, "scan", "--from", str(lo), "--to", str(hi),
+                           "--json", "--no-cache")
+    assert (rc, out, err) == (0, "", "")
+    rc, out, _ = run_cli(capsys, "scan", "--from", str(lo), "--to", str(hi),
+                         "--admissible-only", "--json", "--no-cache")
+    assert (rc, json.loads(out)) == (0, [])
+
+
 def test_scan_bad_range(capsys):
     rc, _, err = run_cli(capsys, "scan", "--from", "10", "--to", "4", "--no-cache")
     assert rc == 2
@@ -351,6 +361,12 @@ def test_cache_repair_reads_back_past_long_tails(tmp_path, capsys):
         2, len(long_factors), 2, 2]
 
 
+def _cli_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(emcurve.__file__).resolve().parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
 def test_cache_concurrent_processes_append_whole_lines(tmp_path):
     # Three writers of 200 appends each, more than a two-core box runs at once.
     path = tmp_path / "cache.jsonl"
@@ -361,9 +377,7 @@ def test_cache_concurrent_processes_append_whole_lines(tmp_path):
         "for n in range(int(sys.argv[2]), int(sys.argv[2]) + 200):\n"
         "    cache.put_factorization(n, [(n, 1)])\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(emcurve.__file__).resolve().parents[1])]
-        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env = _cli_env()
     procs = [subprocess.Popen([sys.executable, "-c", script, str(path), str(start)],
                               env=env)
              for start in (1000, 2000, 3000)]
@@ -374,6 +388,27 @@ def test_cache_concurrent_processes_append_whole_lines(tmp_path):
     reloaded = ResultCache(str(path))
     for n in [*range(1000, 1200), *range(2000, 2200), *range(3000, 3200)]:
         assert reloaded.get_factorization(n) == [(n, 1)]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_analyze_tol_not_finite_exits_2(tol):
+    # In a subprocess with a timeout: a nan tol once looped forever.
+    proc = subprocess.run(
+        [sys.executable, "-m", "emcurve.cli", "analyze", "--m", "6", "--json",
+         "--no-cache", "--tol", tol],
+        env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: tol must be finite and positive\n"
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unusable_cache_path_exits_2(tmp_path, capsys, where):
+    path = tmp_path if where == "directory" else tmp_path / "no" / "c.jsonl"
+    rc, _, err = run_cli(capsys, "analyze", "--m", "6", "--json",
+                         "--cache-path", str(path))
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_cache_round_trip_and_determinism(tmp_path, capsys):

@@ -21,7 +21,7 @@ from emcurve.descent import (
     theorem_lower_bound,
 )
 from emcurve.family import build_curve
-from emcurve.localsolve import real_solvable
+from emcurve.localsolve import LocalVerdict, real_solvable
 from emcurve.numtheory import legendre
 
 
@@ -282,6 +282,34 @@ def test_symbol_solutions_match_brute_force_scan(m):
              if not ctx.necessary_failures(*rep)]
     assert solutions == brute
     assert len(solutions) == 1 << (ctx.nbits - 2 - rank)
+    # The solutions are a subgroup of the survivor index space.
+    found = set(solutions)
+    assert 0 in found
+    assert all(a ^ b in found for a in solutions for b in solutions)
+
+
+# Eight of the sixteen members at m = 6, a power of two, but not a subgroup:
+# (5, 5) * (37, 37) = (185, 185) is left out.
+EIGHT_NOT_CLOSED = {(1, 1), (5, 5), (37, 37), (1, 1439), (8057, 7),
+                    (40285, 35), (298109, 259), (185, 266215)}
+
+
+@pytest.mark.parametrize("kept", [EIGHT_NOT_CLOSED.__contains__,
+                                  lambda key: key != (5, 5)],
+                         ids=["eight-not-closed", "fifteen"])
+def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, kept):
+    import emcurve.descent as descent_mod
+
+    real = descent_mod.decide_local
+
+    def unsolvable_at_2_unless_kept(b1, b2, a, q, r, ell, **kwargs):
+        if ell == 2 and not kept((b1, b2)):
+            return LocalVerdict(ell, "unsolvable")
+        return real(b1, b2, a, q, r, ell, **kwargs)
+
+    monkeypatch.setattr(descent_mod, "decide_local", unsolvable_at_2_unless_kept)
+    with pytest.raises(AssertionError, match="not a subgroup"):
+        selmer_group(c6)
 
 
 # sha256 of repr([(key, local_evidence)]) over the members.  Captured from

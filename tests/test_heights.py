@@ -66,6 +66,12 @@ def test_budget_error_carries_estimate(c6, pts6):
     assert exc.value.estimate.value > 0
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_canonical_height_rejects_tol_not_finite_and_positive(c6, pts6, tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        canonical_height(c6, pts6[0], tol)
+
+
 def test_pairing_definition_consistency(c6, pts6):
     p1, p2, _ = pts6
     gram = pairing_matrix(c6, (p1, point(c6.e1, 0)), TOL)
