@@ -13,16 +13,9 @@ from dataclasses import dataclass, field
 
 from . import ENGINE_VERSION
 from .curve import point, torsion_group
-from .descent import selmer_group
+from .descent import DescentContext, selmer_group
 from .family import CurveParams, build_curve
-from .heights import (
-    DEFAULT_MAX_BITS,
-    DEFAULT_TOL,
-    HeightBudgetExceeded,
-    PairingMatrix,
-    gram_rank,
-    pairing_matrix,
-)
+from .heights import DEFAULT_MAX_BITS, DEFAULT_TOL, PairingMatrix, pairing_matrix
 from .numtheory import DEFAULT_RHO_BUDGET
 
 
@@ -99,25 +92,13 @@ def analysis_curve(m: int, config: EngineConfig, cache=None) -> CurveParams:
 
 def height_certificate(
     curve: CurveParams, config: EngineConfig
-) -> tuple[PairingMatrix, int, float]:
-    """Height pairing and rank lower bound of (0, t), (n1, t), and the tol used.
-
-    Starts at config.tol and retries ten times coarser whenever the bit cap
-    is hit first; raises HeightBudgetExceeded once tol would pass 1.
-    """
-    p1 = point(0, curve.t)
-    p2 = point(curve.n1, curve.t)
-    tol = config.tol
-    while True:
-        try:
-            gram = pairing_matrix(curve, (p1, p2), tol)
-            return gram, gram_rank(gram, tol), tol
-        except HeightBudgetExceeded:
-            # Bit cap hit before the gap criterion; a coarser tolerance still
-            # leaves margins far above the rank threshold.
-            tol *= 10
-            if tol > 1.0:
-                raise
+) -> tuple[PairingMatrix, int]:
+    """Height pairing of (0, t), (n1, t) at config.tol, a report (its
+    HeightBudgetExceeded propagates), and the rank lower bound that their
+    descent images certify exactly."""
+    gram = pairing_matrix(curve, (point(0, curve.t), point(curve.n1, curve.t)),
+                          config.tol)
+    return gram, DescentContext(curve).rank_lower_bound()
 
 
 def run_analysis(
@@ -145,7 +126,7 @@ def run_analysis(
     timings["torsion"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    gram, rank, tol = height_certificate(curve, config)
+    gram, rank = height_certificate(curve, config)
     timings["heights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -167,7 +148,7 @@ def run_analysis(
         pairing_entries=[list(row) for row in gram.entries],
         pairing_determinant=gram.determinant,
         independence=rank,
-        heights_tol=tol,
+        heights_tol=config.tol,
         s2=selmer.s2,
         size_log2=selmer.size_log2,
         theorem_w=selmer.theorem_w,

@@ -67,7 +67,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="parallel workers across the parameters of scan "
                         "and table1")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="height tolerance, finite and positive")
+                   help="precision of the reported height pairing, finite and positive")
     p.add_argument("--rho-budget", type=int, default=DEFAULT_RHO_BUDGET,
                    help="work budget per factorization, shared by its "
                         "cofactors: rho iterations plus ECM steps (trial "
@@ -339,7 +339,7 @@ def cmd_selmer(args) -> int:
 
 
 def cmd_heights(args) -> int:
-    gram, rank, _ = height_certificate(_curve(args), _config(args))
+    gram, rank = height_certificate(_curve(args), _config(args))
     if args.json:
         print(json.dumps({
             "m": args.m,
@@ -381,9 +381,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValueError("--jobs must be at least 1")
+        if args.rho_budget < 0:
+            raise ValueError("--rho-budget must not be negative")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, SquarefreePrecondition) as e:
-        # ValueError covers InadmissibleParameter; OSError an unusable cache path.
+        # ValueError covers InadmissibleParameter and bad flag values; OSError
+        # an unusable cache path.
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except (FactorizationTimeout, HeightBudgetExceeded, LocalSolverError) as e:

@@ -28,20 +28,22 @@ generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`) and
 the symbol conditions (`necessary_failures`) act on mask pairs, which
 selmer_group re-checks on every enumerated candidate; `coset_reps` lists
 every coset, the brute-force reference for `survivor_reps`, and
-`survivor_reps` is the reference for `symbol_solutions`.  `_f2_eliminate`
-is the one F2 eliminator.  selmer_group is the one descent entry point.
+`survivor_reps` is the reference for `symbol_solutions`.  `rank_lower_bound`
+certifies rank >= 2 from the images of the torsion and of the points (0, t)
+and (n1, t).  `_f2_eliminate` is the one F2 eliminator.  selmer_group is the
+one descent entry point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator
 
 from .curve import RationalPoint, contains
 from .family import CurveParams
-from .localsolve import decide_local, real_solvable
+from .localsolve import _val_unit, decide_local, real_solvable
 from .numtheory import _legendre_prime, factorize
 
 
@@ -110,11 +112,6 @@ def square_class(n: int, *, within: CurveParams | None = None, **factor_kwargs) 
     return cls
 
 
-def square_class_of_rational(x: Fraction, **kwargs) -> SquareClass:
-    """[a/b] = [a*b] for a nonzero rational in lowest terms."""
-    return square_class(x.numerator * x.denominator, **kwargs)
-
-
 @dataclass
 class DescentPair:
     """Candidate ([b1], [b2]) with its pipeline status and evidence.
@@ -166,30 +163,35 @@ class DescentContext:
         self.two_bit = 1 << 1
 
         def mask_of(primes):
-            m = 0
-            for p in primes:
-                m |= 1 << self.index[p]
-            return m
+            return sum(1 << self.index[p] for p in primes)
 
         self.p_mask = mask_of(curve.p_primes)
         self.q_mask = mask_of(curve.q_primes)
         self.r_mask = mask_of(curve.r_primes)
         # Odd generators congruent to 3 mod 4 (the sign acts like one).
-        self.mod4_mask = self.sign_bit | mask_of(
-            [g for g in self.gens[2:] if g % 4 == 3]
-        )
-        # Quadratic characters: for each odd bad prime pi, the mask of the
-        # generators other than pi that are non-residues mod pi.
-        self.nonres: dict[int, int] = {
-            pi: mask_of([g for g in self.gens
-                         if g != pi and _legendre_prime(g, pi) == -1])
-            for pi in self.gens[2:]
-        }
-        # Torsion images phi(T) as mask pairs: (2AB, 2A), (-2A, 2AC), (-B, C).
-        pqa = self.two_bit | self.p_mask
-        self.h2 = (self.two_bit | self.p_mask | self.q_mask, pqa)
-        self.h4 = (self.sign_bit | self.q_mask, self.r_mask)
+        self.mod4_mask = self.sign_bit | mask_of(g for g in self.gens[2:] if g % 4 == 3)
+
+        def odd_mask(n, primes):  # the class of n > 0 supported on primes
+            return mask_of(p for p in primes if _val_unit(n, p)[0] % 2)
+
+        # Torsion images phi(T) as mask pairs: (2AQ, 2A), (-2A, 2AR), (-Q, R).
+        # A = (m-1)(m+1)(m^2+1) is squarefree, but Q or R may not be.
+        q_cls = odd_mask(curve.q_value, curve.q_primes)
+        pa = self.two_bit | self.p_mask
+        self.h2 = (pa | q_cls, pa)
+        self.h4 = (self.sign_bit | q_cls, odd_mask(curve.r_value, curve.r_primes))
         self.h3 = (self.h2[0] ^ self.h4[0], self.h2[1] ^ self.h4[1])
+        # Images of (0, t) and (n1, t): ([-A], [A]) and ([2(m^2+1)], [2(m^2+1)]).
+        b = self.two_bit | odd_mask(curve.m**2 + 1, curve.p_primes)
+        self.point_images = ((self.sign_bit | self.p_mask, self.p_mask), (b, b))
+
+    @functools.cached_property
+    def nonres(self) -> dict[int, int]:
+        """Quadratic characters: for each odd bad prime pi, the mask of the
+        generators other than pi that are non-residues mod pi."""
+        return {pi: sum(1 << i for i, g in enumerate(self.gens)
+                        if g != pi and _legendre_prime(g, pi) == -1)
+                for pi in self.gens[2:]}
 
     # -- mask <-> class ------------------------------------------------------
 
@@ -372,6 +374,23 @@ class DescentContext:
             solutions += [s ^ k for s in solutions]
         return rank, sorted(solutions)
 
+    def rank_lower_bound(self) -> int:
+        """Mordell-Weil rank >= 2, certified by F2 linear algebra.
+
+        The descent map is injective on E(Q)/2E(Q), of dimension r + 2 (all
+        2-torsion is rational), so r >= dim span(h2, h4, point_images) - 2.
+        That span has dimension 4 for every admissible m: [R] occurs only in
+        h4, [Q] only in h2 and h4, and neither is a square (each is k^2 - 5
+        with k = m^2 -+ 2 > 3); -1 is in the image of (0, t) but not of
+        (n1, t), and 2 the other way round.
+        """
+        images = (self.h2, self.h4) + self.point_images
+        dim, _ = _f2_eliminate([b1m << self.nbits | b2m for b1m, b2m in images])
+        if dim != 4:
+            raise AssertionError(f"the images of T1, T2, (0, t), (n1, t) span "
+                                 f"dimension {dim}, not 4, for m={self.curve.m}")
+        return dim - 2
+
     def local_places(self) -> tuple[int, ...]:
         """The finite places tested: the bad primes, 2 first, then ascending."""
         return self.curve.s_primes
@@ -416,8 +435,9 @@ def phi_image(curve: CurveParams, pt: RationalPoint, **factor_kwargs) -> Descent
         b1 = square_class(-2 * A, **factor_kwargs)
         b2 = square_class(2 * A * curve.r_value, **factor_kwargs)
     else:
-        b1 = square_class_of_rational(pt.x - curve.e1, **factor_kwargs)
-        b2 = square_class_of_rational(pt.x + curve.e1, **factor_kwargs)
+        # [a/b] = [a*b] for a rational in lowest terms.
+        b1, b2 = (square_class(x.numerator * x.denominator, **factor_kwargs)
+                  for x in (pt.x - curve.e1, pt.x + curve.e1))
     return DescentPair(b1, b2)
 
 

@@ -1,4 +1,4 @@
-"""Naive and canonical heights, the height pairing, and rank certificates.
+"""Naive and canonical heights, the height pairing, and its numerical rank.
 
 The canonical height is computed straight from its defining doubling limit,
 h-hat(P) = (1/2) lim H(2^N P) / 4^N, with exact integer arithmetic.  The
@@ -7,6 +7,9 @@ formula; the pair is kept reduced by stripping the bad primes, which is exact
 because the resultant of the duplication numerator and denominator is
 supported on the discriminant primes.  Coordinates grow 4x in bit length per
 doubling, so a bit-length cap bounds the work.
+
+The pairing is a report: DescentContext.rank_lower_bound certifies rank >= 2
+exactly, and independence_rank is a numerical cross-check.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .family import CurveParams
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_BITS = 10**6
-RANK_PIVOT_FACTOR = 50.0
 
 
 class HeightBudgetExceeded(RuntimeError):
@@ -178,21 +180,16 @@ def independence_rank(
     pts: list[RationalPoint] | tuple[RationalPoint, ...],
     tol: float = DEFAULT_TOL,
 ) -> int:
-    """Certified lower bound on the Mordell-Weil rank: gram_rank of the
-    pairing matrix of pts."""
-    return gram_rank(pairing_matrix(c, pts, tol), tol)
-
-
-def gram_rank(gram: PairingMatrix, tol: float) -> int:
-    """Numerical rank of a height-pairing Gram matrix computed at tol.
+    """Numerical rank of the pairing matrix of pts, computed at tol.
 
     Pivots from Gaussian elimination with full pivoting, counted while they
     exceed 50*tol.  Positive-semidefiniteness of the pairing makes this a
-    lower bound on the number of independent points.
+    lower bound on the number of independent points, up to the height
+    error; the exact certificate is descent's rank_lower_bound.
     """
-    a = [list(r) for r in gram.entries]
+    a = [list(r) for r in pairing_matrix(c, pts, tol).entries]
     n = len(a)
-    threshold = RANK_PIVOT_FACTOR * tol
+    threshold = 50.0 * tol
     rank = 0
     for _ in range(n):
         piv_r, piv_c, piv = 0, 0, 0.0

@@ -32,11 +32,11 @@ raises rather than guess if an ambiguity survives it.  At ell = 2 every
 digit is tried.  At odd ell a digit line is analysed through the mod-ell
 reductions of the two quadratics: only their roots (at most four digits)
 need a deeper look, and a "clean" digit where both square tests pass
-outright is searched for directly.  Below ell = 256 the clean-digit scan
-tries every digit.  Above it, a proportionality screen decides exactly when
-no clean digit exists (one reduction a non-residue times a square, or the
-two reductions proportional by a non-residue); otherwise the Weil bound
-guarantees one and a short scan finds it.
+outright is searched for directly.  A proportionality screen decides exactly
+when no clean digit exists (one reduction a non-residue times a square, or
+the two reductions proportional by a non-residue); otherwise a digit scan
+looks for one.  Above ell = 256 the Weil bound guarantees a hit, and below
+that the scan is exhaustive.
 
 Every Solvable verdict carries a witness quadruple modulo ell^N together
 with a smooth-lift certificate: residuals of both quadrics vanish to order
@@ -51,9 +51,6 @@ from dataclasses import dataclass
 from .numtheory import _legendre_prime, _sqrt_mod_prime, sqrt_mod_prime_power
 
 _STRUCTURED_SCAN_CAP = 200_000
-# Up to this, the clean-digit scan simply tries every digit; above it,
-# _no_clean_digit and the Weil bound decide whether a clean digit exists.
-_CLEAN_EXHAUST_BOUND = 256
 _DEPTH_SLACK = 6
 
 REAL_PLACE = math.inf
@@ -281,8 +278,8 @@ class _ChartSearch:
         with residue e, every digit is clean.  Otherwise R1*R2 is a constant
         times a square exactly when R2 = lam * R1, and then chi(R1)*chi(R2) =
         chi(lam) at every such digit, so there is no clean digit iff
-        chi(lam) = -1.  In every other case the Weil bound (ell > 256)
-        guarantees a clean digit.
+        chi(lam) = -1.  In every other case the Weil bound guarantees a
+        clean digit once ell > 256.
         """
         ell = self.ell
         chis = []
@@ -313,10 +310,10 @@ class _ChartSearch:
         ambiguous digits are the mod-ell roots of either reduction (at most
         four), and a "clean" digit where both square tests pass outright
         exists iff both contents are even and the two chi-conditions are
-        jointly attainable.  Small ell settles attainability by trying
-        every digit; large ell first asks _no_clean_digit, which is exact,
-        and is otherwise guaranteed a hit by the Weil bound (the joint count
-        is at least (ell - 3*sqrt(ell) - 24)/4 > 0 for ell > 256).
+        jointly attainable.  _no_clean_digit, which is exact, rules that out
+        first; otherwise the scan tries every digit, and above ell = 256 the
+        Weil bound guarantees it a hit (the joint count is at least
+        (ell - 3*sqrt(ell) - 24)/4 > 0).
         """
         ell = self.ell
         step = self.ell**j
@@ -343,7 +340,7 @@ class _ChartSearch:
         if g1 % 2 or g2 % 2:
             return children, None
         skip = set(roots1) | set(roots2)
-        if ell > _CLEAN_EXHAUST_BOUND and self._no_clean_digit(rb1, rb2):
+        if self._no_clean_digit(rb1, rb2):
             return children, None
         for d in range(min(ell, _STRUCTURED_SCAN_CAP)):
             if d in skip:

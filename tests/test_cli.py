@@ -1,12 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emcurve
 from emcurve.analysis import AnalysisRecord, EngineConfig, run_analysis
@@ -215,25 +218,86 @@ def test_run_analysis_assembles_m4_minus_1(monkeypatch, tmp_path):
     assert stored == list(factorize(60**4 - 1).factors)
 
 
-def test_heights_escalates_tolerance_like_analyze(capsys, monkeypatch):
+def test_height_budget_at_requested_tol_exits_3(capsys, monkeypatch):
+    # The pairing is a report computed once at --tol: a bit-cap hit there is
+    # a resource error, never a retry at a coarser tolerance.
     import emcurve.analysis as analysis_mod
     from emcurve.heights import HeightBudgetExceeded, HeightEstimate
 
-    real = analysis_mod.pairing_matrix
     tols = []
 
-    def capped_at_default_tol(curve, pts, tol, **kwargs):
+    def capped(curve, pts, tol):
         tols.append(tol)
-        if tol < 1e-2:
-            raise HeightBudgetExceeded(HeightEstimate(0.0, 1, 1.0))
-        return real(curve, pts, tol, **kwargs)
+        raise HeightBudgetExceeded(HeightEstimate(0.0, 1, 1.0))
 
-    monkeypatch.setattr(analysis_mod, "pairing_matrix", capped_at_default_tol)
-    rc, out, _ = run_cli(capsys, "heights", "--m", "6", "--json", "--no-cache")
-    assert rc == 0
-    assert tols == [1e-3, 1e-2]
-    assert json.loads(out)["rank_lower_bound"] == 2
-    assert run_analysis(6).heights_tol == 1e-2
+    monkeypatch.setattr(analysis_mod, "pairing_matrix", capped)
+    for command in ("heights", "analyze"):
+        tols.clear()
+        rc, out, err = run_cli(capsys, command, "--m", "6", "--json", "--no-cache")
+        assert (rc, out, tols) == (3, "", [1e-3])
+        assert err.startswith("error: height iteration hit the bit cap")
+        assert err.count("\n") == 1
+    rc, out, err = run_cli(capsys, "scan", "--from", "6", "--to", "6", "--json",
+                           "--no-cache")
+    assert (rc, out) == (0, "")
+    assert err.startswith("m = 6: failed (height iteration hit the bit cap")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--m", "6", "--jobs", "0"], "--jobs must be at least 1"),
+    (["scan", "--from", "2", "--to", "12", "--jobs", "-3"],
+     "--jobs must be at least 1"),
+    (["analyze", "--m", "6", "--rho-budget", "-5"],
+     "--rho-budget must not be negative"),
+    (["analyze", "--m", "10008", "--rho-budget", "-5"],
+     "--rho-budget must not be negative"),
+])
+def test_bad_jobs_or_rho_budget_exits_2(capsys, argv, message):
+    rc, out, err = run_cli(capsys, *argv, "--json", "--no-cache")
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def _load_cache(path):
+    """(ResultCache, what loading it printed on stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        cache = ResultCache(path)
+    return cache, err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(lines=st.integers(1, 6), data=st.data())
+def test_cache_cut_at_any_byte_then_two_writers(lines, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.jsonl")
+        writer = ResultCache(path)
+        for n in range(2, 2 + lines):
+            writer.put_factorization(n, [(n, 1)])
+        raw = Path(path).read_bytes()
+        last = raw.rfind(b"\n", 0, len(raw) - 1) + 1  # start of the last line
+        cut = data.draw(st.integers(last + 1, len(raw) - 1), label="cut")
+        Path(path).write_bytes(raw[:cut])
+        torn = cut < len(raw) - 1  # else only the newline is gone
+        served = range(2, 1 + lines + (not torn))
+        first, err1 = _load_cache(path)
+        second, err2 = _load_cache(path)
+        warning = f"warning: skipping torn last line of cache {path}\n"
+        assert err1 == err2 == (warning if torn else "")
+        for cache in (first, second):
+            assert all(cache.get_factorization(n) == [(n, 1)] for n in served)
+            assert (cache.get_factorization(1 + lines) is None) == torn
+        # Interleaved appends from both writers: the first repairs the tail.
+        first.put_factorization(100, [(100, 1)])
+        second.put_factorization(101, [(101, 1)])
+        first.put_factorization(102, [(102, 1)])
+        reloaded, err = _load_cache(path)
+        assert err == ""
+        for n in [*served, 100, 101, 102]:
+            assert reloaded.get_factorization(n) == [(n, 1)]
+        data_now = Path(path).read_bytes()
+        assert data_now.startswith(raw[:last] if torn else raw)
+        assert data_now.count(b"\n") == len(served) + 3
+        assert data_now.endswith(b"\n")
 
 
 def test_cache_torn_last_line_is_skipped(tmp_path, capsys):

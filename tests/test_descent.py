@@ -20,7 +20,7 @@ from emcurve.descent import (
     square_class,
     theorem_lower_bound,
 )
-from emcurve.family import build_curve
+from emcurve.family import build_curve, scan_admissible
 from emcurve.localsolve import LocalVerdict, real_solvable
 from emcurve.numtheory import legendre
 
@@ -120,6 +120,30 @@ def test_candidate_pairs_cover_cosets_once(c6):
 def masks(ctx, b1, b2):
     """The mask pair of the classes of b1 and b2 in ctx's Q(S,2)."""
     return ctx.mask_of_class(square_class(b1)), ctx.mask_of_class(square_class(b2))
+
+
+@pytest.mark.parametrize("ms", [
+    list(scan_admissible(2, 2000)),
+    [10008, 100152, 1000038, 100000038, 10000000278],
+], ids=["m<=2000", "ladder"])
+def test_descent_images_certify_rank_two(ms):
+    assert ms
+    for m in ms:
+        assert DescentContext(build_curve(m)).rank_lower_bound() == 2, m
+
+
+@pytest.mark.parametrize("m", [228, 1950])
+def test_images_are_true_square_classes_when_q_not_squarefree(m):
+    # 11^4 divides Q at m = 228, and 11^2 19^2 at m = 1950.
+    c = build_curve(m)
+    assert not c.q_squarefree
+    ctx = DescentContext(c)
+    images = [(ctx.h2, point(c.e1, 0)), (ctx.h4, point(c.e3, 0))]
+    images += zip(ctx.point_images, (point(0, c.t), point(c.n1, c.t)))
+    for pair, pt in images:
+        img = phi_image(c, pt)
+        assert pair == (ctx.mask_of_class(img.b1), ctx.mask_of_class(img.b2))
+    assert ctx.rank_lower_bound() == 2
 
 
 def test_lemma_exclusion_rules(c6):
