@@ -12,9 +12,11 @@ cut out a subgroup, the kernel of one homogeneous F2 system, and only that
 kernel is enumerated; the survivors it rejects are counted in closed form
 too.  Each solution then goes through certified local solvability at the bad
 places S u {inf}: the real place and curve.s_primes, which is 2 and the odd
-bad primes.  The members that pass are a subgroup too, checked by one rank
-test.  An odd prime p outside S needs no test, 3 included (3 | m for every
-admissible m >= 6).  There b1 and b2 are p-units, and up to sign the
+bad primes.  A verdict at ell depends only on the classes of b1 and b2 in
+Q_ell*/Q_ell*^2, so it is decided once per pair of local classes (see
+selmer_group).  The members that pass are a subgroup too, checked by one
+rank test.  An odd prime p outside S needs no test, 3 included (3 | m for
+every admissible m >= 6).  There b1 and b2 are p-units, and up to sign the
 six 2x2 minors of the two diagonal quadrics are b1*b2, b1^2*b2, b1*R,
 b1*b2^2, b2*Q and 2A*b1*b2 (A, Q, R = m^4-1, m^4-1 -+ 4m^2), all units at
 p.  So the space is a smooth genus-1 curve mod p, Hasse-Weil gives it at
@@ -24,14 +26,16 @@ to Z_p.
 Internally classes are bitmasks over the generator list, and a quadratic
 character is the mask of the generators it sends to -1, so a symbol is a
 popcount parity.  DescentContext is the interface to those pieces: the
-generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`) and
-the symbol conditions (`necessary_failures`) act on mask pairs, which
-selmer_group re-checks on every enumerated candidate; `coset_reps` lists
+generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`),
+the symbol conditions (`necessary_failures`) and the local classes at a bad
+prime (`local_class`) act on mask pairs, and selmer_group re-checks the
+rules and conditions on every enumerated candidate; `coset_reps` lists
 every coset, the brute-force reference for `survivor_reps`, and
 `survivor_reps` is the reference for `symbol_solutions`.  `rank_lower_bound`
 certifies rank >= 2 from the images of the torsion and of the points (0, t)
 and (n1, t).  `_f2_eliminate` is the one F2 eliminator.  selmer_group is the
-one descent entry point.
+one descent entry point; the witnesses of a member it returns are built
+when the member's `local_evidence` is first read.
 """
 
 from __future__ import annotations
@@ -117,18 +121,38 @@ class DescentPair:
     """Candidate ([b1], [b2]) with its pipeline status and evidence.
 
     status: undecided | excluded | member.  reason is set for an excluded
-    pair (the place where it is locally unsolvable); local_evidence maps
-    places to verdicts accumulated by the pipeline.
+    pair (the place where it is locally unsolvable).  curve is set on the
+    pairs selmer_group makes, and their local_evidence is computed from it
+    on first read.
     """
 
     b1: SquareClass
     b2: SquareClass
     status: str = "undecided"
     reason: str | None = None
-    local_evidence: dict = field(default_factory=dict)
+    curve: CurveParams | None = field(default=None, repr=False, compare=False)
 
     def key(self) -> tuple[int, int]:
         return (self.b1.value, self.b2.value)
+
+    @functools.cached_property
+    def local_evidence(self) -> dict:
+        """Verdicts by place: inf, then curve.s_primes in order up to the
+        first unsolvable place, each finite one certified by the witness
+        decide_local builds for this very pair.  Empty without a curve.
+
+        These are the verdicts selmer_group read from the first pair of each
+        local class, so a member's evidence is solvable at every place.
+        """
+        if self.curve is None:
+            return {}
+        c, b1, b2 = self.curve, self.b1.value, self.b2.value
+        evidence = {math.inf: real_solvable(b1, b2)}
+        for ell in c.s_primes:
+            evidence[ell] = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell)
+            if not evidence[ell].is_solvable:
+                break
+        return evidence
 
 
 @dataclass(frozen=True)
@@ -168,8 +192,11 @@ class DescentContext:
         self.p_mask = mask_of(curve.p_primes)
         self.q_mask = mask_of(curve.q_primes)
         self.r_mask = mask_of(curve.r_primes)
-        # Odd generators congruent to 3 mod 4 (the sign acts like one).
+        # Odd generators congruent to 3 mod 4, and to 5 or 7 mod 8 (the sign
+        # acts like 7): the two characters of (Z/8)*, with kernels {1, 5}
+        # and {1, 3}.
         self.mod4_mask = self.sign_bit | mask_of(g for g in self.gens[2:] if g % 4 == 3)
+        self.mod8_mask = self.sign_bit | mask_of(g for g in self.gens[2:] if g % 8 >= 5)
 
         def odd_mask(n, primes):  # the class of n > 0 supported on primes
             return mask_of(p for p in primes if _val_unit(n, p)[0] % 2)
@@ -218,12 +245,21 @@ class DescentContext:
         return out
 
     def chi(self, pi: int, mask: int) -> int:
-        """Legendre symbol of the class `mask` at pi; pi must not divide it."""
+        """Legendre symbol at pi of the class `mask` with pi's own bit
+        ignored: of the value if pi does not divide it, else of its unit part."""
         return -1 if (mask & self.nonres[pi]).bit_count() & 1 else 1
 
     def mod4(self, mask: int) -> int:
-        """Residue mod 4 of an odd class value."""
+        """Residue mod 4 of the odd part of a class value."""
         return 3 if (mask & self.mod4_mask).bit_count() & 1 else 1
+
+    def local_class(self, mask: int, ell: int) -> tuple[int, int]:
+        """The class of the value of `mask` in Q_ell*/Q_ell*^2, ell a bad prime:
+        (v_ell mod 2, Legendre symbol of the unit part) at odd ell and
+        (v_2 mod 2, unit part mod 8) at 2."""
+        if ell == 2:
+            return mask >> 1 & 1, self.mod4(mask) + 4 * ((mask & self.mod8_mask).bit_count() & 1)
+        return mask >> self.index[ell] & 1, self.chi(ell, mask)
 
     # -- coset machinery ------------------------------------------------------
 
@@ -453,9 +489,24 @@ def selmer_group(
     certified.  s2 satisfies |Sel| = 2^(2+s2) where |Sel| counts 4 elements
     per member coset.
 
-    Every member carries a witness at each place of S u {inf}.  The observer
-    first receives one RuleTally per exclusion rule and one for the symbol
-    conditions, then every candidate passing them as a DescentPair.
+    Local solvability at ell depends only on the classes of b1 and b2 in
+    Q_ell*/Q_ell*^2: for s, t in Q_ell*, (Z1, Z2, Z3, W) -> (Z1/s, Z2/t,
+    Z3/(st), W) maps the Q_ell-points of the space of (b1, b2) bijectively
+    onto those of (b1 s^2, b2 t^2), since b1 s^2 (Z1/s)^2 = b1 Z1^2,
+    b2 t^2 (Z2/t)^2 = b2 Z2^2 and b1 s^2 b2 t^2 (Z3/(st))^2 = b1 b2 Z3^2.
+    So decide_local runs once per place and pair of local classes, on the
+    first symbol solution that reaches it, and every later pair of the same
+    classes inherits the verdict.  Every verdict is certified by a witness
+    on the first pair of its class; a member's own witnesses are built when
+    its `local_evidence` is read, by the same calls in the same order.
+
+    Asserts what the mathematics gives: every symbol solution is solvable at
+    the real place (rule (i) makes b2 > 0), and at most |E(Q_ell)/2E(Q_ell)|
+    = 4 pairs of classes at odd ell, 8 at ell = 2, are solvable, since the
+    solvable classes are the image of the injective local descent map.
+
+    The observer first receives one RuleTally per exclusion rule and one for
+    the symbol conditions, then every candidate passing them as a DescentPair.
     """
     if not curve.r_squarefree:
         raise SquarefreePrecondition(
@@ -475,28 +526,28 @@ def selmer_group(
               "member": 0}
     members: list[DescentPair] = []
     member_masks = []  # b1m << nbits | b2m
+    # place -> {(local class of b1, local class of b2): solvable}
+    verdicts: dict[int, dict[tuple, bool]] = {ell: {} for ell in places}
     for idx in solutions:
         b1m, b2m = ctx.survivor_rep(idx)
+        b1, b2 = ctx.value_of_mask(b1m), ctx.value_of_mask(b2m)
         reason = (ctx.exclusion_reason(b1m, b2m)
                   or "; ".join(ctx.necessary_failures(b1m, b2m)))
         if reason:
             raise AssertionError(
-                f"symbol solution ({ctx.value_of_mask(b1m)}, {ctx.value_of_mask(b2m)}) "
-                f"fails {reason} for m={curve.m}"
-            )
-        pair = DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m))
-        pair.local_evidence[math.inf] = real_solvable(pair.b1.value, pair.b2.value)
+                f"symbol solution ({b1}, {b2}) fails {reason} for m={curve.m}")
+        if not real_solvable(b1, b2).is_solvable:
+            raise AssertionError(
+                f"symbol solution ({b1}, {b2}) is not real-solvable for m={curve.m}")
+        pair = DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m), curve=curve)
         for ell in places:
-            verdict = decide_local(
-                pair.b1.value,
-                pair.b2.value,
-                curve.a_value,
-                curve.q_value,
-                curve.r_value,
-                ell,
-            )
-            pair.local_evidence[ell] = verdict
-            if not verdict.is_solvable:
+            known = verdicts[ell]
+            key = ctx.local_class(b1m, ell), ctx.local_class(b2m, ell)
+            if key not in known:
+                known[key] = decide_local(
+                    b1, b2, curve.a_value, curve.q_value, curve.r_value, ell
+                ).is_solvable
+            if not known[key]:
                 pair.status = "excluded"
                 pair.reason = f"locally unsolvable at {ell}"
                 counts["excluded"] += 1
@@ -509,6 +560,12 @@ def selmer_group(
         if observer:
             observer(pair)
 
+    for ell, known in verdicts.items():
+        image = sum(known.values())
+        if image > (8 if ell == 2 else 4):
+            raise AssertionError(
+                f"{image} pairs of local classes are solvable at {ell}, more than "
+                f"|E(Q_{ell})/2E(Q_{ell})| allows, for m={curve.m}")
     members.sort(key=lambda p: p.key())
     # Survivor reps are canonical (b1 > 0, b2 odd) and so is the XOR of two,
     # so XOR is the H-coset product.  The members lie in the 2^s2-element

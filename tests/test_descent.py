@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -21,8 +22,9 @@ from emcurve.descent import (
     theorem_lower_bound,
 )
 from emcurve.family import build_curve, scan_admissible
-from emcurve.localsolve import LocalVerdict, real_solvable
+from emcurve.localsolve import LocalVerdict, _val_unit, decide_local, kstar, real_solvable
 from emcurve.numtheory import legendre
+from oracle import oracle_local_solvable
 
 
 @pytest.fixture(scope="module")
@@ -312,27 +314,128 @@ def test_symbol_solutions_match_brute_force_scan(m):
     assert all(a ^ b in found for a in solutions for b in solutions)
 
 
-# Eight of the sixteen members at m = 6, a power of two, but not a subgroup:
-# (5, 5) * (37, 37) = (185, 185) is left out.
-EIGHT_NOT_CLOSED = {(1, 1), (5, 5), (37, 37), (1, 1439), (8057, 7),
-                    (40285, 35), (298109, 259), (185, 266215)}
+def local_class(n, ell):
+    """The class of n in Q_ell*/Q_ell*^2, from the value: (v_ell(n) mod 2,
+    unit part mod 8) at 2, (v_ell(n) mod 2, Legendre symbol of the unit
+    part) at odd ell."""
+    v, u = _val_unit(n, ell)
+    return v % 2, u % 8 if ell == 2 else legendre(u, ell)
 
 
-@pytest.mark.parametrize("kept", [EIGHT_NOT_CLOSED.__contains__,
-                                  lambda key: key != (5, 5)],
-                         ids=["eight-not-closed", "fifteen"])
-def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, kept):
+@pytest.mark.parametrize("m", [6, 42, 462])
+def test_local_class_of_masks_matches_the_values(m):
+    ctx = DescentContext(build_curve(m))
+    rng = random.Random(m)
+    masks = [1 << i for i in range(ctx.nbits)]
+    masks += [rng.getrandbits(ctx.nbits) for _ in range(50)]
+    for ell in ctx.local_places():
+        for mask in masks:
+            assert ctx.local_class(mask, ell) == local_class(ctx.value_of_mask(mask), ell)
+
+
+# decide_local calls in one descent of each of the paper's curves: one per
+# place and pair of local classes reached.  One call per symbol solution and
+# place made 96, 72, 72, 160, 160 and 224.
+DECIDE_LOCAL_CALLS = {6: 22, 12: 34, 30: 32, 42: 38, 60: 34, 462: 26}
+
+
+@pytest.mark.parametrize("m", sorted(DECIDE_LOCAL_CALLS))
+def test_decide_local_runs_once_per_local_class(m, monkeypatch):
+    import emcurve.descent as descent_mod
+
+    calls = []
+    real = descent_mod.decide_local
+
+    def counted(*args, **kwargs):
+        calls.append((args[5], local_class(args[0], args[5]),
+                      local_class(args[1], args[5])))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(descent_mod, "decide_local", counted)
+    c = build_curve(m)
+    res = selmer_group(c)
+    assert len(calls) == len(set(calls)) == DECIDE_LOCAL_CALLS[m]
+    # A member's witnesses are built when its evidence is read, one call
+    # per finite place.
+    for p in res.members:
+        assert all(v.is_solvable for v in p.local_evidence.values())
+    assert len(calls) == DECIDE_LOCAL_CALLS[m] + len(res.members) * len(c.s_primes)
+
+
+@pytest.mark.parametrize("m", [6, 42, 462])
+def test_local_verdict_depends_only_on_local_classes(m):
+    # (b1 g, b2 h) with g, h products of generators that are squares in
+    # Q_ell has the same verdict as (b1, b2); the descent relies on it.
+    # Every symbol solution of these curves is a member, so survivors that
+    # the symbol conditions reject supply the unsolvable verdicts.
+    c = build_curve(m)
+    ctx = DescentContext(c)
+    _, solutions = ctx.symbol_solutions()
+    rejected = sorted(set(range(1 << (ctx.nbits - 2))) - set(solutions))
+    pairs = [tuple(map(ctx.value_of_mask, ctx.survivor_rep(idx)))
+             for idx in solutions[:12] + rejected[:12]]
+    seen = set()
+    for ell in c.s_primes:
+        squares = [g for g in map(ctx.value_of_mask, range(2, 1 << ctx.nbits))
+                   if local_class(g, ell) == (0, 1)][:3]
+        assert squares
+
+        def verdict(b1, b2):
+            return decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell,
+                                want_witness=False).is_solvable
+
+        for b1, b2 in pairs:
+            expected = verdict(b1, b2)
+            seen.add(expected)
+            for g, h in zip(squares, [1] + squares):
+                assert verdict(b1 * g, b2 * h) == expected, (b1, b2, g, h, ell)
+                assert verdict(b1 * h, b2 * g) == expected, (b1, b2, h, g, ell)
+        # Cross-check against the brute-force oracle where it is cheap.
+        if ell < 40:
+            g = squares[0]
+            for b1, b2 in (pairs[0], pairs[-1]):
+                ks = kstar(b1 * g, b2, c.a_value, c.q_value, c.r_value, ell)
+                assert oracle_local_solvable(b1 * g, b2, c.a_value, c.q_value,
+                                             ell, ks + 6) == verdict(b1, b2)
+    assert seen == {True, False}
+
+
+# Pairs of local classes made unsolvable by the fakes below, a class
+# function as every verdict is.  Excluding ((0, 1), (0, 7)) at 2 and
+# ((0, -1), (0, -1)) at 37 leaves 8 of the 16 members at m = 6, a power of
+# two but not a subgroup; excluding only the first leaves 12.
+@pytest.mark.parametrize("unsolvable", [
+    {2: ((0, 1), (0, 7)), 37: ((0, -1), (0, -1))},
+    {2: ((0, 1), (0, 7))},
+], ids=["eight-not-closed", "twelve"])
+def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, unsolvable):
     import emcurve.descent as descent_mod
 
     real = descent_mod.decide_local
 
-    def unsolvable_at_2_unless_kept(b1, b2, a, q, r, ell, **kwargs):
-        if ell == 2 and not kept((b1, b2)):
+    def unsolvable_on_a_class(b1, b2, a, q, r, ell, **kwargs):
+        if unsolvable.get(ell) == (local_class(b1, ell), local_class(b2, ell)):
             return LocalVerdict(ell, "unsolvable")
         return real(b1, b2, a, q, r, ell, **kwargs)
 
-    monkeypatch.setattr(descent_mod, "decide_local", unsolvable_at_2_unless_kept)
-    with pytest.raises(AssertionError, match="not a subgroup"):
+    monkeypatch.setattr(descent_mod, "decide_local", unsolvable_on_a_class)
+    with pytest.raises(AssertionError, match=f"the {8 if 37 in unsolvable else 12} "
+                                             "member cosets are not a subgroup"):
+        selmer_group(c6)
+
+
+def test_selmer_asserts_the_local_images_fit(c6, monkeypatch):
+    import emcurve.descent as descent_mod
+
+    # A key that tells every pair apart makes all 16 members' classes
+    # solvable at every place, more than |E(Q_ell)/2E(Q_ell)| <= 8 allows.
+    monkeypatch.setattr(DescentContext, "local_class", lambda self, mask, ell: mask)
+    with pytest.raises(AssertionError, match="16 pairs of local classes are solvable at 2"):
+        selmer_group(c6)
+    monkeypatch.undo()
+    monkeypatch.setattr(descent_mod, "real_solvable",
+                        lambda b1, b2: LocalVerdict(math.inf, "real_unsolvable"))
+    with pytest.raises(AssertionError, match=r"symbol solution \(1, 1\) is not real-solvable"):
         selmer_group(c6)
 
 
