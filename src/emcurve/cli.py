@@ -6,7 +6,8 @@ flow: cached records are served, the rest run through run_analysis (in
 worker processes with --jobs), and the main process writes them back.
 selmer, heights and torsion build the curve as run_analysis does and run
 only their stage.  Output is a human-readable table by default,
-newline-delimited JSON with --json, or CSV with --csv.  Exit codes: 0
+newline-delimited JSON with --json, or CSV with --csv (analyze and scan
+only; --json and --csv exclude each other).  Exit codes: 0
 success, 1 reference-table mismatch, 2 invalid input (an unusable cache path
 included), 3 resource exhaustion.
 """
@@ -53,9 +54,12 @@ REFERENCE_ROWS = {
 }
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="newline-delimited JSON output")
-    p.add_argument("--csv", action="store_true", help="CSV output")
+def _common_flags(p: argparse.ArgumentParser):
+    """Add the flags every subcommand takes; returns the output-format group,
+    which holds --json, for the subcommands that also print --csv."""
+    formats = p.add_mutually_exclusive_group()
+    formats.add_argument("--json", action="store_true",
+                         help="newline-delimited JSON output")
     p.add_argument("--verbose", action="store_true",
                    help="print per-rule exclusion counts, then each surviving "
                         "descent candidate with its verdicts and witnesses")
@@ -73,6 +77,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                         "cofactors: rho iterations plus ECM steps (trial "
                         "division stops below 2^10, so medium factors draw "
                         "on it too)")
+    return formats
 
 
 @functools.cache
@@ -87,14 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline for one parameter")
     p.add_argument("--m", type=int, required=True)
-    _common_flags(p)
+    _common_flags(p).add_argument("--csv", action="store_true", help="CSV output")
 
     p = sub.add_parser("scan", help="analyze every admissible m in a range")
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
     p.add_argument("--admissible-only", action="store_true",
                    help="list admissible m without running the pipeline")
-    _common_flags(p)
+    _common_flags(p).add_argument("--csv", action="store_true", help="CSV output")
 
     p = sub.add_parser("table1", help="recompute the reference table and compare")
     _common_flags(p)

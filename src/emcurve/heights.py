@@ -1,12 +1,12 @@
 """Naive and canonical heights, the height pairing, and its numerical rank.
 
 The canonical height is computed straight from its defining doubling limit,
-h-hat(P) = (1/2) lim H(2^N P) / 4^N, with exact integer arithmetic.  The
-x-coordinate of 2^N P is iterated as an integer pair via the duplication
-formula; the pair is kept reduced by stripping the bad primes, which is exact
-because the resultant of the duplication numerator and denominator is
-supported on the discriminant primes.  Coordinates grow 4x in bit length per
-doubling, so a bit-length cap bounds the work.
+h-hat(P) = (1/2) lim H(2^N P) / 4^N, with exact integer arithmetic, doubling
+in x' = x - 4m^2 on y^2 = x'(x'^2 + 8m^2 x' - QR), which puts the 2-torsion
+point (4m^2, 0) at the origin.  The pair x'(2^N P) is kept reduced by
+stripping the bad primes, exact because the resultant of the duplication
+numerator and denominator is supported on 2AQR.  Coordinates grow 4x in bit
+length per doubling, so a bit-length cap bounds the work.
 
 The pairing is a report: DescentContext.rank_lower_bound certifies rank >= 2
 exactly, and independence_rank is a numerical cross-check.
@@ -63,21 +63,19 @@ def naive_height(p: RationalPoint) -> float:
 
 
 def _duplication_step(
-    u: int, v: int, coeffs: tuple[int, int, int], strip: tuple[int, ...]
+    w: int, v: int, e3: int, qr: int, strip: tuple[int, ...]
 ) -> tuple[int, int]:
-    """x(2P) = (u', v') from x(P) = u/v on y^2 = x^3 + a x^2 + b x + c.
+    """x'(2P) = (w', v') from x'(P) = w/v, both in lowest terms with v > 0.
 
-    Numerator u^4 - 2b u^2 v^2 - 8c u v^3 + (b^2 - 4ac) v^4 over 4 v f(u/v) v^3;
-    common factors are supported on `strip` (discriminant primes), so dividing
-    those out re-reduces the fraction exactly.
+    x'(2P) = (x'^2 - b)^2 / 4y^2 on y^2 = x'(x'^2 + a x' + b), a = 2 e3, b = -QR
+    (Silverman-Tate III.2), where 4 v^4 y^2 = 4 w v (w^2 + a w v + b v^2) > 0.  A
+    prime dividing both divides 2 b (a^2 - 4b) = -8 QR A^2 (QR = A^2 - 16m^4), so
+    stripping `strip` (s_primes) reduces exactly.
     """
-    a, b, c = coeffs
-    u2 = u * u
-    v2 = v * v
-    uv = u * v
-    nu = u2 * u2 - 2 * b * u2 * v2 - 8 * c * uv * v2 + (b * b - 4 * a * c) * v2 * v2
-    # 4 v^4 f(u/v) = 4 v^4 y^2, so dv stays positive along with v.
-    dv = 4 * v * (u2 * u + a * u2 * v + b * u * v2 + c * v2 * v)
+    w2, v2, wv = w * w, v * v, w * v
+    qv2 = qr * v2
+    nu = (w2 + qv2) ** 2
+    dv = 4 * wv * (w2 + 2 * e3 * wv - qv2)
     for p in strip:
         while nu % p == 0 and dv % p == 0:
             nu //= p
@@ -106,17 +104,17 @@ def canonical_height(
     if p.is_infinity or p.y == 0:
         return HeightEstimate(value=0.0, iterations=0, error_bound=0.0)
 
-    coeffs = c.cubic_coefficients()
-    strip = c.s_primes
-    u, v = p.x.numerator, p.x.denominator
-    est_prev = math.log(max(abs(u), v, 1)) / 2.0
+    e3, qr, strip = c.e3, c.q_value * c.r_value, c.s_primes
+    w, v = p.x.numerator - e3 * p.x.denominator, p.x.denominator
+    est_prev = naive_height(p) / 2.0
     n = 0
     gap_prev = math.inf
     while True:
         # A 2-torsion x would zero the denominator; non-torsion points never hit it.
-        u, v = _duplication_step(u, v, coeffs, strip)
+        w, v = _duplication_step(w, v, e3, qr, strip)
+        u = w + e3 * v  # x(2^n P) = u/v, still in lowest terms
         n += 1
-        est = math.log(max(abs(u), abs(v), 1)) / (2.0 * 4.0**n)
+        est = math.log(max(abs(u), v)) / (2.0 * 4.0**n)
         gap = abs(est - est_prev)
         # The gap sequence is not monotone (early coincidental plateaus
         # occur), so demand two consecutive sub-tolerance gaps.
@@ -124,7 +122,7 @@ def canonical_height(
             return HeightEstimate(value=est, iterations=n, error_bound=gap)
         est_prev = est
         gap_prev = gap
-        if max(abs(u).bit_length(), abs(v).bit_length()) * 4 > max_bits:
+        if max(u.bit_length(), v.bit_length()) * 4 > max_bits:
             raise HeightBudgetExceeded(
                 HeightEstimate(value=est, iterations=n, error_bound=gap)
             )

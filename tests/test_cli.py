@@ -106,6 +106,23 @@ def test_analyze_csv(capsys):
     assert rows[1][0] == "6" and rows[1][4] == "4"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["table1"], "unrecognized arguments: --csv"),
+    (["selmer", "--m", "6"], "unrecognized arguments: --csv"),
+    (["heights", "--m", "6"], "unrecognized arguments: --csv"),
+    (["torsion", "--m", "6"], "unrecognized arguments: --csv"),
+    (["analyze", "--m", "6", "--json"], "argument --csv: not allowed with argument --json"),
+    (["scan", "--from", "2", "--to", "12", "--json"],
+     "argument --csv: not allowed with argument --json"),
+])
+def test_csv_only_on_analyze_and_scan_and_never_with_json(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--csv", "--no-cache"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.rstrip().endswith(message)
+
+
 def test_selmer_heights_torsion_subcommands(capsys):
     rc, out, _ = run_cli(capsys, "selmer", "--m", "6", "--json", "--no-cache")
     assert rc == 0 and json.loads(out)["s2"] == 4
@@ -241,6 +258,14 @@ def test_height_budget_at_requested_tol_exits_3(capsys, monkeypatch):
                            "--no-cache")
     assert (rc, out) == (0, "")
     assert err.startswith("m = 6: failed (height iteration hit the bit cap")
+
+
+def test_real_height_bit_cap_exits_3(capsys):
+    # No stand-in: at --tol 1e-9 the doubling at m = 6 reaches the default
+    # bit cap first, at the same step and with the same gap every time.
+    rc, out, err = run_cli(capsys, "heights", "--m", "6", "--tol", "1e-9", "--no-cache")
+    assert (rc, out) == (3, "")
+    assert err == "error: height iteration hit the bit cap at N=7 with error bound 2.85e-07\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -7,6 +7,8 @@ from emcurve.curve import INFINITY, add, negate, point
 from emcurve.family import build_curve
 from emcurve.heights import (
     HeightBudgetExceeded,
+    HeightEstimate,
+    _duplication_step,
     canonical_height,
     independence_rank,
     naive_height,
@@ -60,10 +62,61 @@ def test_canonical_height_positive_off_torsion(c6, pts6):
 
 
 def test_budget_error_carries_estimate(c6, pts6):
+    # Pinned bit for bit: the doubling must keep the exact reduced pair, so
+    # the estimate and the step at which the cap hits never move.
     p1, _, _ = pts6
     with pytest.raises(HeightBudgetExceeded) as exc:
         canonical_height(c6, p1, 1e-12, max_bits=2000)
-    assert exc.value.estimate.value > 0
+    assert exc.value.estimate == HeightEstimate(
+        value=1.8153911811303396, iterations=4, error_bound=2.900260032134838e-10
+    )
+    assert str(exc.value) == "height iteration hit the bit cap at N=4 with error bound 2.9e-10"
+
+
+def _general_cubic_step(u, v, coeffs, strip):
+    """x(2P) = (u', v') from x(P) = u/v on y^2 = x^3 + a x^2 + b x + c, by the
+    general duplication formula: numerator u^4 - 2b u^2 v^2 - 8c u v^3 +
+    (b^2 - 4ac) v^4 over 4 v^4 y^2, reduced by stripping the bad primes."""
+    a, b, c = coeffs
+    nu = u**4 - 2 * b * u**2 * v**2 - 8 * c * u * v**3 + (b * b - 4 * a * c) * v**4
+    dv = 4 * v * (u**3 + a * u**2 * v + b * u * v**2 + c * v**3)
+    for p in strip:
+        while nu % p == 0 and dv % p == 0:
+            nu //= p
+            dv //= p
+    return nu, dv
+
+
+# Steps checked against the exact group law; later steps get too big for
+# Fraction arithmetic to stay quick.
+_FRACTION_STEPS = 3
+
+
+@pytest.mark.parametrize("m", [6, 12, 30, 42, 60, 462, 10008, 100152, 1000038])
+def test_duplication_step_matches_group_law(m):
+    # The translated doubling x' = x - e3 against two oracles: the group law
+    # on exact Fractions for the first steps, and the general cubic formula
+    # for every step canonical_height takes at the pairing's tolerance.
+    c = build_curve(m)
+    qr = c.q_value * c.r_value
+    p1, p2 = point(0, c.t), point(c.n1, c.t)
+    starts = [p1, p2, add(c, p1, p2), add(c, p1, p1), add(c, p2, p2)]
+    for start in starts:
+        steps = canonical_height(c, start, TOL / 3).iterations
+        assert steps >= 2
+        x = start.x
+        w, v = x.numerator - c.e3 * x.denominator, x.denominator
+        u_ref, v_ref = x.numerator, x.denominator
+        p = start
+        for n in range(steps):
+            w, v = _duplication_step(w, v, c.e3, qr, c.s_primes)
+            u = w + c.e3 * v
+            assert v > 0 and math.gcd(u, v) == 1
+            u_ref, v_ref = _general_cubic_step(u_ref, v_ref, c.cubic_coefficients(), c.s_primes)
+            assert (u, v) == (u_ref, v_ref)
+            if n < _FRACTION_STEPS:
+                p = add(c, p, p)
+                assert (u, v) == (p.x.numerator, p.x.denominator)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
