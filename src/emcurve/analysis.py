@@ -62,10 +62,6 @@ class AnalysisRecord:
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisRecord":
-        return cls(**json.loads(text))
-
     def csv_row(self) -> list[str]:
         return [
             str(self.m),

@@ -7,7 +7,9 @@ worker processes with --jobs), and the main process writes them back.
 selmer, heights and torsion build the curve as run_analysis does and run
 only their stage.  Output is a human-readable table by default,
 newline-delimited JSON with --json, or CSV with --csv (analyze and scan
-only; --json and --csv exclude each other).  Exit codes: 0
+only); --verbose adds the descent audit trail to the default output, so
+--json, --csv and --verbose exclude each other.  Each subcommand takes only
+the flags it reads (see build_parser).  Exit codes: 0
 success, 1 reference-table mismatch, 2 invalid input (an unusable cache path
 included), 3 resource exhaustion.
 """
@@ -54,67 +56,79 @@ REFERENCE_ROWS = {
 }
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    """Add the flags every subcommand takes; returns the output-format group,
-    which holds --json, for the subcommands that also print --csv."""
-    formats = p.add_mutually_exclusive_group()
-    formats.add_argument("--json", action="store_true",
-                         help="newline-delimited JSON output")
-    p.add_argument("--verbose", action="store_true",
-                   help="print per-rule exclusion counts, then each surviving "
-                        "descent candidate with its verdicts and witnesses")
-    p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
-    p.add_argument("--cache-path", default=None,
-                   help="cache file (default ./.emcache.jsonl or $EM_CACHE_PATH)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized stages")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers across the parameters of scan "
-                        "and table1")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="precision of the reported height pairing, finite and positive")
-    p.add_argument("--rho-budget", type=int, default=DEFAULT_RHO_BUDGET,
-                   help="work budget per factorization, shared by its "
-                        "cofactors: rho iterations plus ECM steps (trial "
-                        "division stops below 2^10, so medium factors draw "
-                        "on it too)")
-    return formats
+# Every flag a subcommand may take; build_parser gives each the ones it reads.
+_FLAGS = {
+    "--json": dict(action="store_true", help="newline-delimited JSON output"),
+    "--no-cache": dict(action="store_true", help="bypass the result cache"),
+    "--cache-path": dict(help="cache file (default ./.emcache.jsonl or $EM_CACHE_PATH)"),
+    "--seed": dict(type=int, default=0, help="seed for randomized stages"),
+    "--rho-budget": dict(type=int, default=DEFAULT_RHO_BUDGET,
+                         help="work budget per factorization, shared by its "
+                              "cofactors: rho iterations plus ECM steps (trial "
+                              "division stops below 2^10, so medium factors draw "
+                              "on it too)"),
+    "--verbose": dict(action="store_true",
+                      help="print per-rule exclusion counts, then each surviving "
+                           "descent candidate with its verdicts and witnesses"),
+    "--jobs": dict(type=int, default=1,
+                   help="parallel workers across the parameters of scan and "
+                        "table1 (no effect on analyze, heights and torsion)"),
+    "--tol": dict(type=float, default=DEFAULT_TOL,
+                  help="precision of the reported height pairing, finite and positive"),
+    "--csv": dict(action="store_true", help="CSV output"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named _FLAGS; the three that choose what stdout holds,
+    --json, --csv and --verbose, exclude each other."""
+    outputs = p.add_mutually_exclusive_group()
+    for name in names:
+        group = outputs if name in ("--json", "--csv", "--verbose") else p
+        group.add_argument(name, **_FLAGS[name])
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused by every main call."""
+    """The argument parser, built on first use and reused by every main call.
+
+    Each subcommand takes only the flags it reads, apart from --jobs, which
+    analyze, heights and torsion accept without effect so that one flag set
+    serves every command.
+    """
     ap = argparse.ArgumentParser(
         prog="emcurve",
         description="Torsion, rank lower bounds and 2-Selmer groups for the "
                     "curve family y^2 = x(x-n1)(x-n2) + t^2",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    shared = ("--json", "--no-cache", "--cache-path", "--seed", "--rho-budget")
 
     p = sub.add_parser("analyze", help="full pipeline for one parameter")
     p.add_argument("--m", type=int, required=True)
-    _common_flags(p).add_argument("--csv", action="store_true", help="CSV output")
+    _add_flags(p, *shared, "--verbose", "--jobs", "--tol", "--csv")
 
     p = sub.add_parser("scan", help="analyze every admissible m in a range")
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
     p.add_argument("--admissible-only", action="store_true",
                    help="list admissible m without running the pipeline")
-    _common_flags(p).add_argument("--csv", action="store_true", help="CSV output")
+    _add_flags(p, *shared, "--verbose", "--jobs", "--tol", "--csv")
 
     p = sub.add_parser("table1", help="recompute the reference table and compare")
-    _common_flags(p)
+    _add_flags(p, *shared, "--verbose", "--jobs", "--tol")
 
     p = sub.add_parser("selmer", help="2-Selmer group only")
     p.add_argument("--m", type=int, required=True)
-    _common_flags(p)
+    _add_flags(p, *shared, "--verbose")
 
     p = sub.add_parser("heights", help="height pairing matrix only")
     p.add_argument("--m", type=int, required=True)
-    _common_flags(p)
+    _add_flags(p, *shared, "--jobs", "--tol")
 
     p = sub.add_parser("torsion", help="torsion subgroup only")
     p.add_argument("--m", type=int, required=True)
-    _common_flags(p)
+    _add_flags(p, *shared, "--jobs")
 
     return ap
 
@@ -270,6 +284,9 @@ def cmd_scan(args) -> int:
     if args.lo > args.hi:
         print("error: --from must not exceed --to", file=sys.stderr)
         return EXIT_INVALID
+    if args.admissible_only and args.csv:
+        print("error: --admissible-only prints no CSV", file=sys.stderr)
+        return EXIT_INVALID
     lo = max(args.lo, 2)  # a window that ends below 2 is empty
     ms = list(scan_admissible(lo, args.hi, seed=args.seed)) if lo <= args.hi else []
     if args.admissible_only:
@@ -324,7 +341,8 @@ def cmd_table1(args) -> int:
 
 def _curve(args):
     """The curve of --m, built as run_analysis builds it, through the cache."""
-    return analysis_curve(args.m, _config(args), _cache(args))
+    config = EngineConfig(seed=args.seed, rho_budget=args.rho_budget)
+    return analysis_curve(args.m, config, _cache(args))
 
 
 def cmd_selmer(args) -> int:
@@ -386,7 +404,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
+        if "jobs" in args and args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
         if args.rho_budget < 0:
             raise ValueError("--rho-budget must not be negative")

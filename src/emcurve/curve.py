@@ -14,9 +14,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .family import CurveParams
-from .numtheory import is_prime, legendre
+from .numtheory import _legendre_prime, is_prime
 
-DEFAULT_COUNT_BOUND = 10**4
 # Good odd primes torsion_bound_generic may count at before giving up.
 _TORSION_BOUND_PRIMES = 12
 
@@ -125,21 +124,16 @@ def reduce_mod(c: CurveParams, ell: int) -> ReducedCurve:
     return ReducedCurve(place=ell, a=a % ell, b=b % ell, c=cc % ell)
 
 
-class CountBoundExceeded(RuntimeError):
-    pass
-
-
-def count_points_mod(rc: ReducedCurve, *, bound: int = DEFAULT_COUNT_BOUND) -> int:
-    """#E(F_ell) including infinity, by enumerating x.  Intended for small ell."""
+def count_points_mod(rc: ReducedCurve) -> int:
+    """#E(F_ell) including infinity, by enumerating x.  Intended for small
+    ell: torsion counts only at 3 for m >= 6, and at 7 and 13 for m = 4."""
     ell = rc.place
-    if ell > bound:
-        raise CountBoundExceeded(f"point count at {ell} exceeds bound {bound}")
     n = 1
     for x in range(ell):
         v = rc.rhs(x)
         if v == 0:
             n += 1
-        elif legendre(v, ell) == 1:
+        elif _legendre_prime(v, ell) == 1:
             n += 2
     return n
 
@@ -152,10 +146,6 @@ class TorsionGroup:
     @property
     def points(self) -> tuple[RationalPoint, ...]:
         return (INFINITY,) + self.generators
-
-    @property
-    def order(self) -> int:
-        return 1 + len(self.generators)
 
 
 def _good_odd_primes(c: CurveParams) -> Iterator[int]:

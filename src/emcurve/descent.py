@@ -79,10 +79,6 @@ class SquareClass:
             out *= p
         return out
 
-    @property
-    def is_identity(self) -> bool:
-        return self.sign == 1 and not self.primes
-
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         sym = set(self.primes) ^ set(other.primes)
         return SquareClass(self.sign * other.sign, tuple(sorted(sym)))
@@ -94,26 +90,17 @@ class SquareClass:
 IDENTITY_CLASS = SquareClass(1, ())
 
 
-def square_class(n: int, *, within: CurveParams | None = None, **factor_kwargs) -> SquareClass:
+def square_class(n: int) -> SquareClass:
     """Squarefree kernel of a nonzero integer as a SquareClass.
 
-    With `within`, demands support inside {2} u S of the curve and raises
-    UnsupportedClass otherwise.
+    Any support is allowed; DescentContext.mask_of_class raises
+    UnsupportedClass for a class outside a curve's Q(S,2).
     """
     if n == 0:
         raise ValueError("square class of 0 undefined")
     sign = 1 if n > 0 else -1
-    odd_part = tuple(
-        p for p, e in factorize(abs(n), **factor_kwargs).factors if e % 2 == 1
-    )
-    cls = SquareClass(sign, odd_part)
-    if within is not None:
-        allowed = set(within.s_primes)
-        if not set(cls.primes) <= allowed:
-            raise UnsupportedClass(
-                f"{cls} has support outside the bad-place set {sorted(allowed)}"
-            )
-    return cls
+    odd_part = tuple(p for p, e in factorize(abs(n)).factors if e % 2 == 1)
+    return SquareClass(sign, odd_part)
 
 
 @dataclass
@@ -201,13 +188,13 @@ class DescentContext:
         def odd_mask(n, primes):  # the class of n > 0 supported on primes
             return mask_of(p for p in primes if _val_unit(n, p)[0] % 2)
 
-        # Torsion images phi(T) as mask pairs: (2AQ, 2A), (-2A, 2AR), (-Q, R).
+        # Torsion images phi(T) as mask pairs: h2 = (2AQ, 2A), h4 = (-Q, R)
+        # and their product (-2A, 2AR).
         # A = (m-1)(m+1)(m^2+1) is squarefree, but Q or R may not be.
         q_cls = odd_mask(curve.q_value, curve.q_primes)
         pa = self.two_bit | self.p_mask
         self.h2 = (pa | q_cls, pa)
         self.h4 = (self.sign_bit | q_cls, odd_mask(curve.r_value, curve.r_primes))
-        self.h3 = (self.h2[0] ^ self.h4[0], self.h2[1] ^ self.h4[1])
         # Images of (0, t) and (n1, t): ([-A], [A]) and ([2(m^2+1)], [2(m^2+1)]).
         b = self.two_bit | odd_mask(curve.m**2 + 1, curve.p_primes)
         self.point_images = ((self.sign_bit | self.p_mask, self.p_mask), (b, b))
@@ -272,9 +259,6 @@ class DescentContext:
             b1m ^= self.h4[0]
             b2m ^= self.h4[1]
         return b1m, b2m
-
-    def torsion_image_masks(self) -> tuple[tuple[int, int], ...]:
-        return ((0, 0), self.h2, self.h3, self.h4)
 
     def rep_of_index(self, idx: int) -> tuple[int, int]:
         """Representative #idx: b1 ranges over subsets of the gens minus the
@@ -452,7 +436,7 @@ def _f2_eliminate(vectors: list[int]) -> tuple[int, list[int]]:
     return len(basis), kernel
 
 
-def phi_image(curve: CurveParams, pt: RationalPoint, **factor_kwargs) -> DescentPair:
+def phi_image(curve: CurveParams, pt: RationalPoint) -> DescentPair:
     """Image of a rational point under the descent map.
 
     Generic case ([x - e1], [x + e1]); the printed special cases at the
@@ -465,14 +449,14 @@ def phi_image(curve: CurveParams, pt: RationalPoint, **factor_kwargs) -> Descent
     if pt.is_infinity:
         return DescentPair(IDENTITY_CLASS, IDENTITY_CLASS)
     if pt.x == curve.e1:
-        b1 = square_class(2 * A * curve.q_value, **factor_kwargs)
-        b2 = square_class(2 * A, **factor_kwargs)
+        b1 = square_class(2 * A * curve.q_value)
+        b2 = square_class(2 * A)
     elif pt.x == curve.e2:
-        b1 = square_class(-2 * A, **factor_kwargs)
-        b2 = square_class(2 * A * curve.r_value, **factor_kwargs)
+        b1 = square_class(-2 * A)
+        b2 = square_class(2 * A * curve.r_value)
     else:
         # [a/b] = [a*b] for a rational in lowest terms.
-        b1, b2 = (square_class(x.numerator * x.denominator, **factor_kwargs)
+        b1, b2 = (square_class(x.numerator * x.denominator)
                   for x in (pt.x - curve.e1, pt.x + curve.e1))
     return DescentPair(b1, b2)
 

@@ -351,25 +351,14 @@ def factorize(
     return Factorization(value=original, factors=factors)
 
 
-def is_squarefree(n: int, **kwargs) -> bool:
-    """True iff no prime divides n more than once.  Propagates rho timeouts."""
-    if n < 1:
-        raise ValueError("is_squarefree expects n >= 1")
-    return factorize(n, **kwargs).is_squarefree()
-
-
-def legendre(a: int, p: int) -> int:
+def _legendre_prime(a: int, p: int) -> int:
     """Legendre symbol (a/p) by Euler's criterion; 0 iff p | a.
 
-    Raises ValueError unless p is an odd prime.
+    p must be an odd prime and is not re-checked: every caller takes p from
+    a completed factorization or from a primality test it already ran.  The
+    name stays private because perfbench's layer tracer wraps each public
+    function, and this one runs thousands of times per analysis.
     """
-    if p == 2 or p < 2 or not is_prime(p):
-        raise ValueError(f"legendre requires an odd prime modulus, got {p}")
-    return _legendre_prime(a, p)
-
-
-def _legendre_prime(a: int, p: int) -> int:
-    """legendre for an odd p the caller already knows to be prime."""
     a %= p
     if a == 0:
         return 0
@@ -377,19 +366,13 @@ def _legendre_prime(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
     """Tonelli-Shanks square root of a modulo an odd prime p.
 
     Returns the smaller of the two roots, 0 when p | a, None when a is a
-    non-residue.  Raises ValueError unless p is an odd prime.
+    non-residue.  p must be an odd prime and is not re-checked, as in
+    _legendre_prime.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"sqrt_mod requires an odd prime modulus, got {p}")
-    return _sqrt_mod_prime(a, p)
-
-
-def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """sqrt_mod for an odd p the caller already knows to be prime."""
     a %= p
     if a == 0:
         return 0

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import emcurve
 from emcurve.analysis import AnalysisRecord, EngineConfig, run_analysis
 from emcurve.cache import ResultCache
-from emcurve.cli import main
+from emcurve.cli import build_parser, main
 from emcurve.numtheory import factorize
 
 GOLDEN = json.loads(
@@ -107,20 +107,48 @@ def test_analyze_csv(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["table1"], "unrecognized arguments: --csv"),
-    (["selmer", "--m", "6"], "unrecognized arguments: --csv"),
-    (["heights", "--m", "6"], "unrecognized arguments: --csv"),
-    (["torsion", "--m", "6"], "unrecognized arguments: --csv"),
-    (["analyze", "--m", "6", "--json"], "argument --csv: not allowed with argument --json"),
-    (["scan", "--from", "2", "--to", "12", "--json"],
+    (["table1", "--csv"], "unrecognized arguments: --csv"),
+    (["selmer", "--m", "6", "--csv"], "unrecognized arguments: --csv"),
+    (["heights", "--m", "6", "--csv"], "unrecognized arguments: --csv"),
+    (["torsion", "--m", "6", "--csv"], "unrecognized arguments: --csv"),
+    (["analyze", "--m", "6", "--json", "--csv"],
      "argument --csv: not allowed with argument --json"),
+    (["scan", "--from", "2", "--to", "12", "--json", "--csv"],
+     "argument --csv: not allowed with argument --json"),
+    # Each subcommand takes only the flags it reads.
+    (["selmer", "--m", "6", "--jobs", "4"], "unrecognized arguments: --jobs 4"),
+    (["selmer", "--m", "6", "--tol", "5"], "unrecognized arguments: --tol 5"),
+    (["heights", "--m", "6", "--verbose"], "unrecognized arguments: --verbose"),
+    (["torsion", "--m", "6", "--verbose"], "unrecognized arguments: --verbose"),
+    (["torsion", "--m", "6", "--tol", "nan"], "unrecognized arguments: --tol nan"),
+    # --verbose writes its audit trail to stdout, which --json and --csv own.
+    (["analyze", "--m", "6", "--json", "--verbose"],
+     "argument --verbose: not allowed with argument --json"),
+    (["analyze", "--m", "6", "--verbose", "--csv"],
+     "argument --csv: not allowed with argument --verbose"),
+    (["scan", "--from", "2", "--to", "30", "--json", "--verbose"],
+     "argument --verbose: not allowed with argument --json"),
+    (["scan", "--from", "2", "--to", "30", "--csv", "--verbose"],
+     "argument --verbose: not allowed with argument --csv"),
+    (["table1", "--json", "--verbose"],
+     "argument --verbose: not allowed with argument --json"),
+    (["selmer", "--m", "6", "--verbose", "--json"],
+     "argument --json: not allowed with argument --verbose"),
 ])
 def test_csv_only_on_analyze_and_scan_and_never_with_json(capsys, argv, message):
+    """argparse refuses a flag the subcommand does not read, and two output
+    flags together, before anything runs."""
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--csv", "--no-cache"])
+        main([*argv, "--no-cache"])
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert err.rstrip().endswith(message)
+
+
+def test_scan_admissible_only_rejects_csv(capsys):
+    rc, out, err = run_cli(capsys, "scan", "--from", "2", "--to", "20",
+                           "--admissible-only", "--csv", "--no-cache")
+    assert (rc, out, err) == (2, "", "error: --admissible-only prints no CSV\n")
 
 
 def test_selmer_heights_torsion_subcommands(capsys):
@@ -197,7 +225,7 @@ def test_verbose_counts_rules_and_details_survivors(capsys):
 
 def test_record_round_trip():
     rec = run_analysis(6)
-    assert AnalysisRecord.from_json(rec.to_json()) == rec
+    assert AnalysisRecord(**json.loads(rec.to_json())) == rec
 
 
 def test_run_analysis_proves_admissibility_once(monkeypatch):
@@ -276,10 +304,36 @@ def test_real_height_bit_cap_exits_3(capsys):
      "--rho-budget must not be negative"),
     (["analyze", "--m", "10008", "--rho-budget", "-5"],
      "--rho-budget must not be negative"),
+    (["table1", "--jobs", "0"], "--jobs must be at least 1"),
+    (["torsion", "--m", "6", "--jobs", "0"], "--jobs must be at least 1"),
+    # selmer takes no --jobs.
+    (["selmer", "--m", "6", "--rho-budget", "-5"],
+     "--rho-budget must not be negative"),
 ])
 def test_bad_jobs_or_rho_budget_exits_2(capsys, argv, message):
     rc, out, err = run_cli(capsys, *argv, "--json", "--no-cache")
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+# What perfbench/run.py passes to every invocation (see perfbench/README.md).
+_BENCH_FLAGS = ["--json", "--jobs", "1", "--seed", "0", "--cache-path", "bench.jsonl"]
+
+
+@pytest.mark.parametrize("argv", [
+    # perfbench/run.py: the timed invocations and the replay prefill scan.
+    ["analyze", "--m", "42", *_BENCH_FLAGS],
+    ["heights", "--m", "10008", *_BENCH_FLAGS],
+    ["torsion", "--m", "10008", *_BENCH_FLAGS],
+    ["scan", "--from", "2", "--to", "300", *_BENCH_FLAGS],
+    # perfbench/capture_golden.py, which recaptures perfbench/golden.json.
+    ["scan", "--from", "2", "--to", "300", "--admissible-only", "--json", "--no-cache"],
+    ["analyze", "--m", "42", "--json", "--no-cache"],
+    ["heights", "--m", "10008", "--json", "--cache-path", "golden.jsonl"],
+    ["torsion", "--m", "10008", "--json", "--cache-path", "golden.jsonl"],
+])
+def test_benchmark_command_lines_parse(argv):
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0] and args.json
 
 
 def _load_cache(path):

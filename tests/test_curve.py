@@ -5,7 +5,6 @@ import pytest
 
 from emcurve.curve import (
     BadReductionError,
-    CountBoundExceeded,
     INFINITY,
     PointNotOnCurve,
     ReducedCurve,
@@ -93,8 +92,6 @@ def test_count_points_examples(c6):
     assert count_points_mod(reduce_mod(c6, 3)) == 4
     assert count_points_mod(ReducedCurve(5, 0, 4, 0)) == 8   # y^2 = x^3 - x mod 5
     assert count_points_mod(ReducedCurve(7, 0, 6, 0)) == 8   # y^2 = x^3 - x mod 7
-    with pytest.raises(CountBoundExceeded):
-        count_points_mod(ReducedCurve(104729, 0, 1, 0))
 
 
 def _reduce_point(pt, ell):
@@ -157,10 +154,10 @@ def test_torsion_group_m6(c6):
 def test_torsion_group_structure(m):
     t = torsion_group(build_curve(m))
     assert t.structure == "Z/2 x Z/2"
-    assert t.order == 4
+    assert len(t.points) == 4
 
 
 def test_torsion_order_divides_mod3_count():
     for m in scan_admissible(6, 100):
         c = build_curve(m)
-        assert count_points_mod(reduce_mod(c, 3)) % torsion_group(c).order == 0
+        assert count_points_mod(reduce_mod(c, 3)) % len(torsion_group(c).points) == 0
