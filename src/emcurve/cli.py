@@ -2,8 +2,9 @@
 
 Subcommands: analyze, scan, table1, selmer, heights, torsion.  Each command
 opens the result cache at most once.  analyze, scan and table1 share one
-flow: cached records are served, the rest run through run_analysis (in
-worker processes with --jobs), and the main process writes them back.
+flow: cached records are served, and the rest run through run_analysis in
+this process or, with --jobs, in workers; whichever process computes a record
+appends it, and the factorizations it made, to the cache.
 selmer, heights and torsion build the curve as run_analysis does and run
 only their stage.  Output is a human-readable table by default,
 newline-delimited JSON with --json, or CSV with --csv (analyze and scan
@@ -67,7 +68,7 @@ _FLAGS = {
                               "cofactors: rho iterations plus ECM steps (trial "
                               "division stops below 2^10, so medium factors draw "
                               "on it too)"),
-    "--verbose": dict(action="store_true",
+    "--verbose": dict(action="store_true", default=False,
                       help="print per-rule exclusion counts, then each surviving "
                            "descent candidate with its verdicts and witnesses"),
     "--jobs": dict(type=int, default=1,
@@ -205,28 +206,29 @@ _SCAN_ERRORS = (FactorizationTimeout, HeightBudgetExceeded, LocalSolverError,
                 SquarefreePrecondition)
 
 
-def _scan_worker(m, config, cache, observer):
-    """run_analysis, returning a scan error instead of raising it, so that
-    one failing m does not end a scan."""
+def _scan_worker(m, config, cache, observer=None):
+    """run_analysis through the cache, then the record appended there; a scan
+    error is returned instead of raised, so one failing m does not end a scan."""
     try:
-        return run_analysis(m, config, cache=cache, observer=observer)
+        record = run_analysis(m, config, cache=cache, observer=observer)
     except _SCAN_ERRORS as e:
         return e
+    if cache is not None:
+        cache.put_analysis(m, config.record_key, record.__dict__)
+    return record
 
 
-class _FactorizationLog(dict):
-    """A --jobs worker's stand-in for the cache: keeps what it factors."""
+_pool_cache = None  # set in each --jobs worker: its copy of the command's cache
 
-    get_factorization = dict.get
-    put_factorization = dict.__setitem__
+
+def _init_pool_worker(cache):
+    global _pool_cache
+    _pool_cache = cache
 
 
 def _pool_worker(task):
-    """_scan_worker in a --jobs process, which never touches the cache file:
-    the factorizations it made come back with the outcome."""
     m, config = task
-    log = _FactorizationLog()
-    return _scan_worker(m, config, log, None), dict(log)
+    return _scan_worker(m, config, _pool_cache)
 
 
 def _analyses(ms, args):
@@ -234,9 +236,10 @@ def _analyses(ms, args):
 
     Opens the command's one cache and serves its hits in place.  The misses
     run through _scan_worker, in --jobs worker processes when there are two
-    or more of them and --verbose is off, else in this process.  Either way
-    the results stream in order, and only this process writes the cache,
-    workers' factorizations included.
+    or more of them and --verbose is off, else in this process.  Each worker
+    gets a copy of the cache, so the file is read once per command, and
+    appends its own factorizations and records under the cache's lock.
+    Either way the results stream in order.
     """
     config = _config(args)
     key = config.record_key
@@ -247,24 +250,15 @@ def _analyses(ms, args):
         if args.jobs > 1 and len(misses) > 1 and not args.verbose:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=args.jobs, initializer=_init_pool_worker,
+                initargs=(cache,)))
             fresh = pool.map(_pool_worker, [(m, config) for m in misses])
         else:
             observer = _verbose_observer(args)
-            fresh = ((_scan_worker(m, config, cache, observer), {})
-                     for m in misses)
+            fresh = (_scan_worker(m, config, cache, observer) for m in misses)
         for m, hit in zip(ms, hits):
-            if hit is not None:
-                yield m, AnalysisRecord(**hit)
-                continue
-            outcome, factored = next(fresh)
-            if cache is not None:
-                for n, factors in factored.items():
-                    if cache.get_factorization(n) is None:
-                        cache.put_factorization(n, factors)
-                if isinstance(outcome, AnalysisRecord):
-                    cache.put_analysis(m, key, outcome.__dict__)
-            yield m, outcome
+            yield m, next(fresh) if hit is None else AnalysisRecord(**hit)
 
 
 def _raising(outcomes):
@@ -284,9 +278,17 @@ def cmd_scan(args) -> int:
     if args.lo > args.hi:
         print("error: --from must not exceed --to", file=sys.stderr)
         return EXIT_INVALID
-    if args.admissible_only and args.csv:
-        print("error: --admissible-only prints no CSV", file=sys.stderr)
-        return EXIT_INVALID
+    if args.admissible_only:
+        # The list comes from the sieve alone, which reads --seed; --json
+        # picks its format, and --no-cache has nothing to bypass.
+        unread = [flag for flag in ("--verbose", "--cache-path", "--tol", "--jobs",
+                                    "--rho-budget")
+                  if getattr(args, flag[2:].replace("-", "_"))
+                  != _FLAGS[flag].get("default")]
+        if args.csv or unread:
+            print("error: --admissible-only " + ("prints no CSV" if args.csv else
+                  "does not read " + ", ".join(unread)), file=sys.stderr)
+            return EXIT_INVALID
     lo = max(args.lo, 2)  # a window that ends below 2 is empty
     ms = list(scan_admissible(lo, args.hi, seed=args.seed)) if lo <= args.hi else []
     if args.admissible_only:

@@ -579,15 +579,10 @@ def theorem_lower_bound(curve: CurveParams) -> int:
     """
     w = 0
     for p in curve.p_primes:
-        if p % 4 == 1:
-            ok = all(_legendre_prime(p, q) == 1 for q in curve.q_primes) and all(
-                _legendre_prime(p, r) == 1 for r in curve.r_primes
-            )
-        else:
-            ok = all(_legendre_prime(p, q) == 1 for q in curve.q_primes) and all(
-                _legendre_prime(-p, r) == 1 for r in curve.r_primes
-            )
-        if ok:
+        p_at_r = p if p % 4 == 1 else -p
+        if all(_legendre_prime(p, q) == 1 for q in curve.q_primes) and all(
+            _legendre_prime(p_at_r, r) == 1 for r in curve.r_primes
+        ):
             w += 1
     return w
 

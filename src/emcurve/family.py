@@ -72,7 +72,6 @@ class CurveParams:
     p_primes: tuple[int, ...]
     q_primes: tuple[int, ...]
     r_primes: tuple[int, ...]
-    q_squarefree: bool
     r_squarefree: bool
     admissibility: AdmissibilityReport
 
@@ -131,8 +130,8 @@ def build_curve(m: int, **factor_kwargs) -> CurveParams:
     """Construct CurveParams for an admissible m; factorizations complete.
 
     Raises InadmissibleParameter for bad m and propagates factorization
-    timeouts.  Squarefreeness of m^4-1 +- 4m^2 is recorded, not required; the
-    Selmer computation checks the r-side flag itself.
+    timeouts.  Squarefreeness of m^4-1+4m^2 is recorded, not required; the
+    Selmer computation checks that flag itself.
     """
     report, f_m2 = _admissibility(m, **factor_kwargs)
     if not report.admissible:
@@ -166,7 +165,6 @@ def build_curve(m: int, **factor_kwargs) -> CurveParams:
         p_primes=fa.primes(),
         q_primes=fq.primes(),
         r_primes=fr.primes(),
-        q_squarefree=fq.is_squarefree(),
         r_squarefree=fr.is_squarefree(),
         admissibility=report,
     )

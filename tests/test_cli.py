@@ -151,6 +151,32 @@ def test_scan_admissible_only_rejects_csv(capsys):
     assert (rc, out, err) == (2, "", "error: --admissible-only prints no CSV\n")
 
 
+@pytest.mark.parametrize("flags, unread", [
+    (["--verbose"], "--verbose"),
+    (["--cache-path", "/nonexistent/dir/x.jsonl"], "--cache-path"),
+    (["--tol", "5"], "--tol"),
+    (["--tol", "nan"], "--tol"),
+    (["--jobs", "4"], "--jobs"),
+    (["--rho-budget", "0"], "--rho-budget"),
+    (["--verbose", "--tol", "5", "--jobs", "4", "--rho-budget", "1"],
+     "--verbose, --tol, --jobs, --rho-budget"),
+], ids=["verbose", "cache-path", "tol", "tol-nan", "jobs", "rho-budget", "all"])
+def test_scan_admissible_only_rejects_unread_flags(capsys, flags, unread):
+    """The list runs only the sieve, so a flag that would change the
+    pipeline's work is refused, not silently ignored."""
+    rc, out, err = run_cli(capsys, "scan", "--from", "2", "--to", "20",
+                           "--admissible-only", *flags)
+    assert (rc, out, err) == (
+        2, "", f"error: --admissible-only does not read {unread}\n")
+
+
+def test_scan_admissible_only_takes_seed_and_default_values(capsys):
+    rc, out, err = run_cli(capsys, "scan", "--from", "2", "--to", "20",
+                           "--admissible-only", "--json", "--no-cache",
+                           "--seed", "7", "--jobs", "1", "--tol", "0.001")
+    assert (rc, out, err) == (0, "[4, 6, 12]\n", "")
+
+
 def test_selmer_heights_torsion_subcommands(capsys):
     rc, out, _ = run_cli(capsys, "selmer", "--m", "6", "--json", "--no-cache")
     assert rc == 0 and json.loads(out)["s2"] == 4
@@ -639,9 +665,13 @@ def test_scan_jobs_matches_serial(capsys):
 
 
 def test_scan_jobs_caches_the_same_factorizations(tmp_path, capsys):
-    def factorization_keys(path):
-        return {key for kind, key in ResultCache(str(path))._data
-                if kind == "factorization"}
+    def entries(path):
+        """(kind, key) -> value, timings left out, and the line count."""
+        cache = ResultCache(str(path))
+        for value in cache._data.values():
+            if isinstance(value, dict):
+                value.pop("timings")
+        return cache._data, len(path.read_text().splitlines())
 
     serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
     argv = ("scan", "--from", "2", "--to", "100", "--json")
@@ -650,11 +680,12 @@ def test_scan_jobs_caches_the_same_factorizations(tmp_path, capsys):
     rc, parallel_out, _ = run_cli(capsys, *argv, "--cache-path", str(parallel),
                                   "--jobs", "2")
     assert rc == 0 and strip_timings(parallel_out) == strip_timings(serial_out)
-    keys = factorization_keys(serial)
-    assert keys and factorization_keys(parallel) == keys
-    # Each factorization is written once.
-    lines = parallel.read_text().splitlines()
-    assert sum('"factorization"' in line for line in lines) == len(keys)
+    # The workers append the same factorizations and records, each once.
+    data, lines = entries(parallel)
+    assert (data, lines) == entries(serial)
+    assert lines == len(data)
+    assert {kind for kind, _ in data} == {"factorization", "analysis"}
+    assert sum(kind == "analysis" for kind, _ in data) == 7  # 4, 6, ..., 72
 
 
 def test_cache_keeps_analyses_apart_by_tol(tmp_path, capsys):
@@ -727,22 +758,43 @@ def test_warm_scan_opens_the_cache_once(tmp_path, capsys, monkeypatch):
     assert opened == [path]
 
 
-def test_torn_last_line_warns_once_per_command(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_torn_last_line_warns_once_per_command(tmp_path, capfd, jobs):
+    # capfd, not capsys: it also sees what --jobs workers print.
     path = tmp_path / "cache.jsonl"
-    rc, cold, _ = run_cli(capsys, "table1", "--json", "--cache-path", str(path))
+    flags = ("--json", "--cache-path", str(path), "--jobs", jobs)
+    rc, cold, _ = run_cli(capfd, "table1", *flags)
     assert rc == 0
     with open(path, "ab") as fh:  # an append cut off mid-line
         fh.write(b'{"kind": "analysis", "key": "4:1')
-    rc, out, err = run_cli(capsys, "table1", "--json", "--cache-path", str(path))
+    rc, out, err = run_cli(capfd, "table1", *flags)
     assert rc == 0 and out == cold
     assert err.count("warning: skipping torn last line") == 1
-    # m = 4 is not in the table, so this scan appends and repairs the tail.
-    rc, _, err = run_cli(capsys, "scan", "--from", "2", "--to", "12", "--json",
-                         "--cache-path", str(path))
+    # m = 4 and 72 are not in the table, so this scan appends them (from two
+    # workers with --jobs 2) and repairs the tail.
+    rc, _, err = run_cli(capfd, "scan", "--from", "2", "--to", "80", *flags)
     assert rc == 0 and err.count("warning: skipping torn last line") == 1
-    rc, _, err = run_cli(capsys, "scan", "--from", "2", "--to", "12", "--json",
-                         "--cache-path", str(path))
+    rc, _, err = run_cli(capfd, "scan", "--from", "2", "--to", "80", *flags)
     assert rc == 0 and err == ""
+
+
+def test_warm_scan_jobs_starts_no_pool(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def counting_pool(*a, **kw):
+        pools.append(kw["max_workers"])
+        return real_pool(*a, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+    argv = ("scan", "--from", "2", "--to", "100", "--json",
+            "--cache-path", str(tmp_path / "cache.jsonl"), "--jobs", "2")
+    rc, cold, _ = run_cli(capsys, *argv)
+    assert rc == 0 and pools == [2]
+    rc, warm, _ = run_cli(capsys, *argv)
+    assert rc == 0 and warm == cold and pools == [2]
 
 
 def test_scan_jobs_reports_budget_failures_like_serial(capsys):
