@@ -65,7 +65,8 @@ _FLAGS = {
     "--seed": dict(type=int, default=0, help="seed for randomized stages"),
     "--rho-budget": dict(type=int, default=DEFAULT_RHO_BUDGET,
                          help="work budget per factorization, shared by its "
-                              "cofactors: rho iterations plus ECM steps (trial "
+                              "cofactors: rho iterations plus ECM ladder steps "
+                              "and prime-paired stage-2 products (trial "
                               "division stops below 2^10, so medium factors draw "
                               "on it too)"),
     "--verbose": dict(action="store_true", default=False,

@@ -5,9 +5,9 @@ Miller-Rabin witness set that is provably correct below 3.3e24, which covers
 every integer this package ever has to classify at desk scale; beyond that a
 seeded 64-round probabilistic test takes over.  Factorization is trial
 division below 2^10, then a Brent-cycle Pollard rho slice that takes
-factors up to about 1e9, then ECM (Lenstra's elliptic curve method on
-Montgomery curves), under one work budget.  Square roots modulo p^k are
-Hensel-lifted from Tonelli-Shanks by the Newton iteration for the inverse
+factors up to about 2.5e8, then ECM (Lenstra's elliptic curve method on
+Montgomery curves, stage 2 with prime pairing), under one work budget.
+Square roots modulo p^k are Hensel-lifted from Tonelli-Shanks by the Newton iteration for the inverse
 square root, which needs no modular inverse beyond one mod p.
 """
 
@@ -29,7 +29,7 @@ TRIAL_DIVISION_BOUND = 2**10
 DEFAULT_RHO_BUDGET = 10**8
 
 # Rho iterations per composite cofactor before ECM takes over.
-_RHO_SLICE = 1 << 16
+_RHO_SLICE = 1 << 15
 # ECM stage-1 bounds B1 with their curve counts; the last runs until the
 # budget is spent.  Stage 2 reaches B2 = _ECM_B2_FACTOR * B1 in giant steps
 # of D, against baby steps j < D/2 coprime to D.
@@ -37,6 +37,8 @@ _ECM_SCHEDULE = ((2_000, 25), (11_000, 90), (50_000, None))
 _ECM_B2_FACTOR = 100
 _ECM_D = 210
 _ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
+# Giant steps brought to Z = 1 by one modular inverse per block of this many.
+_ECM_BLOCK = 64
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -140,7 +142,7 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | N
             ys = y
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             used += min(m, r - k)
             if used > budget:
                 return None, used
@@ -152,7 +154,7 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | N
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+            g = math.gcd(x - ys, n)
             used += 1
             if used > budget:
                 return None, used
@@ -176,29 +178,75 @@ def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple
     return zd * (u + v) * (u + v) % n, xd * (u - v) * (u - v) % n
 
 
-def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
-    """Montgomery ladder: (kP, (k+1)P) for k >= 1, one step per bit of k."""
-    x0, z0 = x, z
-    x1, z1 = _xdbl(x, z, a24, n)
+def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int, int, int]:
+    """Montgomery ladder from P = (x : 1): (kP, (k+1)P) for k >= 1.
+
+    Each bit of k costs one _xadd with difference P and one _xdbl, written
+    out in the loop so that no step makes a call; a set bit swaps the two
+    points before and after, so both branches share one body.
+    """
+    x0, z0 = x, 1
+    x1, z1 = _xdbl(x, 1, a24, n)
     for bit in bin(k)[3:]:
         if bit == "1":
-            x0, z0 = _xadd(x1, z1, x0, z0, x, z, n)
-            x1, z1 = _xdbl(x1, z1, a24, n)
-        else:
-            x1, z1 = _xadd(x1, z1, x0, z0, x, z, n)
-            x0, z0 = _xdbl(x0, z0, a24, n)
+            x0, z0, x1, z1 = x1, z1, x0, z0
+        p, m = x0 + z0, x0 - z0
+        u = (x1 - z1) * p % n
+        v = (x1 + z1) * m % n
+        x1, z1 = (u + v) * (u + v) % n, x * (u - v) * (u - v) % n
+        s, d = p * p % n, m * m % n
+        t = s - d
+        x0, z0 = s * d % n, t * (d + a24 * t) % n
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
     return x0, z0, x1, z1
+
+
+def _affine_x(points: list[tuple[int, int]], n: int) -> tuple[list[int] | None, int]:
+    """X/Z mod n for every (X : Z) in points, with one modular inverse.
+
+    Montgomery's simultaneous inversion: the inverse of the product of all Z,
+    unwound through the prefix products, costs three products per point.
+    Returns (xs, 1), or (None, g) when some Z is not a unit mod n; g is then
+    gcd(Z, n) for such a Z, a proper factor of n unless every such Z is 0.
+    """
+    prefix = []
+    acc = 1
+    for _, z in points:
+        prefix.append(acc)
+        acc = acc * z % n
+    g = math.gcd(acc, n)
+    if g == n:
+        g = next((h for _, z in points if 1 < (h := math.gcd(z, n)) < n), n)
+    if g != 1:
+        return None, g
+    inv = pow(acc, -1, n)
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, z = points[i]
+        xs[i] = x * inv * prefix[i] % n
+        inv = inv * z % n
+    return xs, 1
+
+
+def _odd_prime_flags(limit: int) -> bytearray:
+    """flags[i] is 1 iff 2i + 1 is prime, for 2i + 1 <= limit (Eratosthenes)."""
+    flags = bytearray([1]) * ((limit + 1) // 2)
+    flags[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    return flags
 
 
 @functools.lru_cache(maxsize=None)
 def _stage1_multiplier(b1: int) -> int:
     """Product over primes p <= b1 of the largest power of p not above b1."""
-    sieve = bytearray([1]) * (b1 + 1)
-    k = 1
-    for p in range(2, b1 + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, b1 + 1, p)))
-            q = p
+    k = 1 << (b1.bit_length() - 1)
+    for i, prime in enumerate(_odd_prime_flags(b1)):
+        if prime:
+            p = q = 2 * i + 1
             while q * p <= b1:
                 q *= p
             k *= q
@@ -210,9 +258,26 @@ def _ecm_stage2_span(b1: int) -> range:
     return range(max(2, b1 // _ECM_D), _ECM_B2_FACTOR * b1 // _ECM_D + 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _ecm_pairs(b1: int) -> tuple[bytes, ...]:
+    """Stage-2 prime pairing: for each k of _ecm_stage2_span(b1), the indices
+    i into _ECM_BABY with k*D - j or k*D + j prime, j = _ECM_BABY[i].
+
+    Built on the first curve at this b1 (14,241 pairs out of 22,680 at
+    b1 = 2000), never at import.
+    """
+    span = _ecm_stage2_span(b1)
+    odd = _odd_prime_flags(span[-1] * _ECM_D + _ECM_D // 2)
+    return tuple(
+        bytes(i for i, j in enumerate(_ECM_BABY)
+              if odd[(k * _ECM_D - j) // 2] or odd[(k * _ECM_D + j) // 2])
+        for k in span
+    )
+
+
 def _ecm_cost(b1: int) -> int:
     """Budget units of one curve: ladder steps plus stage-2 products."""
-    return _stage1_multiplier(b1).bit_length() + len(_ECM_BABY) * len(_ecm_stage2_span(b1))
+    return _stage1_multiplier(b1).bit_length() + sum(map(len, _ecm_pairs(b1)))
 
 
 def _ecm_curve(n: int, sigma: int, b1: int) -> int:
@@ -220,8 +285,10 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
 
     Stage 1 multiplies the start point by every prime power up to b1.  Stage 2
     catches one further prime l <= _ECM_B2_FACTOR * b1: writing l = k*D +- j,
-    l*Q = 0 (mod p) makes x(kDQ) z(jQ) - x(jQ) z(kDQ) vanish mod p, so the
-    product over all k and j needs no table of primes.
+    l*Q = 0 (mod p) makes x(kDQ) - x(jQ) vanish mod p, so the product runs
+    over the pairs (k, j) of _ecm_pairs, on points brought to Z = 1 by
+    _affine_x: the baby steps jQ once, the giant steps kDQ in blocks of
+    _ECM_BLOCK.  A Z that is not a unit mod n ends the curve with its gcd.
     """
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
@@ -230,7 +297,8 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     if g != 1:
         return g
     a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
-    x, z, _, _ = _ladder(_stage1_multiplier(b1), pow(u, 3, n), pow(v, 3, n), a24, n)
+    # The start point (u^3 : v^3), at Z = 1; v is a unit since den is.
+    x, z, _, _ = _ladder(_stage1_multiplier(b1), pow(u * pow(v, -1, n), 3, n), a24, n)
     g = math.gcd(z, n)
     if g != 1:
         return g
@@ -239,15 +307,26 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     odd = [(x, z), _xadd(x2, z2, x, z, x, z, n)]
     while len(odd) <= _ECM_D // 4:
         odd.append(_xadd(*odd[-1], x2, z2, *odd[-2], n))
-    baby = [odd[j // 2] for j in _ECM_BABY]
-    xd, zd = _xdbl(*odd[-1], a24, n)
-    span = _ecm_stage2_span(b1)
-    xp, zp, xr, zr = _ladder(span.start - 1, xd, zd, a24, n)
+    # The baby steps jQ, then DQ, at Z = 1.
+    xs, g = _affine_x([odd[j // 2] for j in _ECM_BABY] + [_xdbl(*odd[-1], a24, n)], n)
+    if g != 1:
+        return g
+    *baby, xd = xs
+    pairs = _ecm_pairs(b1)
+    xp, zp, xr, zr = _ladder(_ecm_stage2_span(b1).start - 1, xd, a24, n)
     acc = 1
-    for _ in span:
-        for xj, zj in baby:
-            acc = acc * (xr * zj - xj * zr) % n
-        xp, zp, (xr, zr) = xr, zr, _xadd(xr, zr, xd, zd, xp, zp, n)
+    for lo in range(0, len(pairs), _ECM_BLOCK):
+        block = pairs[lo : lo + _ECM_BLOCK]
+        giant = []
+        for _ in block:
+            giant.append((xr, zr))
+            xp, zp, (xr, zr) = xr, zr, _xadd(xr, zr, xd, 1, xp, zp, n)
+        xs, g = _affine_x(giant, n)
+        if g != 1:
+            return g
+        for xk, ks in zip(xs, block):
+            for i in ks:
+                acc = acc * (xk - baby[i]) % n
     return math.gcd(acc, n)
 
 
@@ -274,8 +353,8 @@ def _split(c: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
     """A proper factor of the composite c, or None once budget runs out.
 
     Returns (factor or None, budget units used).  Brent rho gets the first
-    _RHO_SLICE iterations, which find factors up to about 1e9; ECM takes the
-    rest, since its cost grows far slower than rho's sqrt(p).
+    _RHO_SLICE iterations, which find factors up to about 2.5e8; ECM takes
+    the rest, since its cost grows far slower than rho's sqrt(p).
     """
     used = 0
     factor = None
@@ -300,9 +379,9 @@ def factorize(
     """Complete factorization of n >= 1.
 
     Trial division below 2^10, then Brent rho (whose first slice takes
-    factors up to about 1e9) and ECM on what remains (see _split).
+    factors up to about 2.5e8) and ECM on what remains (see _split).
     rho_budget is shared by every cofactor of n and counts rho iterations
-    plus ECM ladder steps and stage-2 products.  Raises
+    plus ECM ladder steps and the prime-paired stage-2 products.  Raises
     FactorizationTimeout if a composite cofactor survives the budget.
     An optional cache (get_factorization/put_factorization) short-circuits
     repeat values.

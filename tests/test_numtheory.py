@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,15 @@ from emcurve.numtheory import (
     _legendre_prime,
     _sqrt_mod_prime,
     sqrt_mod_prime_power,
+    _ECM_BABY,
+    _ECM_D,
+    _ECM_SCHEDULE,
+    _RHO_SLICE,
+    _affine_x,
+    _ecm_cost,
+    _ecm_pairs,
+    _ecm_stage2_span,
+    _stage1_multiplier,
 )
 from emcurve.localsolve import _val_unit
 
@@ -100,6 +112,66 @@ def _next_prime(n):
     while not is_prime(n):
         n += 1
     return n
+
+
+@pytest.mark.parametrize("b1", [2000, 11000])
+def test_ecm_pairs_cover_every_stage2_prime(b1):
+    span = _ecm_stage2_span(b1)
+    pairs = _ecm_pairs(b1)
+    assert len(pairs) == len(span)
+    listed = {(k, _ECM_BABY[i]) for k, ks in zip(span, pairs) for i in ks}
+    for k, j in listed:
+        assert is_prime(k * _ECM_D - j) or is_prime(k * _ECM_D + j)
+    for l in range(b1 + 1, 100 * b1 + 1):
+        if is_prime(l):
+            k, r = divmod(l, _ECM_D)
+            k, j = (k, r) if r < _ECM_D // 2 else (k + 1, _ECM_D - r)
+            assert (k, j) in listed, l
+
+
+@pytest.mark.parametrize("b1", [b1 for b1, _ in _ECM_SCHEDULE])
+def test_ecm_cost_counts_ladder_bits_and_paired_products(b1):
+    products = sum(len(ks) for ks in _ecm_pairs(b1))
+    assert _ecm_cost(b1) == _stage1_multiplier(b1).bit_length() + products
+
+
+def test_affine_x_normalizes_points():
+    n = 1000003 * 1000033
+    points = [(5, 7), (11, 1), (n - 2, 123456789), (0, 3)]
+    xs, g = _affine_x(points, n)
+    assert g == 1
+    assert [x * z % n for x, (_, z) in zip(xs, points)] == [x % n for x, _ in points]
+
+
+def test_affine_x_returns_factor_of_a_nonunit_z():
+    p, q = 1000003, 1000033
+    assert _affine_x([(5, 7), (3, 11 * p), (2, 9)], p * q) == (None, p)
+    # Every Z shares a prime with n, but not the same one: still a proper factor.
+    assert _affine_x([(5, p), (3, q)], p * q)[1] in (p, q)
+
+
+# Factors in (1e11, 1e13), beyond the reach of the rho slice: ECM finds them.
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p,q", [
+    (100000000003, 9999999900001),
+    (300000000077, 2000000000003),
+    (2000000000003, 7000000000009),
+])
+def test_factorize_ecm_semiprime(p, q, seed):
+    with pytest.raises(FactorizationTimeout):
+        factorize(p * q, seed=seed, rho_budget=_RHO_SLICE)
+    assert factorize(p * q, seed=seed).factors == ((p, 1), (q, 1))
+
+
+def test_import_builds_no_pair_table():
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import emcurve.cli; "
+              "from emcurve.numtheory import _ecm_pairs; "
+              "print(_ecm_pairs.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-I", "-c", script, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 # Primes in (2^10, 10^6): trial division no longer reaches them, rho does.
