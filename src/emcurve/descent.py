@@ -10,32 +10,35 @@ the excluded cosets in closed form.  On the survivors every quadratic-symbol
 necessary condition is a linear F2 form in the free bits, so the conditions
 cut out a subgroup, the kernel of one homogeneous F2 system, and only that
 kernel is enumerated; the survivors it rejects are counted in closed form
-too.  Each solution then goes through certified local solvability at the bad
-places S u {inf}: the real place and curve.s_primes, which is 2 and the odd
-bad primes.  A verdict at ell depends only on the classes of b1 and b2 in
-Q_ell*/Q_ell*^2, so it is decided once per pair of local classes (see
-selmer_group).  The members that pass are a subgroup too, checked by one
-rank test.  An odd prime p outside S needs no test, 3 included (3 | m for
-every admissible m >= 6).  There b1 and b2 are p-units, and up to sign the
-six 2x2 minors of the two diagonal quadrics are b1*b2, b1^2*b2, b1*R,
-b1*b2^2, b2*Q and 2A*b1*b2 (A, Q, R = m^4-1, m^4-1 -+ 4m^2), all units at
-p.  So the space is a smooth genus-1 curve mod p, Hasse-Weil gives it at
-least p + 1 - 2 sqrt(p) > 0 points over F_p, and Hensel's lemma lifts one
-to Z_p.
+too.  Each solution then goes through local solvability at the bad places
+S u {inf}: the real place and curve.s_primes, which is 2 and the odd bad
+primes.  At ell it is membership of the pair's classes in Q_ell*/Q_ell*^2
+in the local image delta_ell(E(Q_ell)/2E(Q_ell)), spanned once per place
+by images of actual points (DescentContext.local_image; the proof is in
+selmer_group), so the record path runs no local solve.  The members that
+pass are a subgroup too, checked by one rank test.  An odd prime p outside
+S needs no test, 3 included (3 | m for every admissible m >= 6).  There b1
+and b2 are p-units, and up to sign the six 2x2 minors of the two diagonal
+quadrics are b1*b2, b1^2*b2, b1*R, b1*b2^2, b2*Q and 2A*b1*b2 (A, Q, R =
+m^4-1, m^4-1 -+ 4m^2), all units at p.  So the space is a smooth genus-1
+curve mod p, Hasse-Weil gives it at least p + 1 - 2 sqrt(p) > 0 points
+over F_p, and Hensel's lemma lifts one to Z_p.
 
 Internally classes are bitmasks over the generator list, and a quadratic
 character is the mask of the generators it sends to -1, so a symbol is a
 popcount parity.  DescentContext is the interface to those pieces: the
 generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`),
-the symbol conditions (`necessary_failures`) and the local classes at a bad
-prime (`local_class`) act on mask pairs, and selmer_group re-checks the
-rules and conditions on every enumerated candidate; `coset_reps` lists
-every coset, the brute-force reference for `survivor_reps`, and
-`survivor_reps` is the reference for `symbol_solutions`.  `rank_lower_bound`
-certifies rank >= 2 from the images of the torsion and of the points (0, t)
-and (n1, t).  `_f2_eliminate` is the one F2 eliminator.  selmer_group is the
-one descent entry point; the witnesses of a member it returns are built
-when the member's `local_evidence` is first read.
+the symbol conditions (`necessary_failures`), the local classes at a bad
+prime (`local_class`) and the local images (`locally_solvable`) act on mask
+pairs, and selmer_group re-checks the rules and conditions on every
+enumerated candidate; `coset_reps` lists every coset, the brute-force
+reference for `survivor_reps`, and `survivor_reps` is the reference for
+`symbol_solutions`.  `rank_lower_bound` certifies rank >= 2 from the images
+of the torsion and of the points (0, t) and (n1, t).  `_f2_eliminate` is the
+one F2 eliminator, and `_f2_reduce` tests membership in an echelon basis.
+selmer_group is the one descent entry point; the witnesses of a pair it
+returns are built by decide_local when the pair's `local_evidence` is first
+read.
 """
 
 from __future__ import annotations
@@ -43,11 +46,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .curve import RationalPoint, contains
 from .family import CurveParams
-from .localsolve import _val_unit, decide_local, real_solvable
+from .localsolve import LocalSolverError, _val_unit, decide_local, real_solvable
 from .numtheory import _legendre_prime, factorize
 
 
@@ -108,7 +111,7 @@ class DescentPair:
     """Candidate ([b1], [b2]) with its pipeline status and evidence.
 
     status: undecided | excluded | member.  reason is set for an excluded
-    pair (the place where it is locally unsolvable).  curve is set on the
+    pair (the place where it is locally unsolvable).  context is set on the
     pairs selmer_group makes, and their local_evidence is computed from it
     on first read.
     """
@@ -117,7 +120,7 @@ class DescentPair:
     b2: SquareClass
     status: str = "undecided"
     reason: str | None = None
-    curve: CurveParams | None = field(default=None, repr=False, compare=False)
+    context: DescentContext | None = field(default=None, repr=False, compare=False)
 
     def key(self) -> tuple[int, int]:
         return (self.b1.value, self.b2.value)
@@ -126,18 +129,27 @@ class DescentPair:
     def local_evidence(self) -> dict:
         """Verdicts by place: inf, then curve.s_primes in order up to the
         first unsolvable place, each finite one certified by the witness
-        decide_local builds for this very pair.  Empty without a curve.
+        decide_local builds for this very pair.  Empty without a context.
 
-        These are the verdicts selmer_group read from the first pair of each
-        local class, so a member's evidence is solvable at every place.
+        selmer_group decided the pair by membership in the local images, not
+        by these calls; each verdict is asserted to agree with that
+        membership, so a member's evidence is solvable at every place and an
+        excluded pair's ends at the place its reason names.
         """
-        if self.curve is None:
+        if self.context is None:
             return {}
-        c, b1, b2 = self.curve, self.b1.value, self.b2.value
+        ctx, b1, b2 = self.context, self.b1.value, self.b2.value
+        c = ctx.curve
+        b1m, b2m = ctx.mask_of_class(self.b1), ctx.mask_of_class(self.b2)
         evidence = {math.inf: real_solvable(b1, b2)}
         for ell in c.s_primes:
-            evidence[ell] = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell)
-            if not evidence[ell].is_solvable:
+            verdict = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell)
+            if verdict.is_solvable != ctx.locally_solvable(b1m, b2m, ell):
+                raise AssertionError(
+                    f"decide_local finds ({b1}, {b2}) {verdict.outcome} at {ell}, "
+                    f"against its local image, for m={c.m}")
+            evidence[ell] = verdict
+            if not verdict.is_solvable:
                 break
         return evidence
 
@@ -198,6 +210,7 @@ class DescentContext:
         # Images of (0, t) and (n1, t): ([-A], [A]) and ([2(m^2+1)], [2(m^2+1)]).
         b = self.two_bit | odd_mask(curve.m**2 + 1, curve.p_primes)
         self.point_images = ((self.sign_bit | self.p_mask, self.p_mask), (b, b))
+        self._local_images: dict[int, tuple[int, ...]] = {}
 
     @functools.cached_property
     def nonres(self) -> dict[int, int]:
@@ -247,6 +260,75 @@ class DescentContext:
         if ell == 2:
             return mask >> 1 & 1, self.mod4(mask) + 4 * ((mask & self.mod8_mask).bit_count() & 1)
         return mask >> self.index[ell] & 1, self.chi(ell, mask)
+
+    # -- local images ---------------------------------------------------------
+
+    def local_vector(self, b1m: int, b2m: int, ell: int) -> int:
+        """The pair's local classes at ell as one F2 vector (_pair_bits)."""
+        return _pair_bits(self.local_class(b1m, ell), self.local_class(b2m, ell), ell)
+
+    def local_image(self, ell: int) -> tuple[int, ...]:
+        """F2 basis of delta_ell(E(Q_ell)/2E(Q_ell)) at a bad prime ell, pairs
+        encoded as by local_vector, in echelon form by decreasing leading bit.
+        Built on first use and kept on the context.
+
+        Its dimension is that of E(Q_ell)/2E(Q_ell), log2 of |E(Q_ell)[2]| /
+        |2|_ell: 2 at odd ell and 3 at 2, since all of E[2] is rational.  The
+        basis is seeded with the classes of h2, h4 and point_images, images of
+        rational points, whose span must not exceed that dimension.  If it
+        falls short, points of E(Q_ell) are searched for: x = e +- ell^k u with
+        e in {A, -A, 4m^2, 0}, k in [-12, 40) by increasing |k| and 0 < u <
+        200, kept when f(x) = (x-A)(x+A)(x-4m^2) is a nonzero Q_ell-square,
+        each adding the class of ([x-A], [x+A]).  A search that ends short
+        raises LocalSolverError.
+        """
+        if ell in self._local_images:
+            return self._local_images[ell]
+        full = 3 if ell == 2 else 2
+        basis: list[int] = []
+
+        def add(vec):
+            vec = _f2_reduce(basis, vec)
+            if vec:
+                basis.append(vec)
+                basis.sort(reverse=True)
+
+        for b1m, b2m in (self.h2, self.h4) + self.point_images:
+            add(self.local_vector(b1m, b2m, ell))
+        if len(basis) > full:
+            raise AssertionError(
+                f"the images of rational points span dimension {len(basis)} at {ell}, "
+                f"more than dim E(Q_{ell})/2E(Q_{ell}) = {full}, for m={self.curve.m}")
+        if len(basis) < full:
+            for xa, xb in self._local_points(ell):
+                add(_pair_bits(_value_class(xa, ell), _value_class(xb, ell), ell))
+                if len(basis) == full:
+                    break
+            else:
+                raise LocalSolverError(
+                    f"the local image at {ell} reached dimension {len(basis)}, not "
+                    f"{full}, in the point search for m={self.curve.m}")
+        self._local_images[ell] = tuple(basis)
+        return self._local_images[ell]
+
+    def _local_points(self, ell: int) -> Iterator[tuple[int, int]]:
+        """Integers in the classes of x - A and x + A, for each candidate x of
+        local_image's search at which f(x) is a nonzero Q_ell-square."""
+        a, e3 = self.curve.a_value, 4 * self.curve.m**2
+        for k in sorted(range(-12, 40), key=abs):
+            step, den = (ell**k, 1) if k >= 0 else (1, ell**-k)
+            for u in range(1, 200):
+                for e in (a, -a, e3, 0):
+                    for t in (e * den + step * u, e * den - step * u):
+                        # x = t/den, and f(x) den^4 = (t-a den)(t+a den)(t-e3 den) den.
+                        fx = (t - a * den) * (t + a * den) * (t - e3 * den) * den
+                        if fx and _value_class(fx, ell) == (0, 1):
+                            yield (t - a * den) * den, (t + a * den) * den
+
+    def locally_solvable(self, b1m: int, b2m: int, ell: int) -> bool:
+        """Whether the pair's space has a Q_ell-point, ell a bad prime: whether
+        its local vector lies in local_image(ell) (proof in selmer_group)."""
+        return not _f2_reduce(self.local_image(ell), self.local_vector(b1m, b2m, ell))
 
     # -- coset machinery ------------------------------------------------------
 
@@ -416,6 +498,32 @@ class DescentContext:
         return self.curve.s_primes
 
 
+def _value_class(n: int, ell: int) -> tuple[int, int]:
+    """The class of a nonzero integer in Q_ell*/Q_ell*^2, in local_class's form."""
+    v, u = _val_unit(n, ell)
+    return v % 2, u % 8 if ell == 2 else _legendre_prime(u, ell)
+
+
+def _pair_bits(cls1: tuple[int, int], cls2: tuple[int, int], ell: int) -> int:
+    """F2 coordinates of a pair of classes in local_class's form, the second's
+    above the first's.  A class has v mod 2 in bit 0, then at odd ell one bit
+    for a non-residue unit, and at 2 the unit mod 8 shifted right once (1, 3,
+    5, 7 -> 0, 1, 2, 3 is an isomorphism (Z/8)* -> F2^2)."""
+    def bits(cls):
+        v, u = cls
+        return v | (u >> 1 if ell == 2 else u < 0) << 1
+
+    return bits(cls1) | bits(cls2) << (3 if ell == 2 else 2)
+
+
+def _f2_reduce(basis: Sequence[int], vec: int) -> int:
+    """vec reduced by an F2 basis in echelon form listed by decreasing leading
+    bit; 0 iff vec lies in the span."""
+    for b in basis:
+        vec = min(vec, vec ^ b)
+    return vec
+
+
 def _f2_eliminate(vectors: list[int]) -> tuple[int, list[int]]:
     """(rank, kernel) of F2 vectors given as bitmasks.
 
@@ -469,25 +577,26 @@ def selmer_group(
     """Full 2-Selmer computation: filters, symbols, certified local tests.
 
     Refuses when m^4-1+4m^2 is not squarefree (a hypothesis of the exclusion
-    lemmas), and raises rather than guess when any local verdict cannot be
-    certified.  s2 satisfies |Sel| = 2^(2+s2) where |Sel| counts 4 elements
+    lemmas), and raises rather than guess when a local image cannot be
+    completed.  s2 satisfies |Sel| = 2^(2+s2) where |Sel| counts 4 elements
     per member coset.
 
-    Local solvability at ell depends only on the classes of b1 and b2 in
-    Q_ell*/Q_ell*^2: for s, t in Q_ell*, (Z1, Z2, Z3, W) -> (Z1/s, Z2/t,
-    Z3/(st), W) maps the Q_ell-points of the space of (b1, b2) bijectively
-    onto those of (b1 s^2, b2 t^2), since b1 s^2 (Z1/s)^2 = b1 Z1^2,
-    b2 t^2 (Z2/t)^2 = b2 Z2^2 and b1 s^2 b2 t^2 (Z3/(st))^2 = b1 b2 Z3^2.
-    So decide_local runs once per place and pair of local classes, on the
-    first symbol solution that reaches it, and every later pair of the same
-    classes inherits the verdict.  Every verdict is certified by a witness
-    on the first pair of its class; a member's own witnesses are built when
-    its `local_evidence` is read, by the same calls in the same order.
+    Local solvability at a bad prime ell is membership in a subgroup: the
+    space of (b1, b2) has a Q_ell-point iff the pair of classes of b1 and b2
+    in Q_ell*/Q_ell*^2 lies in the image of the local descent map delta_ell,
+    which is injective on E(Q_ell)/2E(Q_ell) and so has the known order
+    |E(Q_ell)[2]| / |2|_ell, 4 at odd ell and 8 at 2.  The context's
+    local_image spans that image by images of actual points, rational ones
+    and points of E(Q_ell) it finds, and raises unless the span reaches the
+    full order.  So a pair whose local vector lies in the span is the image
+    of a product of those points and is solvable; and since the span is the
+    whole image, a pair outside it is unsolvable.  No local solve runs
+    here; a pair's witnesses are built by decide_local when its
+    `local_evidence` is read, which asserts that the two agree.
 
     Asserts what the mathematics gives: every symbol solution is solvable at
-    the real place (rule (i) makes b2 > 0), and at most |E(Q_ell)/2E(Q_ell)|
-    = 4 pairs of classes at odd ell, 8 at ell = 2, are solvable, since the
-    solvable classes are the image of the injective local descent map.
+    the real place (rule (i) makes b2 > 0), and the images of rational
+    points span no more than dim E(Q_ell)/2E(Q_ell) at any place.
 
     The observer first receives one RuleTally per exclusion rule and one for
     the symbol conditions, then every candidate passing them as a DescentPair.
@@ -510,8 +619,6 @@ def selmer_group(
               "member": 0}
     members: list[DescentPair] = []
     member_masks = []  # b1m << nbits | b2m
-    # place -> {(local class of b1, local class of b2): solvable}
-    verdicts: dict[int, dict[tuple, bool]] = {ell: {} for ell in places}
     for idx in solutions:
         b1m, b2m = ctx.survivor_rep(idx)
         b1, b2 = ctx.value_of_mask(b1m), ctx.value_of_mask(b2m)
@@ -523,15 +630,9 @@ def selmer_group(
         if not real_solvable(b1, b2).is_solvable:
             raise AssertionError(
                 f"symbol solution ({b1}, {b2}) is not real-solvable for m={curve.m}")
-        pair = DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m), curve=curve)
+        pair = DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m), context=ctx)
         for ell in places:
-            known = verdicts[ell]
-            key = ctx.local_class(b1m, ell), ctx.local_class(b2m, ell)
-            if key not in known:
-                known[key] = decide_local(
-                    b1, b2, curve.a_value, curve.q_value, curve.r_value, ell
-                ).is_solvable
-            if not known[key]:
+            if not ctx.locally_solvable(b1m, b2m, ell):
                 pair.status = "excluded"
                 pair.reason = f"locally unsolvable at {ell}"
                 counts["excluded"] += 1
@@ -544,12 +645,6 @@ def selmer_group(
         if observer:
             observer(pair)
 
-    for ell, known in verdicts.items():
-        image = sum(known.values())
-        if image > (8 if ell == 2 else 4):
-            raise AssertionError(
-                f"{image} pairs of local classes are solvable at {ell}, more than "
-                f"|E(Q_{ell})/2E(Q_{ell})| allows, for m={curve.m}")
     members.sort(key=lambda p: p.key())
     # Survivor reps are canonical (b1 > 0, b2 odd) and so is the XOR of two,
     # so XOR is the H-coset product.  The members lie in the 2^s2-element

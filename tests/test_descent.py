@@ -22,7 +22,9 @@ from emcurve.descent import (
     theorem_lower_bound,
 )
 from emcurve.family import build_curve, scan_admissible
-from emcurve.localsolve import LocalVerdict, _val_unit, decide_local, kstar, real_solvable
+from emcurve.localsolve import (
+    LocalSolverError, LocalVerdict, _val_unit, decide_local, kstar, real_solvable,
+)
 from emcurve.numtheory import _legendre_prime, factorize
 from oracle import oracle_local_solvable
 
@@ -336,33 +338,28 @@ def test_local_class_of_masks_matches_the_values(m):
             assert ctx.local_class(mask, ell) == local_class(ctx.value_of_mask(mask), ell)
 
 
-# decide_local calls in one descent of each of the paper's curves: one per
-# place and pair of local classes reached.  One call per symbol solution and
-# place made 96, 72, 72, 160, 160 and 224.
-DECIDE_LOCAL_CALLS = {6: 22, 12: 34, 30: 32, 42: 38, 60: 34, 462: 26}
-
-
-@pytest.mark.parametrize("m", sorted(DECIDE_LOCAL_CALLS))
+@pytest.mark.parametrize("m", [6, 12, 30, 42, 60, 462])
 def test_decide_local_runs_once_per_local_class(m, monkeypatch):
+    # The descent decides each place by membership in the local image and
+    # makes no local solve; decide_local runs only when a pair's evidence
+    # is read, once per finite place of a member.
     import emcurve.descent as descent_mod
 
-    calls = []
+    verdicts = []
     real = descent_mod.decide_local
 
     def counted(*args, **kwargs):
-        calls.append((args[5], local_class(args[0], args[5]),
-                      local_class(args[1], args[5])))
-        return real(*args, **kwargs)
+        verdicts.append(real(*args, **kwargs))
+        return verdicts[-1]
 
     monkeypatch.setattr(descent_mod, "decide_local", counted)
     c = build_curve(m)
     res = selmer_group(c)
-    assert len(calls) == len(set(calls)) == DECIDE_LOCAL_CALLS[m]
-    # A member's witnesses are built when its evidence is read, one call
-    # per finite place.
+    assert verdicts == []
     for p in res.members:
         assert all(v.is_solvable for v in p.local_evidence.values())
-    assert len(calls) == DECIDE_LOCAL_CALLS[m] + len(res.members) * len(c.s_primes)
+    assert len(verdicts) == len(res.members) * len(c.s_primes)
+    assert all(v.is_solvable for v in verdicts)
 
 
 @pytest.mark.parametrize("m", [6, 42, 462])
@@ -403,25 +400,60 @@ def test_local_verdict_depends_only_on_local_classes(m):
     assert seen == {True, False}
 
 
-# Pairs of local classes made unsolvable by the fakes below, a class
-# function as every verdict is.  Excluding ((0, 1), (0, 7)) at 2 and
-# ((0, -1), (0, -1)) at 37 leaves 8 of the 16 members at m = 6, a power of
-# two but not a subgroup; excluding only the first leaves 12.
+@pytest.mark.parametrize("m", [6, 12, 42, 228, 462, 1950, 10008])
+def test_local_image_membership_matches_decide_local(m):
+    # Every pair of local classes that a survivor of the exclusion rules
+    # reaches, symbol solutions and rejected survivors alike, at every bad
+    # place; checked against the brute-force oracle below ell = 40.  At
+    # m = 228 and 1950, Q is not squarefree.
+    c = build_curve(m)
+    ctx = DescentContext(c)
+    seen = set()
+    for ell in c.s_primes:
+        reps = {}
+        for b1m, b2m in ctx.survivor_reps():
+            reps.setdefault((ctx.local_class(b1m, ell), ctx.local_class(b2m, ell)),
+                            (b1m, b2m))
+        for b1m, b2m in reps.values():
+            b1, b2 = ctx.value_of_mask(b1m), ctx.value_of_mask(b2m)
+            expected = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell,
+                                    want_witness=False).is_solvable
+            assert ctx.locally_solvable(b1m, b2m, ell) == expected, (b1, b2, ell)
+            seen.add(expected)
+            if ell < 40:
+                ks = kstar(b1, b2, c.a_value, c.q_value, c.r_value, ell)
+                assert oracle_local_solvable(b1, b2, c.a_value, c.q_value,
+                                             ell, ks + 6) == expected
+    assert seen == {True, False}
+
+
+def test_local_images_reach_full_dimension():
+    # dim E(Q_ell)/2E(Q_ell) = log2(|E(Q_ell)[2]| / |2|_ell) at every bad place
+    # of every admissible m <= 2000, with or without the point search.
+    for m in scan_admissible(2, 2000):
+        c = build_curve(m)
+        ctx = DescentContext(c)
+        for ell in c.s_primes:
+            assert len(ctx.local_image(ell)) == (3 if ell == 2 else 2), (m, ell)
+
+
+# Pairs of local classes made non-members of the local image by the fakes
+# below, a class function as every verdict is.  Excluding ((0, 1), (0, 7))
+# at 2 and ((0, -1), (0, -1)) at 37 leaves 8 of the 16 members at m = 6, a
+# power of two but not a subgroup; excluding only the first leaves 12.
 @pytest.mark.parametrize("unsolvable", [
     {2: ((0, 1), (0, 7)), 37: ((0, -1), (0, -1))},
     {2: ((0, 1), (0, 7))},
 ], ids=["eight-not-closed", "twelve"])
 def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, unsolvable):
-    import emcurve.descent as descent_mod
+    real = DescentContext.locally_solvable
 
-    real = descent_mod.decide_local
+    def unsolvable_on_a_class(self, b1m, b2m, ell):
+        if unsolvable.get(ell) == (self.local_class(b1m, ell), self.local_class(b2m, ell)):
+            return False
+        return real(self, b1m, b2m, ell)
 
-    def unsolvable_on_a_class(b1, b2, a, q, r, ell, **kwargs):
-        if unsolvable.get(ell) == (local_class(b1, ell), local_class(b2, ell)):
-            return LocalVerdict(ell, "unsolvable")
-        return real(b1, b2, a, q, r, ell, **kwargs)
-
-    monkeypatch.setattr(descent_mod, "decide_local", unsolvable_on_a_class)
+    monkeypatch.setattr(DescentContext, "locally_solvable", unsolvable_on_a_class)
     with pytest.raises(AssertionError, match=f"the {8 if 37 in unsolvable else 12} "
                                              "member cosets are not a subgroup"):
         selmer_group(c6)
@@ -430,16 +462,32 @@ def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, unsolvable):
 def test_selmer_asserts_the_local_images_fit(c6, monkeypatch):
     import emcurve.descent as descent_mod
 
-    # A key that tells every pair apart makes all 16 members' classes
-    # solvable at every place, more than |E(Q_ell)/2E(Q_ell)| <= 8 allows.
-    monkeypatch.setattr(DescentContext, "local_class", lambda self, mask, ell: mask)
-    with pytest.raises(AssertionError, match="16 pairs of local classes are solvable at 2"):
+    # A class that tells every mask apart gives the images of the four
+    # rational points dimension 4 at 2, more than dim E(Q_2)/2E(Q_2) = 3.
+    monkeypatch.setattr(DescentContext, "local_class", lambda self, mask, ell: (mask, 1))
+    with pytest.raises(AssertionError, match="span dimension 4 at 2, more than"):
+        selmer_group(c6)
+    monkeypatch.undo()
+    # At 7 the rational points span dimension 1 of 2; a search that finds
+    # no point of E(Q_7) cannot complete the image and raises.
+    assert len(DescentContext(c6).local_image(7)) == 2
+    monkeypatch.setattr(DescentContext, "_local_points", lambda self, ell: iter(()))
+    with pytest.raises(LocalSolverError,
+                       match="local image at 7 reached dimension 1, not 2"):
         selmer_group(c6)
     monkeypatch.undo()
     monkeypatch.setattr(descent_mod, "real_solvable",
                         lambda b1, b2: LocalVerdict(math.inf, "real_unsolvable"))
     with pytest.raises(AssertionError, match=r"symbol solution \(1, 1\) is not real-solvable"):
         selmer_group(c6)
+
+
+def test_local_evidence_asserts_agreement_with_the_local_image(c6, monkeypatch):
+    members = selmer_group(c6).members
+    monkeypatch.setattr(DescentContext, "locally_solvable", lambda self, b1m, b2m, ell: False)
+    with pytest.raises(AssertionError, match=r"decide_local finds \(1, 1\) solvable at 2, "
+                                             "against its local image"):
+        members[0].local_evidence
 
 
 # sha256 of repr([(key, local_evidence)]) over the members.  Captured from
