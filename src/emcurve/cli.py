@@ -165,10 +165,7 @@ def _verbose_observer(args):
             pair.local_evidence.items(), key=lambda kv: (kv[0] is math.inf, kv[0])
         ):
             w = verdict.witness
-            extra = ""
-            if w is not None:
-                extra = (f" witness chart={w.chart} x={w.x % w.place**6}... "
-                         f"tau={w.tau}")
+            extra = "" if w is None else f" witness x={w.x}"
             print(f"      place {place}: {verdict.outcome}{extra}")
 
     return observer

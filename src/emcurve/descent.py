@@ -14,8 +14,8 @@ too.  Each solution then goes through local solvability at the bad places
 S u {inf}: the real place and curve.s_primes, which is 2 and the odd bad
 primes.  At ell it is membership of the pair's classes in Q_ell*/Q_ell*^2
 in the local image delta_ell(E(Q_ell)/2E(Q_ell)), spanned once per place
-by images of actual points (DescentContext.local_image; the proof is in
-selmer_group), so the record path runs no local solve.  The members that
+by images of actual points (DescentContext.local_image over
+localsolve.local_image; the proof is in selmer_group).  The members that
 pass are a subgroup too, checked by one rank test.  An odd prime p outside
 S needs no test, 3 included (3 | m for every admissible m >= 6).  There b1
 and b2 are p-units, and up to sign the six 2x2 minors of the two diagonal
@@ -35,10 +35,10 @@ enumerated candidate; `coset_reps` lists every coset, the brute-force
 reference for `survivor_reps`, and `survivor_reps` is the reference for
 `symbol_solutions`.  `rank_lower_bound` certifies rank >= 2 from the images
 of the torsion and of the points (0, t) and (n1, t).  `_f2_eliminate` is the
-one F2 eliminator, and `_f2_reduce` tests membership in an echelon basis.
-selmer_group is the one descent entry point; the witnesses of a pair it
-returns are built by decide_local when the pair's `local_evidence` is first
-read.
+one F2 eliminator, and localsolve's `_f2_reduce` tests membership in an
+echelon basis.  selmer_group is the one descent entry point; the witnesses
+of a pair it returns, points of E(Q_ell) in the pair's classes, are found by
+decide_local when the pair's `local_evidence` is first read.
 """
 
 from __future__ import annotations
@@ -46,11 +46,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .curve import RationalPoint, contains
 from .family import CurveParams
-from .localsolve import LocalSolverError, _val_unit, decide_local, real_solvable
+from .localsolve import (
+    _f2_reduce, _pair_bits, _val_unit, decide_local, local_image, real_solvable,
+)
 from .numtheory import _legendre_prime, factorize
 
 
@@ -128,13 +130,14 @@ class DescentPair:
     @functools.cached_property
     def local_evidence(self) -> dict:
         """Verdicts by place: inf, then curve.s_primes in order up to the
-        first unsolvable place, each finite one certified by the witness
-        decide_local builds for this very pair.  Empty without a context.
+        first unsolvable place, from decide_local; a solvable finite one
+        carries its witness, a point of E(Q_ell) in exactly this pair's
+        classes.  Empty without a context.
 
-        selmer_group decided the pair by membership in the local images, not
-        by these calls; each verdict is asserted to agree with that
-        membership, so a member's evidence is solvable at every place and an
-        excluded pair's ends at the place its reason names.
+        decide_local reads a local image seeded from A, Q and R, and
+        selmer_group read the context's; each verdict is asserted to agree
+        with the context's, so a member's evidence is solvable at every place
+        and an excluded pair's ends at the place its reason names.
         """
         if self.context is None:
             return {}
@@ -269,61 +272,15 @@ class DescentContext:
 
     def local_image(self, ell: int) -> tuple[int, ...]:
         """F2 basis of delta_ell(E(Q_ell)/2E(Q_ell)) at a bad prime ell, pairs
-        encoded as by local_vector, in echelon form by decreasing leading bit.
-        Built on first use and kept on the context.
-
-        Its dimension is that of E(Q_ell)/2E(Q_ell), log2 of |E(Q_ell)[2]| /
-        |2|_ell: 2 at odd ell and 3 at 2, since all of E[2] is rational.  The
-        basis is seeded with the classes of h2, h4 and point_images, images of
-        rational points, whose span must not exceed that dimension.  If it
-        falls short, points of E(Q_ell) are searched for: x = e +- ell^k u with
-        e in {A, -A, 4m^2, 0}, k in [-12, 40) by increasing |k| and 0 < u <
-        200, kept when f(x) = (x-A)(x+A)(x-4m^2) is a nonzero Q_ell-square,
-        each adding the class of ([x-A], [x+A]).  A search that ends short
-        raises LocalSolverError.
-        """
-        if ell in self._local_images:
-            return self._local_images[ell]
-        full = 3 if ell == 2 else 2
-        basis: list[int] = []
-
-        def add(vec):
-            vec = _f2_reduce(basis, vec)
-            if vec:
-                basis.append(vec)
-                basis.sort(reverse=True)
-
-        for b1m, b2m in (self.h2, self.h4) + self.point_images:
-            add(self.local_vector(b1m, b2m, ell))
-        if len(basis) > full:
-            raise AssertionError(
-                f"the images of rational points span dimension {len(basis)} at {ell}, "
-                f"more than dim E(Q_{ell})/2E(Q_{ell}) = {full}, for m={self.curve.m}")
-        if len(basis) < full:
-            for xa, xb in self._local_points(ell):
-                add(_pair_bits(_value_class(xa, ell), _value_class(xb, ell), ell))
-                if len(basis) == full:
-                    break
-            else:
-                raise LocalSolverError(
-                    f"the local image at {ell} reached dimension {len(basis)}, not "
-                    f"{full}, in the point search for m={self.curve.m}")
-        self._local_images[ell] = tuple(basis)
+        encoded as by local_vector: localsolve.local_image seeded with the
+        classes of h2, h4 and point_images, images of rational points.
+        Built on first use and kept on the context."""
+        if ell not in self._local_images:
+            seeds = [self.local_vector(b1m, b2m, ell)
+                     for b1m, b2m in (self.h2, self.h4) + self.point_images]
+            self._local_images[ell] = local_image(
+                seeds, self.curve.a_value, 4 * self.curve.m**2, ell)
         return self._local_images[ell]
-
-    def _local_points(self, ell: int) -> Iterator[tuple[int, int]]:
-        """Integers in the classes of x - A and x + A, for each candidate x of
-        local_image's search at which f(x) is a nonzero Q_ell-square."""
-        a, e3 = self.curve.a_value, 4 * self.curve.m**2
-        for k in sorted(range(-12, 40), key=abs):
-            step, den = (ell**k, 1) if k >= 0 else (1, ell**-k)
-            for u in range(1, 200):
-                for e in (a, -a, e3, 0):
-                    for t in (e * den + step * u, e * den - step * u):
-                        # x = t/den, and f(x) den^4 = (t-a den)(t+a den)(t-e3 den) den.
-                        fx = (t - a * den) * (t + a * den) * (t - e3 * den) * den
-                        if fx and _value_class(fx, ell) == (0, 1):
-                            yield (t - a * den) * den, (t + a * den) * den
 
     def locally_solvable(self, b1m: int, b2m: int, ell: int) -> bool:
         """Whether the pair's space has a Q_ell-point, ell a bad prime: whether
@@ -498,32 +455,6 @@ class DescentContext:
         return self.curve.s_primes
 
 
-def _value_class(n: int, ell: int) -> tuple[int, int]:
-    """The class of a nonzero integer in Q_ell*/Q_ell*^2, in local_class's form."""
-    v, u = _val_unit(n, ell)
-    return v % 2, u % 8 if ell == 2 else _legendre_prime(u, ell)
-
-
-def _pair_bits(cls1: tuple[int, int], cls2: tuple[int, int], ell: int) -> int:
-    """F2 coordinates of a pair of classes in local_class's form, the second's
-    above the first's.  A class has v mod 2 in bit 0, then at odd ell one bit
-    for a non-residue unit, and at 2 the unit mod 8 shifted right once (1, 3,
-    5, 7 -> 0, 1, 2, 3 is an isomorphism (Z/8)* -> F2^2)."""
-    def bits(cls):
-        v, u = cls
-        return v | (u >> 1 if ell == 2 else u < 0) << 1
-
-    return bits(cls1) | bits(cls2) << (3 if ell == 2 else 2)
-
-
-def _f2_reduce(basis: Sequence[int], vec: int) -> int:
-    """vec reduced by an F2 basis in echelon form listed by decreasing leading
-    bit; 0 iff vec lies in the span."""
-    for b in basis:
-        vec = min(vec, vec ^ b)
-    return vec
-
-
 def _f2_eliminate(vectors: list[int]) -> tuple[int, list[int]]:
     """(rank, kernel) of F2 vectors given as bitmasks.
 
@@ -590,9 +521,10 @@ def selmer_group(
     and points of E(Q_ell) it finds, and raises unless the span reaches the
     full order.  So a pair whose local vector lies in the span is the image
     of a product of those points and is solvable; and since the span is the
-    whole image, a pair outside it is unsolvable.  No local solve runs
-    here; a pair's witnesses are built by decide_local when its
-    `local_evidence` is read, which asserts that the two agree.
+    whole image, a pair outside it is unsolvable.  A pair's witnesses, the
+    first points of the same search in its classes, are found by
+    decide_local when its `local_evidence` is read, which asserts that the
+    two images agree.
 
     Asserts what the mathematics gives: every symbol solution is solvable at
     the real place (rule (i) makes b2 > 0), and the images of rational

@@ -231,7 +231,7 @@ def test_verbose_prints_locally_excluded_candidates(capsys):
             "(23739224947380580297, 9760785911386536737)",
         )]
     for i in excluded:
-        assert lines[i + 1].startswith("      place 2: solvable witness chart=")
+        assert lines[i + 1].startswith("      place 2: solvable witness x=")
         assert lines[i + 2:i + 4] == ["      place 11: unsolvable",
                                       "      place inf: real_solvable"]
 

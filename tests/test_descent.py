@@ -461,6 +461,7 @@ def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, unsolvable):
 
 def test_selmer_asserts_the_local_images_fit(c6, monkeypatch):
     import emcurve.descent as descent_mod
+    import emcurve.localsolve as localsolve
 
     # A class that tells every mask apart gives the images of the four
     # rational points dimension 4 at 2, more than dim E(Q_2)/2E(Q_2) = 3.
@@ -471,7 +472,7 @@ def test_selmer_asserts_the_local_images_fit(c6, monkeypatch):
     # At 7 the rational points span dimension 1 of 2; a search that finds
     # no point of E(Q_7) cannot complete the image and raises.
     assert len(DescentContext(c6).local_image(7)) == 2
-    monkeypatch.setattr(DescentContext, "_local_points", lambda self, ell: iter(()))
+    monkeypatch.setattr(localsolve, "_points", lambda a_value, e3, ell: iter(()))
     with pytest.raises(LocalSolverError,
                        match="local image at 7 reached dimension 1, not 2"):
         selmer_group(c6)
@@ -490,14 +491,13 @@ def test_local_evidence_asserts_agreement_with_the_local_image(c6, monkeypatch):
         members[0].local_evidence
 
 
-# sha256 of repr([(key, local_evidence)]) over the members.  Captured from
-# the descent that also tested place 3 (a good prime for m >= 6), with key 3
-# dropped from each member's local_evidence before hashing, so the evidence
-# at every other place, witnesses included, is pinned byte for byte.
+# sha256 of repr([(key, local_evidence)]) over the members: the verdicts at
+# every place and each witness, the first point of the local-image search in
+# the member's classes with its quadruple mod ell^k*, pinned byte for byte.
 WITNESS_DIGESTS = {
-    6: "52ae70e8b6ca66726b68bf931312738447f6bd8a04224f674fe6e3b22069b523",
-    42: "55595f5f857fffd62e7874f6863fdae565c44b24fe7da7bc62527ea4a11b41cd",
-    462: "31944709e9186e021aac6aea8dfab328a3697ade05879fc54a09b763d5f5712c",
+    6: "f6c4d2380623a3e7f2208188ff0f57f159b17a504fe6e35693d4c615474bc26e",
+    42: "5efd1f5f0e541e5741d4ad4ffa6e6bf13d07842fe748dbedaa77c80453742a1f",
+    462: "093b4b2381d2b98cb77d90c14b3e5b3ee643ef15add90b1563e6900418471e11",
 }
 
 

@@ -1,11 +1,15 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from emcurve.family import build_curve
+import emcurve.localsolve as localsolve
+from emcurve.family import build_curve, scan_admissible
 from emcurve.localsolve import (
-    _ChartSearch,
-    _Quadratic,
+    LocalSolverError,
+    _point_bits,
+    _val_unit,
     decide_local,
     kstar,
     real_solvable,
@@ -20,6 +24,38 @@ def curve_constants(m):
 
 
 A6, B6, C6 = 1295, 1151, 1439
+
+
+def valuation(x: Fraction, ell: int) -> int:
+    return _val_unit(x.numerator, ell)[0] - _val_unit(x.denominator, ell)[0]
+
+
+def squares(w, b1, b2, a, q):
+    """z1^2, z2^2, z3^2 of the witness point: (x-A)/b1, (x+A)/b2, (x-4m^2)/(b1b2)."""
+    x = w.x
+    return (x - a) / b1, (x + a) / b2, (x - (a - q)) / (b1 * b2)
+
+
+def affine_valuations(w, b1, b2, a, q, ell):
+    """(v(z1), v(z2), v(z3)) of the witness point."""
+    return tuple(valuation(z2, ell) // 2 for z2 in squares(w, b1, b2, a, q))
+
+
+def check_witness(w, b1, b2, a, q, r, ell):
+    """The witness is a primitive solution of both quadrics mod ell^N, N = k*,
+    and its z1^2, z2^2 and z3^2 are Q_ell-squares."""
+    assert w.modulus_exp == kstar(b1, b2, a, q, r, ell)
+    mod = ell**w.modulus_exp
+    z1, z2, z3, ww = w.quadruple
+    assert any(z % ell for z in w.quadruple), "quadruple must be primitive"
+    assert (b1 * z1 * z1 - b2 * z2 * z2 + 2 * a * ww * ww) % mod == 0
+    assert (b1 * z1 * z1 - b1 * b2 * z3 * z3 + q * ww * ww) % mod == 0
+    unit_mod = 8 if ell == 2 else ell
+    for square in squares(w, b1, b2, a, q):
+        assert valuation(square, ell) % 2 == 0
+        unit = square / Fraction(ell) ** valuation(square, ell)
+        unit = unit.numerator * pow(unit.denominator, -1, unit_mod) % unit_mod
+        assert unit == 1 if ell == 2 else pow(unit, (ell - 1) // 2, ell) == 1
 
 
 def test_kstar_examples():
@@ -53,32 +89,20 @@ def test_p_adic_witness_negative_valuation_pattern():
     v = decide_local(5, 5, A6, B6, C6, 5)
     w = v.witness
     assert w is not None
-    v1, v2, v3 = w.affine_valuations
+    v1, v2, v3 = affine_valuations(w, 5, 5, A6, B6, 5)
     assert v3 == -1
-    assert v1 is None or v1 >= 0
-    assert v2 is None or v2 >= 0
+    assert v1 >= 0
+    assert v2 >= 0
+    # In the primitive quadruple that is a unit Z3 and W = 5.
+    assert w.quadruple[2] % 5 and w.quadruple[3] == 5
 
 
 def test_witness_certificates_check_out():
     kinds = [(5, 5, 5), (5, 5, 2), (1, 1, 3), (7 * 1151, 7, 1151), (5, 5, 1439)]
     for b1, b2, ell in kinds:
         v = decide_local(b1, b2, A6, B6, C6, ell)
-        w = v.witness
-        assert w is not None
-        mod = ell**w.modulus_exp
-        z1, z2, z3, ww = w.quadruple
-        assert any(z % ell for z in w.quadruple), "quadruple must be primitive"
-        r1 = (b1 * z1 * z1 - b2 * z2 * z2 + 2 * A6 * ww * ww) % mod
-        r2 = (b1 * z1 * z1 - b1 * b2 * z3 * z3 + B6 * ww * ww) % mod
-        for res, rv in zip((r1, r2), w.residual_valuations):
-            if res:
-                seen = 0
-                t = res
-                while t % ell == 0:
-                    t //= ell
-                    seen += 1
-                assert seen == rv
-            assert rv >= 2 * w.tau + 1
+        assert v.witness is not None
+        check_witness(v.witness, b1, b2, A6, B6, C6, ell)
 
 
 def test_valuation_pattern_of_witnesses_lemma():
@@ -97,11 +121,10 @@ def test_valuation_pattern_of_witnesses_lemma():
             w = v.witness
             if w is None:
                 continue
-            v1, v2, _ = w.affine_valuations
-            if v1 is not None and v2 is not None:
-                assert (v1 < 0) == (v2 < 0)
-                if v1 < 0:
-                    assert v1 == v2
+            v1, v2, _ = affine_valuations(w, b1, b2, A6, B6, ell)
+            assert (v1 < 0) == (v2 < 0)
+            if v1 < 0:
+                assert v1 == v2
 
 
 def test_real_place():
@@ -129,6 +152,7 @@ def test_oracle_agreement_small_primes_random_pairs():
 
 
 def test_structured_path_matches_digit_loop_midsize():
+    # decide_local against the oracle's digit loop at two midsize primes.
     random.seed(10)
     a, b, c = curve_constants(12)   # q-primes 19, 1061; r-primes 101, 211
     gens = [-1, 2, 5, 11, 13, 29, 19, 101]
@@ -146,62 +170,6 @@ def test_structured_path_matches_digit_loop_midsize():
             assert mine.is_solvable == naive, (b1, b2, ell)
 
 
-def _digit_polys(ell, rng):
-    """Reductions of every shape the screen must decide, with random roots
-    and scalars: constant, linear, l(d-a)^2, l(d-a)(d-b), and l times an
-    irreducible quadratic."""
-    def unit():
-        return rng.randrange(1, ell)
-
-    def times(poly, scale):
-        return tuple(scale * t % ell for t in poly)
-
-    a, b = rng.sample(range(ell), 2)
-    nonres = next(n for n in range(2, ell) if pow(n, (ell - 1) // 2, ell) != 1)
-    return [
-        (unit(), 0, 0),
-        times((-a, 1, 0), unit()),
-        times((a * a, -2 * a, 1), unit()),
-        times((a * b, -a - b, 1), unit()),
-        times((-nonres * a * a % ell, 0, 1), unit()),  # (d^2 - n a^2), no roots
-    ]
-
-
-def _brute_no_clean_digit(ell, rb1, rb2):
-    """True when no digit off the roots of R1 and R2 makes both residues."""
-    residues = {x * x % ell for x in range(1, ell)}
-
-    def value(rb, d):
-        return (rb[0] + rb[1] * d + rb[2] * d * d) % ell
-
-    return not any(value(rb1, d) in residues and value(rb2, d) in residues
-                   for d in range(ell))
-
-
-@pytest.mark.parametrize("ell", [257, 263, 269, 271])
-def test_no_clean_digit_screen_matches_digit_scan(ell):
-    rng = random.Random(ell)
-    search = _ChartSearch(_Quadratic(1, 0, 1), _Quadratic(1, 0, 1), ell, 3)
-    pairs = []
-    for _ in range(20):
-        polys = _digit_polys(ell, rng)
-        pairs += [(p, q) for p in polys for q in polys]
-        # Proportional pairs, by a residue and by a non-residue.
-        lam = rng.randrange(2, ell)
-        pairs += [(p, tuple(lam * t % ell for t in p)) for p in polys]
-        # The shared-root pair (d-a)^2, (d-a)(d-b), with random scalars.
-        a, b = rng.sample(range(ell), 2)
-        l1, l2 = rng.randrange(1, ell), rng.randrange(1, ell)
-        pairs.append(((l1 * a * a % ell, -2 * l1 * a % ell, l1),
-                      (l2 * a * b % ell, -l2 * (a + b) % ell, l2)))
-    outcomes = set()
-    for rb1, rb2 in pairs:
-        expected = _brute_no_clean_digit(ell, rb1, rb2)
-        assert search._no_clean_digit(rb1, rb2) == expected, (rb1, rb2)
-        outcomes.add(expected)
-    assert outcomes == {True, False}
-
-
 def test_huge_prime_corollary_witnesses():
     a, b, c = curve_constants(462)
     q, r = b, c
@@ -210,4 +178,68 @@ def test_huge_prime_corollary_witnesses():
     for ell in (2, 3, 5, q, r):
         v = decide_local(-q, 1, a, b, c, ell)
         assert v.is_solvable, ell
+        check_witness(v.witness, -q, 1, a, b, c, ell)
     assert not decide_local(1, q, a, b, c, q, want_witness=False).is_solvable
+
+
+def image_pairs(basis, ell):
+    """An integer pair (b1, b2) in each class pair of the span of basis."""
+    width = 3 if ell == 2 else 2
+    if ell > 2:
+        nonres = next(n for n in range(2, ell) if pow(n, (ell - 1) // 2, ell) == ell - 1)
+
+    def rep(bits):  # inverse of localsolve._pair_bits on one class
+        if ell == 2:
+            unit = 2 * (bits >> 1) + 1
+        else:
+            unit = nonres if bits >> 1 else 1
+        return ell ** (bits & 1) * unit
+
+    for combo in itertools.product((0, 1), repeat=len(basis)):
+        vec = 0
+        for bit, b in zip(combo, basis):
+            vec ^= b * bit
+        yield rep(vec & ((1 << width) - 1)), rep(vec >> width)
+
+
+def bad_places():
+    for m in scan_admissible(2, 2000):
+        c = build_curve(m)
+        for ell in c.s_primes:
+            yield c, ell
+    c6 = build_curve(6)
+    for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        yield c6, ell
+
+
+def test_every_element_of_the_local_image_has_a_witness():
+    # At every bad place of each admissible m <= 2000, and for m = 6 at every
+    # prime below 50, each class pair of the local image is hit exactly by
+    # some point of the search, and its quadruple solves both quadrics.
+    places = 0
+    for c, ell in bad_places():
+        basis = localsolve._image(c.a_value, c.q_value, c.r_value, ell)
+        assert len(basis) == (3 if ell == 2 else 2)
+        for b1, b2 in image_pairs(basis, ell):
+            v = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell)
+            assert v.is_solvable, (c.m, ell, b1, b2)
+            check_witness(v.witness, b1, b2, c.a_value, c.q_value, c.r_value, ell)
+        places += 1
+    assert places > 500
+
+
+def test_starved_search_raises_instead_of_a_solvable_verdict(monkeypatch):
+    # A stream that still completes the image at 13 but has no point in the
+    # class of (1, 1): the verdict is solvable, and the witness search raises
+    # rather than return a verdict without a certificate.
+    real = localsolve._points
+
+    def starved(a_value, e3, ell):
+        return (p for p in itertools.islice(real(a_value, e3, ell), 2000)
+                if _point_bits(*p, a_value, ell) != 0)
+
+    monkeypatch.setattr(localsolve, "_points", starved)
+    localsolve._first_points.cache_clear()  # drop points kept from the real stream
+    assert decide_local(1, 1, A6, B6, C6, 13, want_witness=False).is_solvable
+    with pytest.raises(LocalSolverError, match="the point search at 13 met 3 of the 4 classes"):
+        decide_local(1, 1, A6, B6, C6, 13)
