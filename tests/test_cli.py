@@ -570,6 +570,16 @@ def test_analyze_tol_not_finite_exits_2(tol):
     assert proc.stderr == "error: tol must be finite and positive\n"
 
 
+def test_bad_tol_exits_2_before_the_curve_is_built(tmp_path, capsys):
+    # With one rho step the curve cannot be built, so this exits 2 only if
+    # --tol is checked first, and the cache is never opened.
+    cache_file = tmp_path / "cache.jsonl"
+    rc, out, err = run_cli(capsys, "heights", "--m", "10000000278", "--tol", "0",
+                           "--rho-budget", "1", "--json", "--cache-path", str(cache_file))
+    assert (rc, out, err) == (2, "", "error: tol must be finite and positive\n")
+    assert not cache_file.exists()
+
+
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 def test_unusable_cache_path_exits_2(tmp_path, capsys, where):
     path = tmp_path if where == "directory" else tmp_path / "no" / "c.jsonl"

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from emcurve import heights
 from emcurve.curve import INFINITY, add, negate, point
-from emcurve.family import build_curve
+from emcurve.family import build_curve, scan_admissible
 from emcurve.heights import (
     HeightBudgetExceeded,
     HeightEstimate,
+    _certified_log,
     _duplication_step,
+    _numerators,
     canonical_height,
     independence_rank,
     naive_height,
@@ -21,6 +24,11 @@ TOL = 1e-3
 @pytest.fixture(scope="module")
 def c6():
     return build_curve(6)
+
+
+@pytest.fixture(scope="module")
+def c12():
+    return build_curve(12)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +95,12 @@ def _general_cubic_step(u, v, coeffs, strip):
     return nu, dv
 
 
+def _pairing_starts(c):
+    """The five points whose heights the pairing of (0, t), (n1, t) takes."""
+    p1, p2 = point(0, c.t), point(c.n1, c.t)
+    return [p1, p2, add(c, p1, p2), add(c, p1, p1), add(c, p2, p2)]
+
+
 # Steps checked against the exact group law; later steps get too big for
 # Fraction arithmetic to stay quick.
 _FRACTION_STEPS = 3
@@ -99,9 +113,7 @@ def test_duplication_step_matches_group_law(m):
     # for every step canonical_height takes at the pairing's tolerance.
     c = build_curve(m)
     qr = c.q_value * c.r_value
-    p1, p2 = point(0, c.t), point(c.n1, c.t)
-    starts = [p1, p2, add(c, p1, p2), add(c, p1, p1), add(c, p2, p2)]
-    for start in starts:
+    for start in _pairing_starts(c):
         steps = canonical_height(c, start, TOL / 3).iterations
         assert steps >= 2
         x = start.x
@@ -117,6 +129,151 @@ def test_duplication_step_matches_group_law(m):
             if n < _FRACTION_STEPS:
                 p = add(c, p, p)
                 assert (u, v) == (p.x.numerator, p.x.denominator)
+
+
+def test_certified_log_declines_or_matches_the_exact_step():
+    # Called directly, so the width gate is bypassed and the narrow first
+    # steps are checked too.  Above the gate it must also certify.
+    certified, wide_steps = 0, 0
+    for m in [*scan_admissible(2, 2000), 10008, 100152, 1000038]:
+        c = build_curve(m)
+        qr = c.q_value * c.r_value
+        for start in _pairing_starts(c):
+            w, v = start.x.numerator - c.e3 * start.x.denominator, start.x.denominator
+            for _ in range(canonical_height(c, start, TOL / 3).iterations):
+                wide = max(w.bit_length(), v.bit_length()) > heights._CERTIFY_MIN_BITS
+                log_top = _certified_log(w, v, c.e3, qr, c.s_primes)
+                w, v = _duplication_step(w, v, c.e3, qr, c.s_primes)
+                if log_top is not None:
+                    assert log_top == math.log(max(abs(w + c.e3 * v), v)), m
+                    certified += 1
+                assert log_top is not None or not wide, m
+                wide_steps += wide
+    # Most declines are the first steps, whose boxes are too coarse.
+    assert (certified, wide_steps) == (494, 14)
+
+
+def _multiple(c, p, k):
+    q = INFINITY
+    for _ in range(abs(k)):
+        q = add(c, q, p)
+    return q if k >= 0 else negate(q)
+
+
+@pytest.mark.parametrize("m", [6, 12, 30])
+def test_certified_log_strips_the_bad_primes_exactly(m):
+    # The pairing chains reduce by g > 1 only at their coarse first step.
+    # The first steps from a (0, t) + b (n1, t) reduce by g > 1 too, at
+    # widths the certificate can pin.
+    c = build_curve(m)
+    qr = c.q_value * c.r_value
+    p1, p2 = point(0, c.t), point(c.n1, c.t)
+    stripped = 0
+    for a in range(5):
+        for b in range(-4, 5):
+            q = add(c, _multiple(c, p1, a), _multiple(c, p2, b))
+            if q.is_infinity or q.y == 0:
+                continue
+            w, v = q.x.numerator - c.e3 * q.x.denominator, q.x.denominator
+            log_top = _certified_log(w, v, c.e3, qr, c.s_primes)
+            w2, v2 = _duplication_step(w, v, c.e3, qr, c.s_primes)
+            if log_top is not None:
+                assert log_top == math.log(max(abs(w2 + c.e3 * v2), v2))
+                stripped += _numerators(w, v, c.e3, qr)[1] != v2  # v2 = dv / g
+    assert stripped >= 10
+
+
+def test_certified_log_declines_when_both_residues_vanish():
+    # 2^40 | w, v puts 2^160 in nu and dv, past the 2^65 the residues see.
+    c = build_curve(6)
+    w, v = 2**40 * 12345678901234567890**150, 2**40 * 98765432109876543211**150
+    assert _certified_log(w, v, c.e3, c.q_value * c.r_value, c.s_primes) is None
+
+
+def test_certified_step_skips_one_exact_doubling(c12, monkeypatch):
+    # At m = 12, h(2 (n1, t)) ends in a 176,036-bit step, which the
+    # certificate replaces: 6 iterations from 5 exact doublings.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _duplication_step(*args)
+
+    monkeypatch.setattr(heights, "_duplication_step", counted)
+    est = canonical_height(c12, _pairing_starts(c12)[4], TOL / 3)
+    assert (est.iterations, len(calls)) == (6, 5)
+
+
+def test_declined_certificate_falls_back_to_the_exact_step(c12, monkeypatch):
+    # Eight bits cannot pin a double, so every step runs exactly and gives
+    # the same estimate.
+    verdicts = []
+
+    def recorded(*args):
+        verdicts.append(_certified_log(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(heights, "_WINDOW_BITS", 8)
+    monkeypatch.setattr(heights, "_CERTIFY_MIN_BITS", 0)
+    monkeypatch.setattr(heights, "_certified_log", recorded)
+    est = canonical_height(c12, _pairing_starts(c12)[4], TOL / 3)
+    assert verdicts and set(verdicts) == {None}
+    assert est == HeightEstimate(
+        value=14.89485050000572, iterations=6, error_bound=7.116838318665941e-08
+    )
+
+
+def test_certified_log_is_cross_checked_by_the_exact_step(c12, monkeypatch):
+    # A certified value that does not end the chain is compared with the
+    # exact step it stood in for.
+    monkeypatch.setattr(heights, "_certified_log", lambda *args: 1e6)
+    with pytest.raises(AssertionError, match="certified 1000000.0 != exact"):
+        canonical_height(c12, _pairing_starts(c12)[4], TOL / 3)
+
+
+# canonical_height(c, p, TOL / 3) at the pairing's five points for each
+# table1 m, (value, iterations, error_bound), pinned bit for bit from the
+# exact doubling chain.
+TABLE1_HEIGHTS = {
+    6: [(1.8153911822899507, 5, 1.1596110738310017e-09),
+        (2.672719959400046, 6, 1.1559643926517538e-06),
+        (2.7131231423618583, 6, 2.7413331946668507e-06),
+        (7.261564729159803, 4, 4.638444295324007e-09),
+        (10.690879837600184, 5, 4.623857570607015e-06)],
+    12: [(2.4911377090853692, 6, 2.5126301039790633e-09),
+         (3.7224084933507235, 3, 0.00019874828429511382),
+         (3.732796766824746, 3, 0.0001781966929090828),
+         (9.964550836341477, 5, 1.0050520415916253e-08),
+         (14.89485050000572, 6, 7.116838318665941e-08)],
+    30: [(3.4013052310766945, 3, 7.854122236272687e-05),
+         (5.100969123277406, 3, 4.97915816133343e-06),
+         (5.102635670015251, 3, 4.891462284106751e-06),
+         (13.605220924306778, 2, 0.0003141648894509075),
+         (20.403876493109625, 2, 1.991663264533372e-05)],
+    42: [(3.737697785390645, 3, 2.0535481022765367e-05),
+         (5.606080912133689, 3, 1.2911000268900352e-06),
+         (5.606931236332274, 3, 1.27944371985933e-06),
+         (14.95079114156258, 2, 8.214192409106147e-05),
+         (22.424323648534756, 2, 5.164400107560141e-06)],
+    60: [(4.094351331153583, 3, 4.936419764511868e-06),
+         (6.141308906373261, 3, 3.093162259659721e-07),
+         (6.141725571164596, 3, 3.079445773934708e-07),
+         (16.377405324614333, 2, 1.9745679058047472e-05),
+         (24.565235625493045, 2, 1.2372649038638883e-06)],
+    462: [(6.13556489300784, 3, 1.4047909502323819e-09),
+          (9.20334382293289, 3, 8.780176585787558e-11),
+          (9.203350850537312, 3, 8.779643678735738e-11),
+          (24.54225957203136, 2, 5.6191638009295275e-09),
+          (36.81337529173156, 2, 3.512070634315023e-10)],
+}
+
+
+@pytest.mark.parametrize("m", sorted(TABLE1_HEIGHTS))
+def test_table1_height_estimates_are_pinned(m):
+    c = build_curve(m)
+    assert [canonical_height(c, p, TOL / 3) for p in _pairing_starts(c)] == [
+        HeightEstimate(*row) for row in TABLE1_HEIGHTS[m]
+    ]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
