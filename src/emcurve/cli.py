@@ -404,15 +404,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "jobs" in args and args.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
-        if args.rho_budget < 0:
-            raise ValueError("--rho-budget must not be negative")
-        # Before any curve is built.  scan --admissible-only reads no --tol
-        # and refuses a set one itself, by name.
-        if ("tol" in args and not getattr(args, "admissible_only", False)
-                and not 0 < args.tol < math.inf):  # also true for nan
-            raise ValueError("tol must be finite and positive")
+        # Before any curve is built.  scan --admissible-only reads none of
+        # these and refuses a set one itself, by name.
+        if not getattr(args, "admissible_only", False):
+            if "jobs" in args and args.jobs < 1:
+                raise ValueError("--jobs must be at least 1")
+            if args.rho_budget < 0:
+                raise ValueError("--rho-budget must not be negative")
+            if "tol" in args and not 0 < args.tol < math.inf:  # also true for nan
+                raise ValueError("tol must be finite and positive")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, SquarefreePrecondition) as e:
         # ValueError covers InadmissibleParameter and bad flag values; OSError

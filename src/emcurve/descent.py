@@ -13,9 +13,9 @@ kernel is enumerated; the survivors it rejects are counted in closed form
 too.  Each solution then goes through local solvability at the bad places
 S u {inf}: the real place and curve.s_primes, which is 2 and the odd bad
 primes.  At ell it is membership of the pair's classes in Q_ell*/Q_ell*^2
-in the local image delta_ell(E(Q_ell)/2E(Q_ell)), spanned once per place
-by images of actual points (DescentContext.local_image over
-localsolve.local_image; the proof is in selmer_group).  The members that
+in the local image delta_ell(E(Q_ell)/2E(Q_ell)), spanned by images of
+actual points and built once per (A, Q, R, ell) by localsolve.local_image
+(the proof is in selmer_group).  The members that
 pass are a subgroup too, checked by one rank test.  An odd prime p outside
 S needs no test, 3 included (3 | m for every admissible m >= 6).  There b1
 and b2 are p-units, and up to sign the six 2x2 minors of the two diagonal
@@ -29,16 +29,17 @@ character is the mask of the generators it sends to -1, so a symbol is a
 popcount parity.  DescentContext is the interface to those pieces: the
 generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`),
 the symbol conditions (`necessary_failures`), the local classes at a bad
-prime (`local_class`) and the local images (`locally_solvable`) act on mask
-pairs, and selmer_group re-checks the rules and conditions on every
-enumerated candidate; `coset_reps` lists every coset, the brute-force
-reference for `survivor_reps`, and `survivor_reps` is the reference for
-`symbol_solutions`.  `rank_lower_bound` certifies rank >= 2 from the images
-of the torsion and of the points (0, t) and (n1, t).  `_f2_eliminate` is the
-one F2 eliminator, and localsolve's `_f2_reduce` tests membership in an
-echelon basis.  selmer_group is the one descent entry point; the witnesses
-of a pair it returns, points of E(Q_ell) in the pair's classes, are found by
-decide_local when the pair's `local_evidence` is first read.
+prime (`local_class`) and membership in the local images
+(`locally_solvable`) act on mask pairs, and selmer_group re-checks the
+rules and conditions on every enumerated candidate; `coset_reps` lists
+every coset, the brute-force reference for `survivor_reps`, and
+`survivor_reps` is the reference for `symbol_solutions`.
+`rank_lower_bound` certifies rank >= 2 from the images of the torsion and of
+the points (0, t) and (n1, t).  `_f2_eliminate` is the one F2 eliminator,
+and localsolve's `_f2_reduce` tests membership in an echelon basis.
+selmer_group is the one descent entry point; the witnesses of a pair it
+returns, points of E(Q_ell) in the pair's classes, are found by decide_local
+when the pair's `local_evidence` is first read.
 """
 
 from __future__ import annotations
@@ -134,10 +135,12 @@ class DescentPair:
         carries its witness, a point of E(Q_ell) in exactly this pair's
         classes.  Empty without a context.
 
-        decide_local reads a local image seeded from A, Q and R, and
-        selmer_group read the context's; each verdict is asserted to agree
-        with the context's, so a member's evidence is solvable at every place
-        and an excluded pair's ends at the place its reason names.
+        decide_local and selmer_group read the one local image,
+        localsolve.local_image; decide_local places the pair in it by the
+        classes of its values, the context by its masks.  Each verdict is
+        asserted to agree with the context's, so a member's evidence is
+        solvable at every place and an excluded pair's ends at the place its
+        reason names.
         """
         if self.context is None:
             return {}
@@ -213,7 +216,6 @@ class DescentContext:
         # Images of (0, t) and (n1, t): ([-A], [A]) and ([2(m^2+1)], [2(m^2+1)]).
         b = self.two_bit | odd_mask(curve.m**2 + 1, curve.p_primes)
         self.point_images = ((self.sign_bit | self.p_mask, self.p_mask), (b, b))
-        self._local_images: dict[int, tuple[int, ...]] = {}
 
     @functools.cached_property
     def nonres(self) -> dict[int, int]:
@@ -264,28 +266,13 @@ class DescentContext:
             return mask >> 1 & 1, self.mod4(mask) + 4 * ((mask & self.mod8_mask).bit_count() & 1)
         return mask >> self.index[ell] & 1, self.chi(ell, mask)
 
-    # -- local images ---------------------------------------------------------
-
-    def local_vector(self, b1m: int, b2m: int, ell: int) -> int:
-        """The pair's local classes at ell as one F2 vector (_pair_bits)."""
-        return _pair_bits(self.local_class(b1m, ell), self.local_class(b2m, ell), ell)
-
-    def local_image(self, ell: int) -> tuple[int, ...]:
-        """F2 basis of delta_ell(E(Q_ell)/2E(Q_ell)) at a bad prime ell, pairs
-        encoded as by local_vector: localsolve.local_image seeded with the
-        classes of h2, h4 and point_images, images of rational points.
-        Built on first use and kept on the context."""
-        if ell not in self._local_images:
-            seeds = [self.local_vector(b1m, b2m, ell)
-                     for b1m, b2m in (self.h2, self.h4) + self.point_images]
-            self._local_images[ell] = local_image(
-                seeds, self.curve.a_value, 4 * self.curve.m**2, ell)
-        return self._local_images[ell]
-
     def locally_solvable(self, b1m: int, b2m: int, ell: int) -> bool:
         """Whether the pair's space has a Q_ell-point, ell a bad prime: whether
-        its local vector lies in local_image(ell) (proof in selmer_group)."""
-        return not _f2_reduce(self.local_image(ell), self.local_vector(b1m, b2m, ell))
+        its local classes, as one F2 vector (localsolve._pair_bits), lie in
+        localsolve.local_image (proof in selmer_group)."""
+        c = self.curve
+        vec = _pair_bits(self.local_class(b1m, ell), self.local_class(b2m, ell), ell)
+        return not _f2_reduce(local_image(c.a_value, c.q_value, c.r_value, ell), vec)
 
     # -- coset machinery ------------------------------------------------------
 
@@ -516,15 +503,16 @@ def selmer_group(
     space of (b1, b2) has a Q_ell-point iff the pair of classes of b1 and b2
     in Q_ell*/Q_ell*^2 lies in the image of the local descent map delta_ell,
     which is injective on E(Q_ell)/2E(Q_ell) and so has the known order
-    |E(Q_ell)[2]| / |2|_ell, 4 at odd ell and 8 at 2.  The context's
-    local_image spans that image by images of actual points, rational ones
-    and points of E(Q_ell) it finds, and raises unless the span reaches the
-    full order.  So a pair whose local vector lies in the span is the image
-    of a product of those points and is solvable; and since the span is the
-    whole image, a pair outside it is unsolvable.  A pair's witnesses, the
-    first points of the same search in its classes, are found by
-    decide_local when its `local_evidence` is read, which asserts that the
-    two images agree.
+    |E(Q_ell)[2]| / |2|_ell, 4 at odd ell and 8 at 2.  localsolve.local_image
+    spans that image by images of actual points, rational ones and points
+    of E(Q_ell) it finds, and raises unless the span reaches the full order;
+    it is built once per (A, Q, R, ell).  So a pair whose local vector lies
+    in the span is the image of a product of those points and is solvable;
+    and since the span is the whole image, a pair outside it is unsolvable.
+    A pair's witnesses, the first points of the same search in its classes,
+    are found by decide_local when its `local_evidence` is read, which
+    asserts that the verdicts from the classes of the pair's values agree
+    with the context's, from its masks.
 
     Asserts what the mathematics gives: every symbol solution is solvable at
     the real place (rule (i) makes b2 > 0), and the images of rational

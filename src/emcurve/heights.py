@@ -156,21 +156,17 @@ def _certified_log(w: int, v: int, e3: int, qr: int,
     return math.log(int(lo_f) << 4 * s + t)
 
 
-def canonical_height(
-    c: CurveParams,
-    p: RationalPoint,
-    tol: float = DEFAULT_TOL,
-    *,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> HeightEstimate:
+def canonical_height(c: CurveParams, p: RationalPoint,
+                     tol: float = DEFAULT_TOL) -> HeightEstimate:
     """Neron-Tate height by the doubling limit, exactly 0 on torsion.
 
     Stops once successive normalized estimates differ by less than tol,
     which must be finite and positive (ValueError otherwise);
     raises HeightBudgetExceeded (carrying the last estimate) if the
-    coordinate bit-length cap is reached first.  A wide step that may be the
-    last is first certified (_certified_log): if that float ends the chain the
-    step is skipped, else the exact step runs and must agree bit for bit.
+    coordinate bit-length cap DEFAULT_MAX_BITS is reached first.  A wide
+    step that may be the last is first certified (_certified_log): if that
+    float ends the chain the step is skipped, else the exact step runs and
+    must agree bit for bit.
     """
     if not 0 < tol < math.inf:  # also false for nan
         raise ValueError("tol must be finite and positive")
@@ -207,7 +203,7 @@ def canonical_height(
             return HeightEstimate(value=est, iterations=n, error_bound=gap)
         est_prev = est
         gap_prev = gap
-        if max(u.bit_length(), v.bit_length()) * 4 > max_bits:
+        if max(u.bit_length(), v.bit_length()) * 4 > DEFAULT_MAX_BITS:
             raise HeightBudgetExceeded(
                 HeightEstimate(value=est, iterations=n, error_bound=gap)
             )

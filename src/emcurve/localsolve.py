@@ -15,13 +15,15 @@ E(Q_ell)/2E(Q_ell), so its image is a subgroup of order
 |E(Q_ell)[2]| / |2|_ell: 4 at odd ell and 8 at 2, as all of E[2] is
 rational.
 
-local_image spans that image by images of actual points: rational ones
-given as seeds, then points of E(Q_ell) from one short x-search (_points),
-and raises unless the span reaches the full order.  A pair in the span is
-the image of a product of those points, so it is solvable; a pair outside
-the full span is unsolvable.  decide_local answers by that membership, and
-certifies a solvable verdict by the first point of the same search whose
-classes are exactly the pair's.
+local_image, the one builder of that image, spans it by images of actual
+points: the four rational points x = A, x = 4m^2, (0, t) and (n1, t), then
+points of E(Q_ell) from one short x-search (_points), and raises unless the
+span reaches the full order.  It is built once per (A, Q, R, ell) and kept.
+A pair in the span is the image of a product of those points, so it is
+solvable; a pair outside the full span is unsolvable.  decide_local and the
+descent answer by that membership, and decide_local certifies a solvable
+verdict by the first point of the same search whose classes are exactly the
+pair's.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .numtheory import _legendre_prime, sqrt_mod_prime_power
 
@@ -131,14 +133,18 @@ def _point_bits(t: int, den: int, a_value: int, ell: int) -> int:
                       _value_class((t + a_value * den) * den, ell), ell)
 
 
-def local_image(seeds: Iterable[int], a_value: int, e3: int, ell: int) -> tuple[int, ...]:
+@functools.lru_cache(maxsize=1024)
+def local_image(a_value: int, q_value: int, r_value: int, ell: int) -> tuple[int, ...]:
     """F2 basis of delta_ell(E(Q_ell)/2E(Q_ell)) for E: y^2 = (x-A)(x+A)(x-e3),
-    pairs encoded by _pair_bits, in echelon form by decreasing leading bit.
+    e3 = A - Q = 4m^2, pairs encoded by _pair_bits, in echelon form by
+    decreasing leading bit.  Kept per (A, Q, R, ell).
 
-    seeds are the vectors of images of rational points, whose span must not
-    exceed the image's dimension, 2 at odd ell and 3 at 2 (AssertionError).
-    If it falls short, the points of _points add their classes until it is
-    reached; a search that ends short raises LocalSolverError.
+    It starts from the images of the rational points x = A, x = 4m^2, (0, t)
+    and (n1, t): (2AQ, 2A), (-Q, R), (-A, A) and (2(m^2+1), 2(m^2+1)), whose
+    span must not exceed the image's dimension, 2 at odd ell and 3 at 2
+    (AssertionError).  If it falls short, the points of _points add their
+    classes until it is reached; a search that ends short raises
+    LocalSolverError.
     """
     full = 3 if ell == 2 else 2
     basis: list[int] = []
@@ -149,8 +155,10 @@ def local_image(seeds: Iterable[int], a_value: int, e3: int, ell: int) -> tuple[
             basis.append(vec)
             basis.sort(reverse=True)
 
-    for vec in seeds:
-        add(vec)
+    a2, e3 = 2 * a_value, a_value - q_value
+    b = e3 // 2 + 2  # 2(m^2 + 1)
+    for b1, b2 in ((a2 * q_value, a2), (-q_value, r_value), (-a_value, a_value), (b, b)):
+        add(_pair_bits(_value_class(b1, ell), _value_class(b2, ell), ell))
     if len(basis) > full:
         raise AssertionError(
             f"the images of rational points span dimension {len(basis)} at {ell}, "
@@ -164,16 +172,6 @@ def local_image(seeds: Iterable[int], a_value: int, e3: int, ell: int) -> tuple[
             raise LocalSolverError(f"the local image at {ell} reached dimension "
                                    f"{len(basis)}, not {full}, in the point search")
     return tuple(basis)
-
-
-@functools.lru_cache(maxsize=1024)
-def _image(a_value: int, q_value: int, r_value: int, ell: int) -> tuple[int, ...]:
-    """local_image seeded with the images of the 2-torsion points x = A and
-    x = 4m^2 and of (0, 2mA): (2AQ, 2A), (-Q, R) and (-A, A)."""
-    a2 = 2 * a_value
-    seeds = [_pair_bits(_value_class(b1, ell), _value_class(b2, ell), ell)
-             for b1, b2 in ((a2 * q_value, a2), (-q_value, r_value), (-a_value, a_value))]
-    return local_image(seeds, a_value, a_value - q_value, ell)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -213,7 +211,7 @@ def decide_local(
     are kept per (A, Q, R, ell).
     """
     vec = _pair_bits(_value_class(b1, ell), _value_class(b2, ell), ell)
-    if _f2_reduce(_image(a_value, q_value, r_value, ell), vec):
+    if _f2_reduce(local_image(a_value, q_value, r_value, ell), vec):
         return LocalVerdict(place=ell, outcome="unsolvable")
     witness = None
     if want_witness:

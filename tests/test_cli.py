@@ -157,10 +157,13 @@ def test_scan_admissible_only_rejects_csv(capsys):
     (["--tol", "5"], "--tol"),
     (["--tol", "nan"], "--tol"),
     (["--jobs", "4"], "--jobs"),
+    (["--jobs", "0"], "--jobs"),
     (["--rho-budget", "0"], "--rho-budget"),
+    (["--rho-budget", "-5"], "--rho-budget"),
     (["--verbose", "--tol", "5", "--jobs", "4", "--rho-budget", "1"],
      "--verbose, --tol, --jobs, --rho-budget"),
-], ids=["verbose", "cache-path", "tol", "tol-nan", "jobs", "rho-budget", "all"])
+], ids=["verbose", "cache-path", "tol", "tol-nan", "jobs", "jobs-zero", "rho-budget",
+        "rho-budget-negative", "all"])
 def test_scan_admissible_only_rejects_unread_flags(capsys, flags, unread):
     """The list runs only the sieve, so a flag that would change the
     pipeline's work is refused, not silently ignored."""

@@ -23,7 +23,8 @@ from emcurve.descent import (
 )
 from emcurve.family import build_curve, scan_admissible
 from emcurve.localsolve import (
-    LocalSolverError, LocalVerdict, _val_unit, decide_local, kstar, real_solvable,
+    LocalSolverError, LocalVerdict, _val_unit, decide_local, kstar, local_image,
+    real_solvable,
 )
 from emcurve.numtheory import _legendre_prime, factorize
 from oracle import oracle_local_solvable
@@ -432,9 +433,18 @@ def test_local_images_reach_full_dimension():
     # of every admissible m <= 2000, with or without the point search.
     for m in scan_admissible(2, 2000):
         c = build_curve(m)
-        ctx = DescentContext(c)
         for ell in c.s_primes:
-            assert len(ctx.local_image(ell)) == (3 if ell == 2 else 2), (m, ell)
+            basis = local_image(c.a_value, c.q_value, c.r_value, ell)
+            assert len(basis) == (3 if ell == 2 else 2), (m, ell)
+
+
+def test_one_local_image_per_place():
+    # The descent and every member's evidence read one image per bad place.
+    c = build_curve(462)
+    local_image.cache_clear()
+    for pair in selmer_group(c).members:
+        assert pair.local_evidence
+    assert local_image.cache_info().misses == len(c.s_primes)
 
 
 # Pairs of local classes made non-members of the local image by the fakes
@@ -459,20 +469,21 @@ def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, unsolvable):
         selmer_group(c6)
 
 
-def test_selmer_asserts_the_local_images_fit(c6, monkeypatch):
+def test_selmer_asserts_the_local_images_fit(c6, monkeypatch, fresh_local_caches):
     import emcurve.descent as descent_mod
     import emcurve.localsolve as localsolve
 
-    # A class that tells every mask apart gives the images of the four
+    # A class map that tells every value apart gives the images of the four
     # rational points dimension 4 at 2, more than dim E(Q_2)/2E(Q_2) = 3.
-    monkeypatch.setattr(DescentContext, "local_class", lambda self, mask, ell: (mask, 1))
+    monkeypatch.setattr(localsolve, "_value_class", lambda n, ell: (abs(n), 1))
     with pytest.raises(AssertionError, match="span dimension 4 at 2, more than"):
         selmer_group(c6)
     monkeypatch.undo()
     # At 7 the rational points span dimension 1 of 2; a search that finds
     # no point of E(Q_7) cannot complete the image and raises.
-    assert len(DescentContext(c6).local_image(7)) == 2
+    assert len(local_image(c6.a_value, c6.q_value, c6.r_value, 7)) == 2
     monkeypatch.setattr(localsolve, "_points", lambda a_value, e3, ell: iter(()))
+    local_image.cache_clear()  # drop the image the real search completed
     with pytest.raises(LocalSolverError,
                        match="local image at 7 reached dimension 1, not 2"):
         selmer_group(c6)

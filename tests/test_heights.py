@@ -69,12 +69,13 @@ def test_canonical_height_positive_off_torsion(c6, pts6):
         assert canonical_height(c6, p, TOL).value > 0.5
 
 
-def test_budget_error_carries_estimate(c6, pts6):
+def test_budget_error_carries_estimate(c6, pts6, monkeypatch):
     # Pinned bit for bit: the doubling must keep the exact reduced pair, so
     # the estimate and the step at which the cap hits never move.
     p1, _, _ = pts6
+    monkeypatch.setattr(heights, "DEFAULT_MAX_BITS", 2000)
     with pytest.raises(HeightBudgetExceeded) as exc:
-        canonical_height(c6, p1, 1e-12, max_bits=2000)
+        canonical_height(c6, p1, 1e-12)
     assert exc.value.estimate == HeightEstimate(
         value=1.8153911811303396, iterations=4, error_bound=2.900260032134838e-10
     )

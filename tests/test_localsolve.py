@@ -218,7 +218,7 @@ def test_every_element_of_the_local_image_has_a_witness():
     # some point of the search, and its quadruple solves both quadrics.
     places = 0
     for c, ell in bad_places():
-        basis = localsolve._image(c.a_value, c.q_value, c.r_value, ell)
+        basis = localsolve.local_image(c.a_value, c.q_value, c.r_value, ell)
         assert len(basis) == (3 if ell == 2 else 2)
         for b1, b2 in image_pairs(basis, ell):
             v = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell)
@@ -228,7 +228,7 @@ def test_every_element_of_the_local_image_has_a_witness():
     assert places > 500
 
 
-def test_starved_search_raises_instead_of_a_solvable_verdict(monkeypatch):
+def test_starved_search_raises_instead_of_a_solvable_verdict(monkeypatch, fresh_local_caches):
     # A stream that still completes the image at 13 but has no point in the
     # class of (1, 1): the verdict is solvable, and the witness search raises
     # rather than return a verdict without a certificate.
@@ -239,7 +239,6 @@ def test_starved_search_raises_instead_of_a_solvable_verdict(monkeypatch):
                 if _point_bits(*p, a_value, ell) != 0)
 
     monkeypatch.setattr(localsolve, "_points", starved)
-    localsolve._first_points.cache_clear()  # drop points kept from the real stream
     assert decide_local(1, 1, A6, B6, C6, 13, want_witness=False).is_solvable
     with pytest.raises(LocalSolverError, match="the point search at 13 met 3 of the 4 classes"):
         decide_local(1, 1, A6, B6, C6, 13)
