@@ -23,6 +23,10 @@ import sys
 DEFAULT_CACHE_PATH = ".emcache.jsonl"
 CACHE_PATH_ENV = "EM_CACHE_PATH"
 
+# One decoder for every cache line, and the JSON whitespace around each.
+_scan_once = json.JSONDecoder().scan_once
+_WHITESPACE = json.decoder.WHITESPACE
+
 
 def resolve_cache_path(explicit: str | None = None) -> str:
     if explicit:
@@ -36,21 +40,22 @@ class ResultCache:
         self._data: dict[tuple[str, str], object] = {}
         if os.path.exists(path):
             with open(path, "rb") as fh:
-                *whole, last = fh.read().split(b"\n")
-            for line in whole:
+                raw = fh.read()
+            cut = raw.rfind(b"\n") + 1
+            for line in _decode(raw[:cut]).split("\n")[:-1]:
                 self._load_line(line)
-            if last.strip():
+            try:
+                self._load_line(_decode(raw[cut:]))
+            except ValueError:
                 # An interrupted append leaves its line without the newline;
                 # only there is damage skipped, anywhere else it raises.
-                try:
-                    self._load_line(last)
-                except ValueError:
-                    print(f"warning: skipping torn last line of cache {path}",
-                          file=sys.stderr)
+                print(f"warning: skipping torn last line of cache {path}",
+                      file=sys.stderr)
 
-    def _load_line(self, line: bytes) -> None:
-        if line.strip():
-            key, value = _parse_line(line)
+    def _load_line(self, line: str) -> None:
+        entry = _parse_line(line)
+        if entry is not None:
+            key, value = entry
             self._data[key] = value
 
     def _put(self, kind: str, key: str, value) -> None:
@@ -79,9 +84,27 @@ class ResultCache:
         self._put("analysis", f"{m}:{record_key}", record)
 
 
-def _parse_line(line: bytes) -> tuple[tuple[str, str], object]:
-    """((kind, key), value); ValueError unless a kind/key/value object."""
-    obj = json.loads(line)
+def _decode(raw: bytes) -> str:
+    """Cache bytes as text, decoded as json.loads decodes UTF-8."""
+    return raw.decode("utf-8", "surrogatepass")
+
+
+def _parse_line(line: str) -> tuple[tuple[str, str], object] | None:
+    """((kind, key), value) of one cache line, or None if it is blank.
+
+    ValueError unless the line holds one kind/key/value object with only
+    JSON whitespace around it; a leading BOM is skipped.
+    """
+    bom = 1 if line.startswith("\ufeff") else 0
+    start = _WHITESPACE.match(line, bom).end()
+    if start == len(line):
+        return None
+    try:
+        obj, end = _scan_once(line, start)
+    except StopIteration:
+        end = None
+    if end is None or _WHITESPACE.match(line, end).end() != len(line):
+        raise ValueError(f"cache line is not one JSON value: {line[:80]!r}")
     try:
         key = obj["kind"], obj["key"]
         hash(key)  # an unhashable kind or key would fail only when stored
@@ -103,10 +126,9 @@ def _repair_tail(fd: int) -> bytes:
         start = max(0, start - 4096)
         tail = os.pread(fd, end - start, start)
     tail = tail[tail.rfind(b"\n") + 1:]
-    if not tail.strip():
-        return b""
     try:
-        _parse_line(tail)
+        if _parse_line(_decode(tail)) is None:
+            return b""
     except ValueError:
         os.ftruncate(fd, end - len(tail))
         return b""

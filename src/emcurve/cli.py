@@ -76,7 +76,8 @@ _FLAGS = {
                    help="parallel workers across the parameters of scan and "
                         "table1 (no effect on analyze, heights and torsion)"),
     "--tol": dict(type=float, default=DEFAULT_TOL,
-                  help="precision of the reported height pairing, finite and positive"),
+                  help="stopping tolerance of the doubling chain behind the height "
+                       "pairing, not a proven bound; finite and positive"),
     "--csv": dict(action="store_true", help="CSV output"),
 }
 

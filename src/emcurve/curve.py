@@ -50,16 +50,18 @@ def point(x, y) -> RationalPoint:
     return RationalPoint(Fraction(x), Fraction(y))
 
 
-def curve_rhs(c: CurveParams, x: Fraction) -> Fraction:
-    a, b, cc = c.cubic_coefficients()
-    return ((x + a) * x + b) * x + cc
-
-
 def contains(c: CurveParams, p: RationalPoint) -> bool:
-    """Exact membership test, including the point at infinity."""
+    """Exact membership test, including the point at infinity.
+
+    With x = n/d and y = s/t in lowest terms (d, t > 0), y^2 = x^3 + a x^2 +
+    b x + c times t^2 d^3 is an identity in integers.
+    """
     if p.is_infinity:
         return True
-    return p.y * p.y == curve_rhs(c, p.x)
+    a, b, cc = c.cubic_coefficients()
+    n, d = p.x.numerator, p.x.denominator
+    s, t = p.y.numerator, p.y.denominator
+    return s * s * d**3 == t * t * (((n + a * d) * n + b * d * d) * n + cc * d**3)
 
 
 def negate(p: RationalPoint) -> RationalPoint:

@@ -15,8 +15,10 @@ S u {inf}: the real place and curve.s_primes, which is 2 and the odd bad
 primes.  At ell it is membership of the pair's classes in Q_ell*/Q_ell*^2
 in the local image delta_ell(E(Q_ell)/2E(Q_ell)), spanned by images of
 actual points and built once per (A, Q, R, ell) by localsolve.local_image
-(the proof is in selmer_group).  The members that
-pass are a subgroup too, checked by one rank test.  An odd prime p outside
+(the proof is in selmer_group).  That membership is F2-linear in the masks:
+the image is cut out by 2 linear forms at odd ell and 3 at 2, its
+codimension, built once per place and context.  The members that pass are
+a subgroup too, checked by one rank test.  An odd prime p outside
 S needs no test, 3 included (3 | m for every admissible m >= 6).  There b1
 and b2 are p-units, and up to sign the six 2x2 minors of the two diagonal
 quadrics are b1*b2, b1^2*b2, b1*R, b1*b2^2, b2*Q and 2A*b1*b2 (A, Q, R =
@@ -29,11 +31,12 @@ character is the mask of the generators it sends to -1, so a symbol is a
 popcount parity.  DescentContext is the interface to those pieces: the
 generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`),
 the symbol conditions (`necessary_failures`), the local classes at a bad
-prime (`local_class`) and membership in the local images
-(`locally_solvable`) act on mask pairs, and selmer_group re-checks the
-rules and conditions on every enumerated candidate; `coset_reps` lists
-every coset, the brute-force reference for `survivor_reps`, and
-`survivor_reps` is the reference for `symbol_solutions`.
+prime (`local_class`), the forms of the local images (`local_forms`) and
+membership in them (`locally_solvable`) act on mask pairs, and
+selmer_group re-checks the rules and conditions on every enumerated
+candidate; `coset_reps` lists every coset, the brute-force reference for
+`survivor_reps`, and `survivor_reps` is the reference for
+`symbol_solutions`.
 `rank_lower_bound` certifies rank >= 2 from the images of the torsion and of
 the points (0, t) and (n1, t).  `_f2_eliminate` is the one F2 eliminator,
 and localsolve's `_f2_reduce` tests membership in an echelon basis.
@@ -52,7 +55,7 @@ from typing import Callable, Iterator
 from .curve import RationalPoint, contains
 from .family import CurveParams
 from .localsolve import (
-    _f2_reduce, _pair_bits, _val_unit, decide_local, local_image, real_solvable,
+    _f2_reduce, _val_unit, decide_local, local_image, real_solvable,
 )
 from .numtheory import _legendre_prime, factorize
 
@@ -137,10 +140,10 @@ class DescentPair:
 
         decide_local and selmer_group read the one local image,
         localsolve.local_image; decide_local places the pair in it by the
-        classes of its values, the context by its masks.  Each verdict is
-        asserted to agree with the context's, so a member's evidence is
-        solvable at every place and an excluded pair's ends at the place its
-        reason names.
+        classes of its values, the context by the image's linear forms on
+        its masks.  Each verdict is asserted to agree with the context's, so
+        a member's evidence is solvable at every place and an excluded
+        pair's ends at the place its reason names.
         """
         if self.context is None:
             return {}
@@ -216,6 +219,8 @@ class DescentContext:
         # Images of (0, t) and (n1, t): ([-A], [A]) and ([2(m^2+1)], [2(m^2+1)]).
         b = self.two_bit | odd_mask(curve.m**2 + 1, curve.p_primes)
         self.point_images = ((self.sign_bit | self.p_mask, self.p_mask), (b, b))
+        # Per-instance, so that no cache outlives the context.
+        self._forms: dict[int, tuple[tuple[int, int], ...]] = {}
 
     @functools.cached_property
     def nonres(self) -> dict[int, int]:
@@ -266,13 +271,49 @@ class DescentContext:
             return mask >> 1 & 1, self.mod4(mask) + 4 * ((mask & self.mod8_mask).bit_count() & 1)
         return mask >> self.index[ell] & 1, self.chi(ell, mask)
 
+    def local_forms(self, ell: int) -> tuple[tuple[int, int], ...]:
+        """The F2 linear forms (u, v) on mask pairs that cut out the local
+        image at the bad prime ell: a pair is in it iff every
+        (b1m & u) ^ (b2m & v) has even popcount.
+
+        The coordinates of localsolve._pair_bits are such forms: v_ell mod 2
+        and the non-residue bit of each side at odd ell, v_2 mod 2 and the
+        two characters of the unit mod 8 at 2.  Reduction by the echelon
+        basis of localsolve.local_image is F2-linear, so each bit of the
+        reduced vector is a sum of coordinates, one form; the nonzero ones
+        number the codimension of the image, 2 of 4 at odd ell and 3 of 6 at
+        2.  Kept per place for the life of the context.
+        """
+        forms = self._forms.get(ell)
+        if forms is None:
+            c = self.curve
+            basis = local_image(c.a_value, c.q_value, c.r_value, ell)
+            if ell == 2:
+                coords = (self.two_bit, self.mod4_mask, self.mod8_mask)
+            else:
+                coords = (1 << self.index[ell], self.nonres[ell])
+            rows: dict[int, tuple[int, int]] = {}  # reduced bit -> form
+            for i, (u, v) in enumerate([(u, 0) for u in coords] + [(0, v) for v in coords]):
+                reduced = _f2_reduce(basis, 1 << i)
+                for bit in range(reduced.bit_length()):
+                    if reduced >> bit & 1:
+                        ru, rv = rows.get(bit, (0, 0))
+                        rows[bit] = (ru ^ u, rv ^ v)
+            if len(rows) != len(coords):
+                raise AssertionError(
+                    f"the local image at {ell} is cut out by {len(rows)} forms, "
+                    f"not {len(coords)}, for m={c.m}")
+            forms = self._forms[ell] = tuple(rows.values())
+        return forms
+
     def locally_solvable(self, b1m: int, b2m: int, ell: int) -> bool:
         """Whether the pair's space has a Q_ell-point, ell a bad prime: whether
-        its local classes, as one F2 vector (localsolve._pair_bits), lie in
-        localsolve.local_image (proof in selmer_group)."""
-        c = self.curve
-        vec = _pair_bits(self.local_class(b1m, ell), self.local_class(b2m, ell), ell)
-        return not _f2_reduce(local_image(c.a_value, c.q_value, c.r_value, ell), vec)
+        its local classes lie in localsolve.local_image (proof in
+        selmer_group), decided by the image's local_forms."""
+        for u, v in self.local_forms(ell):
+            if ((b1m & u) ^ (b2m & v)).bit_count() & 1:
+                return False
+        return True
 
     # -- coset machinery ------------------------------------------------------
 

@@ -473,6 +473,45 @@ def test_cache_line_of_wrong_shape_is_malformed(tmp_path, capsys, line):
     assert line not in data
 
 
+@pytest.mark.parametrize("line", [
+    b'{"kind": "factorization", "key": "6", "value": []} 2',
+    b'{"kind": "factorization", "key": "6", "value": []}{}',
+    b'\f{"kind": "factorization", "key": "6", "value": []}'])
+def test_cache_line_with_more_than_one_value_is_malformed(tmp_path, line):
+    # One JSON value per line, with only JSON whitespace around it.
+    whole = b'{"kind": "factorization", "key": "10", "value": [["2", 1], ["5", 1]]}\n'
+    cache_file = tmp_path / "cache.jsonl"
+    cache_file.write_bytes(line + b"\n" + whole)
+    with pytest.raises(ValueError, match="cache line is not one JSON value"):
+        ResultCache(str(cache_file))
+    cache_file.write_bytes(whole + b" \t\r\n" + line)
+    cache, err = _load_cache(str(cache_file))
+    assert err == f"warning: skipping torn last line of cache {cache_file}\n"
+    assert cache.get_factorization(10) == [(2, 1), (5, 1)]
+    assert cache.get_factorization(6) is None
+    # The writer cuts off the same tail that the reader skipped.
+    cache.put_factorization(14, [(2, 1), (7, 1)])
+    assert cache_file.read_bytes() == (
+        whole + b" \t\r\n"
+        + b'{"kind": "factorization", "key": "14", "value": [["2", 1], ["7", 1]]}\n')
+
+
+def test_cache_line_may_start_with_a_byte_order_mark(tmp_path):
+    # As json.loads reads UTF-8 bytes: a BOM before a line is skipped, by the
+    # reader and by the writer's repair of an unterminated last line.
+    bom = "\ufeff".encode("utf-8")
+    six = b'{"kind": "factorization", "key": "6", "value": [["2", 1], ["3", 1]]}'
+    ten = b'{"kind": "factorization", "key": "10", "value": [["2", 1], ["5", 1]]}'
+    cache_file = tmp_path / "cache.jsonl"
+    cache_file.write_bytes(bom + six + b"\n" + bom + ten)
+    cache = ResultCache(str(cache_file))
+    assert cache.get_factorization(6) == [(2, 1), (3, 1)]
+    assert cache.get_factorization(10) == [(2, 1), (5, 1)]
+    cache.put_factorization(14, [(2, 1), (7, 1)])
+    assert cache_file.read_bytes().startswith(bom + six + b"\n" + bom + ten + b"\n")
+    assert ResultCache(str(cache_file)).get_factorization(14) == [(2, 1), (7, 1)]
+
+
 def test_cache_unterminated_whole_last_line_is_kept(tmp_path):
     cache_file = tmp_path / "cache.jsonl"
     cache_file.write_bytes(b'{"kind": "factorization", "key": "6", '

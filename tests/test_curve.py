@@ -1,7 +1,9 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emcurve.curve import (
     BadReductionError,
@@ -35,6 +37,51 @@ def test_contains_examples(c6):
     assert contains(c6, INFINITY)
     assert contains(c6, point(1295, 0))
     assert not contains(c6, point(1, 1))
+
+
+def on_curve_by_fractions(c, p):
+    """Reference membership test: y^2 == x^3 + a x^2 + b x + c in Fractions."""
+    if p.is_infinity:
+        return True
+    a, b, cc = c.cubic_coefficients()
+    return p.y * p.y == ((p.x + a) * p.x + b) * p.x + cc
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_point(m, a, b):
+    """a (0, t) + b (n1, t) on E_m."""
+    c = build_curve(m)
+    p1, p2, _ = generators(c)
+    return add(c, scalar_mul(c, a, p1), scalar_mul(c, b, p2))
+
+
+def _perturbations(c, p):
+    """p and nearby points, most of them off the curve."""
+    x, y = p.x, p.y
+    yield p
+    yield point(x, y + Fraction(1, y.denominator))
+    yield point(x, y - Fraction(1, y.denominator))
+    yield point(x * (1 + Fraction(1, x.denominator)), y)
+    yield point(-x, y)
+    for ell in c.s_primes[:3]:  # denominators divisible by bad primes
+        yield point(x / ell**2, y / ell**3)
+        yield point(x + Fraction(1, ell), y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([4, 6, 12, 462]), a=st.integers(-3, 3), b=st.integers(-3, 3),
+       torsion=st.integers(0, 3))
+def test_contains_matches_the_fraction_identity(m, a, b, torsion):
+    c = build_curve(m)
+    base = lattice_point(m, a, b)
+    if torsion:  # the three 2-torsion points, and their sums with base
+        t2 = point((c.e1, c.e2, c.e3)[torsion - 1], 0)
+        base = t2 if a == b == 0 else add(c, base, t2)
+    assert contains(c, base) and on_curve_by_fractions(c, base)
+    if base.is_infinity:
+        return
+    for p in _perturbations(c, base):
+        assert contains(c, p) == on_curve_by_fractions(c, p), p
 
 
 def test_add_identity_and_inverse(c6):

@@ -23,8 +23,8 @@ from emcurve.descent import (
 )
 from emcurve.family import build_curve, scan_admissible
 from emcurve.localsolve import (
-    LocalSolverError, LocalVerdict, _val_unit, decide_local, kstar, local_image,
-    real_solvable,
+    LocalSolverError, LocalVerdict, _f2_reduce, _pair_bits, _val_unit, decide_local,
+    kstar, local_image, real_solvable,
 )
 from emcurve.numtheory import _legendre_prime, factorize
 from oracle import oracle_local_solvable
@@ -426,6 +426,36 @@ def test_local_image_membership_matches_decide_local(m):
                 assert oracle_local_solvable(b1, b2, c.a_value, c.q_value,
                                              ell, ks + 6) == expected
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("m", [4, 6, 42, 228, 462, 1950, 10008])
+def test_local_forms_match_the_reduction_by_the_local_image(m):
+    # Every pair of zero or unit masks and 200 random pairs, not only the
+    # survivors: the forms decide membership as reducing the pair's
+    # _pair_bits vector by the echelon basis does.
+    c = build_curve(m)
+    ctx = DescentContext(c)
+    rng = random.Random(m)
+    masks = [0] + [1 << i for i in range(ctx.nbits)]
+    pairs = list(itertools.product(masks, masks))
+    pairs += [(rng.getrandbits(ctx.nbits), rng.getrandbits(ctx.nbits)) for _ in range(200)]
+    for ell in c.s_primes:
+        assert len(ctx.local_forms(ell)) == (3 if ell == 2 else 2)
+        basis = local_image(c.a_value, c.q_value, c.r_value, ell)
+        for b1m, b2m in pairs:
+            vec = _pair_bits(ctx.local_class(b1m, ell), ctx.local_class(b2m, ell), ell)
+            assert ctx.locally_solvable(b1m, b2m, ell) == (not _f2_reduce(basis, vec)), (
+                b1m, b2m, ell)
+
+
+def test_local_forms_assert_the_codimension(c6, monkeypatch):
+    import emcurve.descent as descent_mod
+
+    # A basis one short of the image leaves one form too many.
+    monkeypatch.setattr(descent_mod, "local_image", lambda *args: local_image(*args)[1:])
+    with pytest.raises(AssertionError, match="the local image at 2 is cut out by 4 "
+                                             "forms, not 3, for m=6"):
+        selmer_group(c6)
 
 
 def test_local_images_reach_full_dimension():
