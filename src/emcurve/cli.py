@@ -70,8 +70,9 @@ _FLAGS = {
                               "division stops below 2^10, so medium factors draw "
                               "on it too)"),
     "--verbose": dict(action="store_true", default=False,
-                      help="print per-rule exclusion counts, then each surviving "
-                           "descent candidate with its verdicts and witnesses"),
+                      help="print the descent's counts per exclusion rule, for "
+                           "the symbol conditions and per bad place, then each "
+                           "Selmer member with its verdicts and witnesses"),
     "--jobs": dict(type=int, default=1,
                    help="parallel workers across the parameters of scan and "
                         "table1 (no effect on analyze, heights and torsion)"),
@@ -155,13 +156,10 @@ def _verbose_observer(args):
         return None
 
     def observer(pair):
-        if isinstance(pair, RuleTally):  # a closed-form count, not a pair
+        if isinstance(pair, RuleTally):  # a count, not a pair
             print(f"  {pair.reason}: {pair.count} cosets")
             return
-        line = f"  ({pair.b1.value}, {pair.b2.value}) -> {pair.status}"
-        if pair.reason:
-            line += f" [{pair.reason}]"
-        print(line)
+        print(f"  ({pair.b1.value}, {pair.b2.value}) -> member")
         for place, verdict in sorted(
             pair.local_evidence.items(), key=lambda kv: (kv[0] is math.inf, kv[0])
         ):

@@ -6,25 +6,24 @@ subgroup H; each of the 4^(nbits-1) H-cosets has one representative with
 b1 > 0 and b2 odd, so b1*b2 is never divisible by 4.  The five exclusion
 rules are linear in those representatives and leave 2^(nbits-2) of them:
 the descent indexes these survivors by their nbits-2 free bits and counts
-the excluded cosets in closed form.  On the survivors every quadratic-symbol
-necessary condition is a linear F2 form in the free bits, so the conditions
-cut out a subgroup, the kernel of one homogeneous F2 system, and only that
-kernel is enumerated; the survivors it rejects are counted in closed form
-too.  Each solution then goes through local solvability at the bad places
-S u {inf}: the real place and curve.s_primes, which is 2 and the odd bad
-primes.  At ell it is membership of the pair's classes in Q_ell*/Q_ell*^2
-in the local image delta_ell(E(Q_ell)/2E(Q_ell)), spanned by images of
-actual points and built once per (A, Q, R, ell) by localsolve.local_image
-(the proof is in selmer_group).  That membership is F2-linear in the masks:
-the image is cut out by 2 linear forms at odd ell and 3 at 2, its
-codimension, built once per place and context.  The members that pass are
-a subgroup too, checked by one rank test.  An odd prime p outside
-S needs no test, 3 included (3 | m for every admissible m >= 6).  There b1
-and b2 are p-units, and up to sign the six 2x2 minors of the two diagonal
-quadrics are b1*b2, b1^2*b2, b1*R, b1*b2^2, b2*Q and 2A*b1*b2 (A, Q, R =
-m^4-1, m^4-1 -+ 4m^2), all units at p.  So the space is a smooth genus-1
-curve mod p, Hasse-Weil gives it at least p + 1 - 2 sqrt(p) > 0 points
-over F_p, and Hensel's lemma lifts one to Z_p.
+the excluded cosets in closed form.  Every later condition is an F2 linear
+form on mask pairs, and so on the index bits: each quadratic-symbol
+necessary condition (`symbol_forms`), and local solvability at each bad
+place of curve.s_primes, 2 and the odd bad primes.  At ell that is
+membership of the pair's classes in Q_ell*/Q_ell*^2 in the local image
+delta_ell(E(Q_ell)/2E(Q_ell)), spanned by images of actual points and
+built once per (A, Q, R, ell) by localsolve.local_image (the proof is in
+selmer_group); the image is cut out by 2 forms at odd ell and 3 at 2, its
+codimension (`local_forms`).  selmer_group takes the kernel of all these
+forms at once: the members are its span, a subgroup by construction, and
+the rank after each group of forms counts the cosets that group rejects.
+The real place needs no form: rule (i) makes b2 > 0.  An odd prime p
+outside S needs no test, 3 included (3 | m for every admissible m >= 6).
+There b1 and b2 are p-units, and up to sign the six 2x2 minors of the two
+diagonal quadrics are b1*b2, b1^2*b2, b1*R, b1*b2^2, b2*Q and 2A*b1*b2 (A,
+Q, R = m^4-1, m^4-1 -+ 4m^2), all units at p.  So the space is a smooth
+genus-1 curve mod p, Hasse-Weil gives it at least p + 1 - 2 sqrt(p) > 0
+points over F_p, and Hensel's lemma lifts one to Z_p.
 
 Internally classes are bitmasks over the generator list, and a quadratic
 character is the mask of the generators it sends to -1, so a symbol is a
@@ -32,17 +31,18 @@ popcount parity.  DescentContext is the interface to those pieces: the
 generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`),
 the symbol conditions (`necessary_failures`), the local classes at a bad
 prime (`local_class`), the forms of the local images (`local_forms`) and
-membership in them (`locally_solvable`) act on mask pairs, and
-selmer_group re-checks the rules and conditions on every enumerated
-candidate; `coset_reps` lists every coset, the brute-force reference for
-`survivor_reps`, and `survivor_reps` is the reference for
-`symbol_solutions`.
+membership in them (`locally_solvable`) act on mask pairs;
+`survivor_kernel` solves groups of forms on the survivors, and
+selmer_group re-checks the rules and conditions on every member;
+`coset_reps` lists every coset, the brute-force reference for
+`survivor_reps`, and `survivor_reps` is the reference for the kernel of
+`symbol_forms`.
 `rank_lower_bound` certifies rank >= 2 from the images of the torsion and of
 the points (0, t) and (n1, t).  `_f2_eliminate` is the one F2 eliminator,
 and localsolve's `_f2_reduce` tests membership in an echelon basis.
-selmer_group is the one descent entry point; the witnesses of a pair it
+selmer_group is the one descent entry point; the witnesses of a member it
 returns, points of E(Q_ell) in the pair's classes, are found by decide_local
-when the pair's `local_evidence` is first read.
+when the member's `local_evidence` is first read.
 """
 
 from __future__ import annotations
@@ -114,18 +114,14 @@ def square_class(n: int) -> SquareClass:
 
 @dataclass
 class DescentPair:
-    """Candidate ([b1], [b2]) with its pipeline status and evidence.
+    """A pair ([b1], [b2]) of square classes, with its local evidence.
 
-    status: undecided | excluded | member.  reason is set for an excluded
-    pair (the place where it is locally unsolvable).  context is set on the
-    pairs selmer_group makes, and their local_evidence is computed from it
-    on first read.
+    context is set on the members selmer_group returns, and their
+    local_evidence is computed from it on first read.
     """
 
     b1: SquareClass
     b2: SquareClass
-    status: str = "undecided"
-    reason: str | None = None
     context: DescentContext | None = field(default=None, repr=False, compare=False)
 
     def key(self) -> tuple[int, int]:
@@ -133,17 +129,15 @@ class DescentPair:
 
     @functools.cached_property
     def local_evidence(self) -> dict:
-        """Verdicts by place: inf, then curve.s_primes in order up to the
-        first unsolvable place, from decide_local; a solvable finite one
-        carries its witness, a point of E(Q_ell) in exactly this pair's
-        classes.  Empty without a context.
+        """Verdicts by place: inf, then curve.s_primes in order, from
+        decide_local; a solvable finite one carries its witness, a point of
+        E(Q_ell) in exactly this pair's classes.  Empty without a context.
 
         decide_local and selmer_group read the one local image,
         localsolve.local_image; decide_local places the pair in it by the
         classes of its values, the context by the image's linear forms on
         its masks.  Each verdict is asserted to agree with the context's, so
-        a member's evidence is solvable at every place and an excluded
-        pair's ends at the place its reason names.
+        a member's evidence is solvable at every place.
         """
         if self.context is None:
             return {}
@@ -158,15 +152,14 @@ class DescentPair:
                     f"decide_local finds ({b1}, {b2}) {verdict.outcome} at {ell}, "
                     f"against its local image, for m={c.m}")
             evidence[ell] = verdict
-            if not verdict.is_solvable:
-                break
         return evidence
 
 
 @dataclass(frozen=True)
 class RuleTally:
     """Number of coset representatives that one exclusion rule rejects first,
-    or that the symbol conditions reject after all five rules."""
+    that the symbol conditions reject after all five rules, or that one bad
+    place rejects after those and the places before it."""
 
     reason: str
     count: int
@@ -426,40 +419,47 @@ class DescentContext:
             out.append("(iv) b1 != 1 mod 4")
         return out
 
-    def symbol_solutions(self) -> tuple[int, list[int]]:
-        """(rank, ascending indices of the survivors passing every condition).
+    def symbol_forms(self) -> list[tuple[int, int]]:
+        """The symbol conditions as F2 linear forms (u, v) on mask pairs.
 
         On a survivor of rules (i)-(v) the p-bits of b1 and b2 agree and b2
         has no q-bits, so each condition of necessary_failures fails exactly
-        when (b1 & u) ^ (b2 & v) has odd popcount for a mask pair (u, v):
-        one per p-, q- and r-prime, then b1 = 1 mod 4.  survivor_rep is
-        F2-linear and survivor 0 is the identity pair, so each condition is
-        a linear F2 form in the nbits-2 index bits.  Its values at the unit
-        vectors give a homogeneous system; the solutions are its kernel,
-        2^(nbits-2-rank) indices.
+        when (b1 & u) ^ (b2 & v) has odd popcount: one form per p-, q- and
+        r-prime, then b1 = 1 mod 4.
         """
         c, nr = self.curve, self.nonres
 
         def odd(pi, gen_bit):  # pi's own bit when the generator is a non-residue
             return 1 << self.index[pi] if nr[pi] & gen_bit else 0
 
-        forms = (
+        return (
             [(nr[p] ^ odd(p, self.sign_bit), nr[p]) for p in c.p_primes]
             + [(odd(q, self.two_bit), nr[q]) for q in c.q_primes]
             + [(nr[r], odd(r, self.two_bit)) for r in c.r_primes]
             + [(self.mod4_mask, 0)]
         )
 
-        def row(idx):
-            b1m, b2m = self.survivor_rep(idx)
-            return sum((((b1m & u) ^ (b2m & v)).bit_count() & 1) << j
-                       for j, (u, v) in enumerate(forms))
-
-        rank, kernel = _f2_eliminate([row(1 << i) for i in range(self.nbits - 2)])
-        solutions = [0]
-        for k in kernel:
-            solutions += [s ^ k for s in solutions]
-        return rank, sorted(solutions)
+    def survivor_kernel(self, groups) -> tuple[list[int], list[int]]:
+        """(rank of groups 0..k for each k, kernel basis) of ordered groups of
+        F2 linear forms (u, v) on the survivors.  survivor_rep is F2-linear
+        and survivor 0 is the identity pair, so each form is linear in the
+        index bits, given by its parities at the unit vectors; the kernel
+        basis spans the indices of the survivors that pass every form."""
+        forms = [f for group in groups for f in group]
+        rows = []  # per unit vector, its parities with the first form on top
+        for b1m, b2m in map(self.survivor_rep, (1 << i for i in range(self.nbits - 2))):
+            row = 0
+            for u, v in forms:
+                row = row << 1 | (((b1m & u) ^ (b2m & v)).bit_count() & 1)
+            rows.append(row)
+        # The leading bits of an echelon basis of the rows that fall among
+        # the top n bits number the rank of the first n forms.
+        pivots, basis = _f2_eliminate(rows)
+        ranks, n = [], len(forms)
+        for group in groups:
+            n -= len(group)
+            ranks.append(sum(p >= n for p in pivots))
+        return ranks, basis
 
     def rank_lower_bound(self) -> int:
         """Mordell-Weil rank >= 2, certified by F2 linear algebra.
@@ -472,7 +472,7 @@ class DescentContext:
         (n1, t), and 2 the other way round.
         """
         images = (self.h2, self.h4) + self.point_images
-        dim, _ = _f2_eliminate([b1m << self.nbits | b2m for b1m, b2m in images])
+        dim = len(_f2_eliminate([b1m << self.nbits | b2m for b1m, b2m in images])[0])
         if dim != 4:
             raise AssertionError(f"the images of T1, T2, (0, t), (n1, t) span "
                                  f"dimension {dim}, not 4, for m={self.curve.m}")
@@ -483,11 +483,12 @@ class DescentContext:
         return self.curve.s_primes
 
 
-def _f2_eliminate(vectors: list[int]) -> tuple[int, list[int]]:
-    """(rank, kernel) of F2 vectors given as bitmasks.
+def _f2_eliminate(vectors: list[int]) -> tuple[list[int], list[int]]:
+    """(pivots, kernel) of F2 vectors given as bitmasks.
 
-    Column elimination on leading bits.  The kernel is a basis of the
-    combinations that sum to zero, each a bitmask over the input positions.
+    Column elimination on leading bits; the pivots, one per rank, are the
+    leading bits of an echelon basis of the span.  The kernel is a basis of
+    the combinations that sum to zero, each a bitmask over the input positions.
     """
     basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, combo)
     kernel = []
@@ -500,7 +501,7 @@ def _f2_eliminate(vectors: list[int]) -> tuple[int, list[int]]:
             basis[vec.bit_length() - 1] = (vec, combo)
         else:
             kernel.append(combo)
-    return len(basis), kernel
+    return list(basis), kernel
 
 
 def phi_image(curve: CurveParams, pt: RationalPoint) -> DescentPair:
@@ -533,12 +534,14 @@ def selmer_group(
     *,
     observer: Callable[[RuleTally | DescentPair], None] | None = None,
 ) -> SelmerResult:
-    """Full 2-Selmer computation: filters, symbols, certified local tests.
+    """Full 2-Selmer computation: one F2 kernel on the survivors.
 
-    Refuses when m^4-1+4m^2 is not squarefree (a hypothesis of the exclusion
-    lemmas), and raises rather than guess when a local image cannot be
-    completed.  s2 satisfies |Sel| = 2^(2+s2) where |Sel| counts 4 elements
-    per member coset.
+    The member cosets are the common kernel of the symbol forms and of each
+    place's local forms, in curve.s_primes order, so a subgroup of 2^s2;
+    the rank after each group counts the survivors it rejects.  Refuses when
+    m^4-1+4m^2 is not squarefree (a hypothesis of the exclusion lemmas), and
+    raises rather than guess when a local image cannot be completed.  s2
+    satisfies |Sel| = 2^(2+s2) where |Sel| counts 4 elements per member coset.
 
     Local solvability at a bad prime ell is membership in a subgroup: the
     space of (b1, b2) has a Q_ell-point iff the pair of classes of b1 and b2
@@ -555,12 +558,14 @@ def selmer_group(
     asserts that the verdicts from the classes of the pair's values agree
     with the context's, from its masks.
 
-    Asserts what the mathematics gives: every symbol solution is solvable at
-    the real place (rule (i) makes b2 > 0), and the images of rational
-    points span no more than dim E(Q_ell)/2E(Q_ell) at any place.
+    Asserts what the mathematics gives: every member passes the exclusion
+    rules and the symbol conditions and is solvable at the real place (rule
+    (i) makes b2 > 0), and the images of rational points span no more than
+    dim E(Q_ell)/2E(Q_ell) at any place.
 
-    The observer first receives one RuleTally per exclusion rule and one for
-    the symbol conditions, then every candidate passing them as a DescentPair.
+    The observer receives one RuleTally per exclusion rule, one for the
+    symbol conditions and one per place (zeros included), then each member
+    as a DescentPair in key order.
     """
     if not curve.r_squarefree:
         raise SquarefreePrecondition(
@@ -569,18 +574,27 @@ def selmer_group(
     ctx = DescentContext(curve)
     places = ctx.local_places()
     rule_counts = ctx.exclusion_counts()
-    rank, solutions = ctx.symbol_solutions()
-    symbol_fails = (1 << (ctx.nbits - 2)) - len(solutions)
+    ranks, basis = ctx.survivor_kernel(
+        [ctx.symbol_forms()] + [ctx.local_forms(ell) for ell in places])
+    # passing[k]: the survivors that pass the first k groups.
+    passing = [1 << (ctx.nbits - 2 - r) for r in [0] + ranks]
+    symbol_fails = passing[0] - passing[1]
+    place_fails = {f"locally unsolvable at {ell}": passing[k + 1] - passing[k + 2]
+                   for k, ell in enumerate(places)}
     if observer:
         for reason, count in rule_counts.items():
             observer(RuleTally(reason, count))
-        observer(RuleTally(f"necessary_fail (symbol system of F2 rank {rank})",
+        observer(RuleTally(f"necessary_fail (symbol system of F2 rank {ranks[0]})",
                            symbol_fails))
-    counts = {"excluded": sum(rule_counts.values()), "necessary_fail": symbol_fails,
-              "member": 0}
+        for reason, count in place_fails.items():
+            observer(RuleTally(reason, count))
+    counts = {"excluded": sum(rule_counts.values()) + sum(place_fails.values()),
+              "necessary_fail": symbol_fails, "member": passing[-1]}
+    indices = [0]
+    for k in basis:
+        indices += [i ^ k for i in indices]
     members: list[DescentPair] = []
-    member_masks = []  # b1m << nbits | b2m
-    for idx in solutions:
+    for idx in indices:
         b1m, b2m = ctx.survivor_rep(idx)
         b1, b2 = ctx.value_of_mask(b1m), ctx.value_of_mask(b2m)
         reason = (ctx.exclusion_reason(b1m, b2m)
@@ -591,31 +605,13 @@ def selmer_group(
         if not real_solvable(b1, b2).is_solvable:
             raise AssertionError(
                 f"symbol solution ({b1}, {b2}) is not real-solvable for m={curve.m}")
-        pair = DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m), context=ctx)
-        for ell in places:
-            if not ctx.locally_solvable(b1m, b2m, ell):
-                pair.status = "excluded"
-                pair.reason = f"locally unsolvable at {ell}"
-                counts["excluded"] += 1
-                break
-        else:
-            pair.status = "member"
-            counts["member"] += 1
-            members.append(pair)
-            member_masks.append(b1m << ctx.nbits | b2m)
-        if observer:
+        members.append(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m),
+                                   context=ctx))
+    members.sort(key=DescentPair.key)
+    if observer:
+        for pair in members:
             observer(pair)
-
-    members.sort(key=lambda p: p.key())
-    # Survivor reps are canonical (b1 > 0, b2 odd) and so is the XOR of two,
-    # so XOR is the H-coset product.  The members lie in the 2^s2-element
-    # span of their masks, and are that subgroup iff there are 2^s2 of them.
-    s2, _ = _f2_eliminate(member_masks)
-    if len(members) != 1 << s2:
-        raise AssertionError(
-            f"the {len(members)} member cosets are not a subgroup "
-            f"(their masks span 2^{s2}) for m={curve.m}"
-        )
+    s2 = ctx.nbits - 2 - ranks[-1]
     return SelmerResult(
         curve=curve,
         members=tuple(members),
