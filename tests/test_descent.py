@@ -517,6 +517,43 @@ def test_selmer_asserts_every_member_passes_the_rules_and_symbols(c6, monkeypatc
         selmer_group(c6)
 
 
+# Pairs of local classes made non-members of the local image by the fakes
+# below, a class function as every verdict is.  Excluding ((0, 1), (0, 7))
+# at 2 and ((0, -1), (0, -1)) at 37 leaves 8 of the 16 members at m = 6, a
+# power of two but not a subgroup; excluding only the first leaves 12.
+@pytest.mark.parametrize("unsolvable", [
+    {2: ((0, 1), (0, 7)), 37: ((0, -1), (0, -1))},
+    {2: ((0, 1), (0, 7))},
+], ids=["eight-not-closed", "twelve"])
+def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, unsolvable):
+    # The members are the kernel of the local forms, so a per-pair verdict
+    # that rejects a set of classes that is not a subgroup leaves them all
+    # 16; reading the evidence of each member it rejects asserts.
+    real = DescentContext.locally_solvable
+
+    def unsolvable_on_a_class(self, b1m, b2m, ell):
+        if unsolvable.get(ell) == (self.local_class(b1m, ell), self.local_class(b2m, ell)):
+            return False
+        return real(self, b1m, b2m, ell)
+
+    monkeypatch.setattr(DescentContext, "locally_solvable", unsolvable_on_a_class)
+    result = selmer_group(c6)
+    ctx = DescentContext(c6)
+    keys = {(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2)) for p in result.members}
+    assert len(keys) == 16 and result.size_log2 == 6
+    assert (0, 0) in keys
+    assert all(ctx.canonical_rep(a1 ^ b1, a2 ^ b2) in keys
+               for a1, a2 in keys for b1, b2 in keys)
+    rejected = 0
+    for pair in result.members:
+        try:
+            pair.local_evidence
+        except AssertionError as exc:
+            assert "against its local image, for m=6" in str(exc)
+            rejected += 1
+    assert rejected == 16 - (8 if 37 in unsolvable else 12)
+
+
 def test_selmer_asserts_the_local_images_fit(c6, monkeypatch, fresh_local_caches):
     import emcurve.descent as descent_mod
     import emcurve.localsolve as localsolve
