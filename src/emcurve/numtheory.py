@@ -1,10 +1,11 @@
 """Exact integer arithmetic: primality, factorization, quadratic residues.
 
-Everything here is deterministic for a fixed seed.  Primality uses the
-Miller-Rabin witness set that is provably correct below 3.3e24, which covers
-every integer this package ever has to classify at desk scale; beyond that a
-seeded 64-round probabilistic test takes over.  Factorization is trial
-division below 2^10, then a Brent-cycle Pollard rho slice that takes
+Everything here is deterministic for a fixed seed.  Primality is
+Miller-Rabin on the shortest prefix of the primes 2..41 proven to admit no
+strong pseudoprime below n's size, which covers every n below 3.3e24 and
+so every integer this package ever has to classify at desk scale; beyond
+that a seeded 64-round probabilistic test takes over.  Factorization is
+trial division below 2^10, then a Brent-cycle Pollard rho slice that takes
 factors up to about 2.5e8, then ECM (Lenstra's elliptic curve method on
 Montgomery curves, stage 2 with prime pairing), under one work budget.
 Square roots modulo p^k are Hensel-lifted from Tonelli-Shanks by the Newton iteration for the inverse
@@ -19,9 +20,23 @@ import math
 import random
 from dataclasses import dataclass
 
-# Deterministic for all n < 3,317,044,064,679,887,385,961,981 (~3.3e24).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# (psi, k): the first k primes admit no strong pseudoprime below psi, the
+# least one to all of them (Jaeschke, Math. Comp. 61, 1993; Sorenson and
+# Webster, Math. Comp. 86, 2017).  The first 8 and the first 10 or 11 primes
+# share their psi with the first 7 and the first 9.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 # Trial division stops here: rho finds any larger factor below 1e6 in about a
 # thousand iterations, far fewer than the wheel's steps up to 1e6.
@@ -32,13 +47,12 @@ DEFAULT_RHO_BUDGET = 10**8
 _RHO_SLICE = 1 << 15
 # ECM stage-1 bounds B1 with their curve counts; the last runs until the
 # budget is spent.  Stage 2 reaches B2 = _ECM_B2_FACTOR * B1 in giant steps
-# of D, against baby steps j < D/2 coprime to D.
+# of D, against baby steps j < D/2 coprime to D: at B1 = 2000, 96 baby and
+# 238 giant steps.
 _ECM_SCHEDULE = ((2_000, 25), (11_000, 90), (50_000, None))
 _ECM_B2_FACTOR = 100
-_ECM_D = 210
+_ECM_D = 840
 _ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
-# Giant steps brought to Z = 1 by one modular inverse per block of this many.
-_ECM_BLOCK = 64
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -101,8 +115,10 @@ def _miller_rabin_composite_witness(a: int, n: int, d: int, s: int) -> bool:
 def is_prime(n: int, *, seed: int = 0) -> bool:
     """Primality test, deterministic below ~3.3e24, else seeded Miller-Rabin.
 
-    Composites are never reported prime within the deterministic range; beyond
-    it 64 seeded bases bound the error probability by 4^-64.
+    Below 3.3e24 the bases are the shortest prefix of _MR_BASES that _MR_PSI
+    proves for n, so composites are never reported prime there; beyond it 64
+    seeded bases, drawn one by one until a witness turns up, bound the error
+    probability by 4^-64.
     """
     if n < 0:
         raise ValueError("is_prime expects n >= 0")
@@ -115,16 +131,24 @@ def is_prime(n: int, *, seed: int = 0) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _MR_DETERMINISTIC_BOUND:
-        bases = _MR_WITNESSES
+    for psi, k in _MR_PSI:
+        if n < psi:
+            bases = _MR_BASES[:k]
+            break
     else:
         rng = random.Random(f"mr:{seed}:{n}")
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(64))
+        bases = (rng.randrange(2, n - 1) for _ in range(64))
     return not any(_miller_rabin_composite_witness(a, n, d, s) for a in bases)
 
 
 def _pollard_rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
-    """One Brent-cycle rho attempt.  Returns (factor or None, iterations used)."""
+    """One Brent-cycle rho attempt.  Returns (factor or None, iterations used).
+
+    Iterations are the products x - y taken into the gcd, plus backtrack
+    steps.  A block of r products starts only if all r fit the budget, since
+    its r-squaring advance would be wasted on a partial block; a failing
+    attempt reports exactly the budget, never more.
+    """
     if n % 2 == 0:
         return 2, 0
     y = rng.randrange(1, n)
@@ -134,6 +158,8 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | N
     used = 0
     x = ys = y
     while g == 1:
+        if used + r > budget:
+            return None, budget
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -144,8 +170,6 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | N
                 y = (y * y + c) % n
                 q = q * (x - y) % n
             used += min(m, r - k)
-            if used > budget:
-                return None, used
             g = math.gcd(q, n)
             k += m
         r *= 2
@@ -153,11 +177,11 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | N
         # Backtrack one step at a time from the last saved position.
         g = 1
         while g == 1:
+            if used == budget:
+                return None, budget
             ys = (ys * ys + c) % n
             g = math.gcd(x - ys, n)
             used += 1
-            if used > budget:
-                return None, used
     if g == n:
         return None, used
     return g, used
@@ -178,8 +202,8 @@ def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple
     return zd * (u + v) * (u + v) % n, xd * (u - v) * (u - v) % n
 
 
-def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int, int, int]:
-    """Montgomery ladder from P = (x : 1): (kP, (k+1)P) for k >= 1.
+def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
+    """Montgomery ladder from P = (x : 1): kP for k >= 1.
 
     Each bit of k costs one _xadd with difference P and one _xdbl, written
     out in the loop so that no step makes a call; a set bit swaps the two
@@ -199,7 +223,7 @@ def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int, int, int]:
         x0, z0 = s * d % n, t * (d + a24 * t) % n
         if bit == "1":
             x0, z0, x1, z1 = x1, z1, x0, z0
-    return x0, z0, x1, z1
+    return x0, z0
 
 
 def _affine_x(points: list[tuple[int, int]], n: int) -> tuple[list[int] | None, int]:
@@ -261,16 +285,22 @@ def _ecm_stage2_span(b1: int) -> range:
 @functools.lru_cache(maxsize=None)
 def _ecm_pairs(b1: int) -> tuple[bytes, ...]:
     """Stage-2 prime pairing: for each k of _ecm_stage2_span(b1), the indices
-    i into _ECM_BABY with k*D - j or k*D + j prime, j = _ECM_BABY[i].
+    i into _ECM_BABY with k*D - j or k*D + j a prime in (b1, B2], where
+    j = _ECM_BABY[i] and B2 = _ECM_B2_FACTOR * b1.
 
-    Built on the first curve at this b1 (14,241 pairs out of 22,680 at
+    Built on the first curve at this b1 (14,214 pairs out of 22,848 at
     b1 = 2000), never at import.
     """
     span = _ecm_stage2_span(b1)
+    b2 = _ECM_B2_FACTOR * b1
     odd = _odd_prime_flags(span[-1] * _ECM_D + _ECM_D // 2)
+
+    def stage2_prime(l: int) -> bool:
+        return b1 < l <= b2 and odd[l // 2]
+
     return tuple(
         bytes(i for i, j in enumerate(_ECM_BABY)
-              if odd[(k * _ECM_D - j) // 2] or odd[(k * _ECM_D + j) // 2])
+              if stage2_prime(k * _ECM_D - j) or stage2_prime(k * _ECM_D + j))
         for k in span
     )
 
@@ -286,9 +316,9 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     Stage 1 multiplies the start point by every prime power up to b1.  Stage 2
     catches one further prime l <= _ECM_B2_FACTOR * b1: writing l = k*D +- j,
     l*Q = 0 (mod p) makes x(kDQ) - x(jQ) vanish mod p, so the product runs
-    over the pairs (k, j) of _ecm_pairs, on points brought to Z = 1 by
-    _affine_x: the baby steps jQ once, the giant steps kDQ in blocks of
-    _ECM_BLOCK.  A Z that is not a unit mod n ends the curve with its gcd.
+    over the pairs (k, j) of _ecm_pairs, on the baby steps jQ and the giant
+    steps kDQ, all brought to Z = 1 by one _affine_x.  A Z that is not a
+    unit mod n ends the curve with its gcd.
     """
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
@@ -298,35 +328,29 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
         return g
     a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
     # The start point (u^3 : v^3), at Z = 1; v is a unit since den is.
-    x, z, _, _ = _ladder(_stage1_multiplier(b1), pow(u * pow(v, -1, n), 3, n), a24, n)
+    x, z = _ladder(_stage1_multiplier(b1), pow(u * pow(v, -1, n), 3, n), a24, n)
     g = math.gcd(z, n)
     if g != 1:
         return g
-    # odd[i] = (2i + 1) Q up to (D/2) Q, by differential additions of 2Q.
+    # odd[i] = (2i + 1) Q up to (D/2 + 1) Q, by differential additions of 2Q.
     x2, z2 = _xdbl(x, z, a24, n)
     odd = [(x, z), _xadd(x2, z2, x, z, x, z, n)]
     while len(odd) <= _ECM_D // 4:
         odd.append(_xadd(*odd[-1], x2, z2, *odd[-2], n))
-    # The baby steps jQ, then DQ, at Z = 1.
-    xs, g = _affine_x([odd[j // 2] for j in _ECM_BABY] + [_xdbl(*odd[-1], a24, n)], n)
+    # DQ = (D/2 + 1) Q + (D/2 - 1) Q, then kDQ for k up to the span's end.
+    span = _ecm_stage2_span(b1)
+    xd, zd = _xadd(*odd[-1], *odd[-2], x2, z2, n)
+    giant = [(xd, zd), _xdbl(xd, zd, a24, n)]
+    while len(giant) < span[-1]:
+        giant.append(_xadd(*giant[-1], xd, zd, *giant[-2], n))
+    xs, g = _affine_x([odd[j // 2] for j in _ECM_BABY] + giant[span.start - 1 :], n)
     if g != 1:
         return g
-    *baby, xd = xs
-    pairs = _ecm_pairs(b1)
-    xp, zp, xr, zr = _ladder(_ecm_stage2_span(b1).start - 1, xd, a24, n)
+    baby, giant_xs = xs[: len(_ECM_BABY)], xs[len(_ECM_BABY) :]
     acc = 1
-    for lo in range(0, len(pairs), _ECM_BLOCK):
-        block = pairs[lo : lo + _ECM_BLOCK]
-        giant = []
-        for _ in block:
-            giant.append((xr, zr))
-            xp, zp, (xr, zr) = xr, zr, _xadd(xr, zr, xd, 1, xp, zp, n)
-        xs, g = _affine_x(giant, n)
-        if g != 1:
-            return g
-        for xk, ks in zip(xs, block):
-            for i in ks:
-                acc = acc * (xk - baby[i]) % n
+    for xk, ks in zip(giant_xs, _ecm_pairs(b1)):
+        for i in ks:
+            acc = acc * (xk - baby[i]) % n
     return math.gcd(acc, n)
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,11 +24,19 @@ from emcurve.numtheory import (
     _ecm_cost,
     _ecm_pairs,
     _ecm_stage2_span,
+    _pollard_rho_brent,
     _stage1_multiplier,
 )
 from emcurve.localsolve import _val_unit
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 37, 101, 1151, 1439, 42689]
+
+
+# psi_k, the least strong pseudoprime to each of the first k primes: every
+# row of the base table, up to psi_12 = 399165290221 * 798330580441, which
+# the 12 bases 2..37 pass and 41 exposes.
+PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051, 318665857834031151167461]
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -37,9 +46,14 @@ ODD_PRIMES = [3, 5, 7, 11, 13, 37, 101, 1151, 1439, 42689]
     (0, False),
     (2, True),
     (45558341135, False),
-])
+] + [(psi, False) for psi in PSI])
 def test_is_prime_examples(n, expected):
     assert is_prime(n) is expected
+
+
+def test_factorize_psi12():
+    psi12 = 318665857834031151167461
+    assert factorize(psi12).factors == ((399165290221, 1), (798330580441, 1))
 
 
 def test_is_prime_matches_sieve_to_1e6():
@@ -88,6 +102,37 @@ def test_factorize_ladder_top_rung_q(seed):
     assert f.is_squarefree()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_factorize_ladder_top_rung_r(seed):
+    # m^4 - 1 + 4m^2 at the same m: rho fails on the cofactor
+    # 13888927589 * 37006611189955924639849, and ECM splits it.
+    m = 10000000278
+    f = factorize(m**4 - 1 + 4 * m**2, seed=seed)
+    assert f.primes() == (11, 1768721, 13888927589, 37006611189955924639849)
+    assert f.is_squarefree()
+
+
+def test_rho_slice_fails_at_exactly_its_budget():
+    # The 1e10 Q cofactor left after 89 and 318811: no factor within the
+    # slice, and no block started beyond it.
+    c = 172528145104789 * 2042757393218353249
+    rng = random.Random(f"rho:0:{c}")
+    assert _pollard_rho_brent(c, rng, 2**15) == (None, 2**15)
+    fresh = random.Random(f"rho:0:{c}")
+    fresh.randrange(1, c)
+    fresh.randrange(1, c)
+    assert rng.getstate() == fresh.getstate()
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [1000003 * 1000033, 10000019 * 10000079,
+                               1031 * 1033, 65537**2, 172528145104789 * 2042757393218353249])
+def test_rho_never_reports_more_than_its_budget(n, seed):
+    factor, used = _pollard_rho_brent(n, random.Random(seed), 100)
+    assert used <= 100
+    assert factor is None or (1 < factor < n and n % factor == 0)
+
+
 SEMIPRIME_20_DIGIT = (10**19 + 51) * (10**20 + 39)
 
 
@@ -121,7 +166,7 @@ def test_ecm_pairs_cover_every_stage2_prime(b1):
     assert len(pairs) == len(span)
     listed = {(k, _ECM_BABY[i]) for k, ks in zip(span, pairs) for i in ks}
     for k, j in listed:
-        assert is_prime(k * _ECM_D - j) or is_prime(k * _ECM_D + j)
+        assert any(b1 < l <= 100 * b1 and is_prime(l) for l in (k * _ECM_D - j, k * _ECM_D + j))
     for l in range(b1 + 1, 100 * b1 + 1):
         if is_prime(l):
             k, r = divmod(l, _ECM_D)
