@@ -10,8 +10,10 @@ nonzero on any s2 mismatch.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+# The package source next to this script, wherever it is run from.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from emcurve.analysis import EngineConfig, analysis_curve, run_analysis
 from emcurve.cli import REFERENCE_ROWS

@@ -102,7 +102,6 @@ def run_analysis(
     config: EngineConfig = EngineConfig(),
     *,
     cache=None,
-    observer=None,
 ) -> AnalysisRecord:
     """Admissibility, torsion, height pairing, and the full descent for m.
 
@@ -126,7 +125,7 @@ def run_analysis(
     timings["heights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    selmer = selmer_group(curve, observer=observer)
+    selmer = selmer_group(curve)
     timings["selmer"] = time.perf_counter() - t0
 
     return AnalysisRecord(

@@ -9,10 +9,11 @@ selmer, heights and torsion build the curve as run_analysis does and run
 only their stage.  Output is a human-readable table by default,
 newline-delimited JSON with --json, or CSV with --csv (analyze and scan
 only); --verbose adds the descent audit trail to the default output, so
---json, --csv and --verbose exclude each other.  Each subcommand takes only
-the flags it reads (see build_parser).  Exit codes: 0
-success, 1 reference-table mismatch, 2 invalid input (an unusable cache path
-included), 3 resource exhaustion.
+--json, --csv and --verbose exclude each other.  The audit is read from the
+Selmer result of each record's curve, whether the record was served from
+the cache or computed.  Each subcommand takes only the flags it reads (see
+build_parser).  Exit codes: 0 success, 1 reference-table mismatch, 2
+invalid input (an unusable cache path included), 3 resource exhaustion.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .analysis import (
 )
 from .cache import ResultCache, resolve_cache_path
 from .curve import torsion_group
-from .descent import RuleTally, SquarefreePrecondition, selmer_group
+from .descent import SelmerResult, SquarefreePrecondition, selmer_group
 from .family import scan_admissible
 from .heights import DEFAULT_TOL, HeightBudgetExceeded
 from .localsolve import LocalSolverError
@@ -151,14 +152,12 @@ def _cache(args) -> ResultCache | None:
     return ResultCache(resolve_cache_path(args.cache_path))
 
 
-def _verbose_observer(args):
-    if not args.verbose:
-        return None
-
-    def observer(pair):
-        if isinstance(pair, RuleTally):  # a count, not a pair
-            print(f"  {pair.reason}: {pair.count} cosets")
-            return
+def _print_audit(res: SelmerResult) -> None:
+    """The descent audit of --verbose: the tallies, then each member with its
+    verdicts and witnesses by place."""
+    for reason, count in res.tallies.items():
+        print(f"  {reason}: {count} cosets")
+    for pair in res.members:
         print(f"  ({pair.b1.value}, {pair.b2.value}) -> member")
         for place, verdict in sorted(
             pair.local_evidence.items(), key=lambda kv: (kv[0] is math.inf, kv[0])
@@ -166,8 +165,6 @@ def _verbose_observer(args):
             w = verdict.witness
             extra = "" if w is None else f" witness x={w.x}"
             print(f"      place {place}: {verdict.outcome}{extra}")
-
-    return observer
 
 
 def _print_record_human(r: AnalysisRecord) -> None:
@@ -203,11 +200,11 @@ _SCAN_ERRORS = (FactorizationTimeout, HeightBudgetExceeded, LocalSolverError,
                 SquarefreePrecondition)
 
 
-def _scan_worker(m, config, cache, observer=None):
+def _scan_worker(m, config, cache):
     """run_analysis through the cache, then the record appended there; a scan
     error is returned instead of raised, so one failing m does not end a scan."""
     try:
-        record = run_analysis(m, config, cache=cache, observer=observer)
+        record = run_analysis(m, config, cache=cache)
     except _SCAN_ERRORS as e:
         return e
     if cache is not None:
@@ -236,7 +233,10 @@ def _analyses(ms, args):
     or more of them and --verbose is off, else in this process.  Each worker
     gets a copy of the cache, so the file is read once per command, and
     appends its own factorizations and records under the cache's lock.
-    Either way the results stream in order.
+    Either way the results stream in order.  With --verbose each record,
+    served or computed, is preceded by the descent audit of its curve, built
+    here through the cache (so it stays out of the record's timings); a scan
+    error has none.
     """
     config = _config(args)
     key = config.record_key
@@ -252,10 +252,12 @@ def _analyses(ms, args):
                 initargs=(cache,)))
             fresh = pool.map(_pool_worker, [(m, config) for m in misses])
         else:
-            observer = _verbose_observer(args)
-            fresh = (_scan_worker(m, config, cache, observer) for m in misses)
+            fresh = (_scan_worker(m, config, cache) for m in misses)
         for m, hit in zip(ms, hits):
-            yield m, next(fresh) if hit is None else AnalysisRecord(**hit)
+            outcome = next(fresh) if hit is None else AnalysisRecord(**hit)
+            if args.verbose and not isinstance(outcome, Exception):
+                _print_audit(selmer_group(analysis_curve(m, config, cache)))
+            yield m, outcome
 
 
 def _raising(outcomes):
@@ -345,7 +347,9 @@ def _curve(args):
 
 
 def cmd_selmer(args) -> int:
-    res = selmer_group(_curve(args), observer=_verbose_observer(args))
+    res = selmer_group(_curve(args))
+    if args.verbose:
+        _print_audit(res)
     if args.json:
         print(json.dumps({
             "m": args.m, "s2": res.s2, "size_log2": res.size_log2,

@@ -29,9 +29,9 @@ Internally classes are bitmasks over the generator list, and a quadratic
 character is the mask of the generators it sends to -1, so a symbol is a
 popcount parity.  DescentContext is the interface to those pieces: the
 generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`),
-the symbol conditions (`necessary_failures`), the local classes at a bad
-prime (`local_class`), the forms of the local images (`local_forms`) and
-membership in them (`locally_solvable`) act on mask pairs;
+the symbol conditions (`necessary_failures`), the forms of the local images
+(`local_forms`) and membership in them (`locally_solvable`) act on mask
+pairs;
 `survivor_kernel` solves groups of forms on the survivors, and
 selmer_group re-checks the rules and conditions on every member;
 `coset_reps` lists every coset, the brute-force reference for
@@ -40,9 +40,11 @@ selmer_group re-checks the rules and conditions on every member;
 `rank_lower_bound` certifies rank >= 2 from the images of the torsion and of
 the points (0, t) and (n1, t).  `_f2_eliminate` is the one F2 eliminator,
 and localsolve's `_f2_reduce` tests membership in an echelon basis.
-selmer_group is the one descent entry point; the witnesses of a member it
-returns, points of E(Q_ell) in the pair's classes, are found by decide_local
-when the member's `local_evidence` is first read.
+selmer_group is the one descent entry point.  Its result carries the audit
+as data: `tallies`, the cosets each rule, the symbol conditions and each
+bad place reject; the witnesses of a member, points of E(Q_ell) in the
+pair's classes, are found by decide_local when its `local_evidence` is
+first read.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .curve import RationalPoint, contains
 from .family import CurveParams
@@ -156,17 +158,12 @@ class DescentPair:
 
 
 @dataclass(frozen=True)
-class RuleTally:
-    """Number of coset representatives that one exclusion rule rejects first,
-    that the symbol conditions reject after all five rules, or that one bad
-    place rejects after those and the places before it."""
-
-    reason: str
-    count: int
-
-
-@dataclass(frozen=True)
 class SelmerResult:
+    """The descent's result.  tallies is its audit, in order: the coset
+    representatives each exclusion rule (i)-(v) rejects first, those the
+    symbol conditions reject after all five rules, then those each bad place
+    rejects after those and the places before it, zeros included."""
+
     curve: CurveParams
     members: tuple[DescentPair, ...]
     size_log2: int
@@ -174,6 +171,7 @@ class SelmerResult:
     theorem_w: int
     corollary_value: int | None
     status_counts: dict
+    tallies: dict[str, int]
 
 
 class DescentContext:
@@ -255,14 +253,6 @@ class DescentContext:
     def mod4(self, mask: int) -> int:
         """Residue mod 4 of the odd part of a class value."""
         return 3 if (mask & self.mod4_mask).bit_count() & 1 else 1
-
-    def local_class(self, mask: int, ell: int) -> tuple[int, int]:
-        """The class of the value of `mask` in Q_ell*/Q_ell*^2, ell a bad prime:
-        (v_ell mod 2, Legendre symbol of the unit part) at odd ell and
-        (v_2 mod 2, unit part mod 8) at 2."""
-        if ell == 2:
-            return mask >> 1 & 1, self.mod4(mask) + 4 * ((mask & self.mod8_mask).bit_count() & 1)
-        return mask >> self.index[ell] & 1, self.chi(ell, mask)
 
     def local_forms(self, ell: int) -> tuple[tuple[int, int], ...]:
         """The F2 linear forms (u, v) on mask pairs that cut out the local
@@ -529,11 +519,7 @@ def phi_image(curve: CurveParams, pt: RationalPoint) -> DescentPair:
     return DescentPair(b1, b2)
 
 
-def selmer_group(
-    curve: CurveParams,
-    *,
-    observer: Callable[[RuleTally | DescentPair], None] | None = None,
-) -> SelmerResult:
+def selmer_group(curve: CurveParams) -> SelmerResult:
     """Full 2-Selmer computation: one F2 kernel on the survivors.
 
     The member cosets are the common kernel of the symbol forms and of each
@@ -562,10 +548,6 @@ def selmer_group(
     rules and the symbol conditions and is solvable at the real place (rule
     (i) makes b2 > 0), and the images of rational points span no more than
     dim E(Q_ell)/2E(Q_ell) at any place.
-
-    The observer receives one RuleTally per exclusion rule, one for the
-    symbol conditions and one per place (zeros included), then each member
-    as a DescentPair in key order.
     """
     if not curve.r_squarefree:
         raise SquarefreePrecondition(
@@ -581,13 +563,9 @@ def selmer_group(
     symbol_fails = passing[0] - passing[1]
     place_fails = {f"locally unsolvable at {ell}": passing[k + 1] - passing[k + 2]
                    for k, ell in enumerate(places)}
-    if observer:
-        for reason, count in rule_counts.items():
-            observer(RuleTally(reason, count))
-        observer(RuleTally(f"necessary_fail (symbol system of F2 rank {ranks[0]})",
-                           symbol_fails))
-        for reason, count in place_fails.items():
-            observer(RuleTally(reason, count))
+    tallies = {**rule_counts,
+               f"necessary_fail (symbol system of F2 rank {ranks[0]})": symbol_fails,
+               **place_fails}
     counts = {"excluded": sum(rule_counts.values()) + sum(place_fails.values()),
               "necessary_fail": symbol_fails, "member": passing[-1]}
     indices = [0]
@@ -608,9 +586,6 @@ def selmer_group(
         members.append(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m),
                                    context=ctx))
     members.sort(key=DescentPair.key)
-    if observer:
-        for pair in members:
-            observer(pair)
     s2 = ctx.nbits - 2 - ranks[-1]
     return SelmerResult(
         curve=curve,
@@ -620,6 +595,7 @@ def selmer_group(
         theorem_w=theorem_lower_bound(curve),
         corollary_value=corollary_rank(curve),
         status_counts=counts,
+        tallies=tallies,
     )
 
 

@@ -245,6 +245,20 @@ def test_verbose_counts_rules_and_details_survivors(capsys):
     assert "necessary_fail [" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--m", "6"],
+    ["scan", "--from", "2", "--to", "60"],
+], ids=["analyze", "scan"])
+def test_verbose_prints_the_audit_for_cached_records(capsys, tmp_path, argv):
+    # The second run serves every record from the cache; the audit is read
+    # from the Selmer result of the curve, so it prints the same lines.
+    argv += ["--verbose", "--cache-path", str(tmp_path / "cache.jsonl")]
+    rc, cold, _ = run_cli(capsys, *argv)
+    assert rc == 0 and "necessary_fail (symbol system of F2 rank" in cold
+    rc, warm, _ = run_cli(capsys, *argv)
+    assert rc == 0 and warm == cold
+
+
 def test_record_round_trip():
     rec = run_analysis(6)
     assert AnalysisRecord(**json.loads(rec.to_json())) == rec

@@ -326,6 +326,25 @@ def test_status_counts_match_full_scan(m):
     )
 
 
+@pytest.mark.parametrize("m", [6, 1950])
+def test_tallies_are_the_audit_of_the_status_counts(m):
+    # The rules (i)-(v), the symbol conditions, then every bad place in
+    # s_primes order, zeros included; with the members they count every
+    # coset, and status_counts is read from the same numbers.
+    c = build_curve(m)
+    res = selmer_group(c)
+    ctx = DescentContext(c)
+    reasons = list(res.tallies)
+    assert reasons[:5] == list(ctx.exclusion_counts())
+    assert reasons[5].startswith("necessary_fail (symbol system of F2 rank ")
+    assert reasons[6:] == [f"locally unsolvable at {ell}" for ell in c.s_primes]
+    counts = list(res.tallies.values())
+    assert res.status_counts == {"excluded": sum(counts) - counts[5],
+                                 "necessary_fail": counts[5],
+                                 "member": len(res.members)}
+    assert sum(counts) + len(res.members) == ctx.coset_count()
+
+
 def span(basis):
     """The ascending elements of the F2 span of bitmasks."""
     out = [0]
@@ -358,6 +377,14 @@ def local_class(n, ell):
     return v % 2, u % 8 if ell == 2 else _legendre_prime(u, ell)
 
 
+def mask_local_class(ctx, mask, ell):
+    """The same class from the mask, by the context's characters:
+    (v_2 mod 2, unit part mod 8) at 2, (v_ell mod 2, chi_ell) at odd ell."""
+    if ell == 2:
+        return mask >> 1 & 1, ctx.mod4(mask) + 4 * ((mask & ctx.mod8_mask).bit_count() & 1)
+    return mask >> ctx.index[ell] & 1, ctx.chi(ell, mask)
+
+
 @pytest.mark.parametrize("m", [6, 42, 462])
 def test_local_class_of_masks_matches_the_values(m):
     ctx = DescentContext(build_curve(m))
@@ -366,7 +393,8 @@ def test_local_class_of_masks_matches_the_values(m):
     masks += [rng.getrandbits(ctx.nbits) for _ in range(50)]
     for ell in ctx.local_places():
         for mask in masks:
-            assert ctx.local_class(mask, ell) == local_class(ctx.value_of_mask(mask), ell)
+            assert (mask_local_class(ctx, mask, ell)
+                    == local_class(ctx.value_of_mask(mask), ell))
 
 
 @pytest.mark.parametrize("m", [6, 12, 30, 42, 60, 462])
@@ -443,8 +471,8 @@ def test_local_image_membership_matches_decide_local(m):
     for ell in c.s_primes:
         reps = {}
         for b1m, b2m in ctx.survivor_reps():
-            reps.setdefault((ctx.local_class(b1m, ell), ctx.local_class(b2m, ell)),
-                            (b1m, b2m))
+            classes = (mask_local_class(ctx, b1m, ell), mask_local_class(ctx, b2m, ell))
+            reps.setdefault(classes, (b1m, b2m))
         for b1m, b2m in reps.values():
             b1, b2 = ctx.value_of_mask(b1m), ctx.value_of_mask(b2m)
             expected = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell,
@@ -473,7 +501,8 @@ def test_local_forms_match_the_reduction_by_the_local_image(m):
         assert len(ctx.local_forms(ell)) == (3 if ell == 2 else 2)
         basis = local_image(c.a_value, c.q_value, c.r_value, ell)
         for b1m, b2m in pairs:
-            vec = _pair_bits(ctx.local_class(b1m, ell), ctx.local_class(b2m, ell), ell)
+            classes = (mask_local_class(ctx, b1m, ell), mask_local_class(ctx, b2m, ell))
+            vec = _pair_bits(*classes, ell)
             assert ctx.locally_solvable(b1m, b2m, ell) == (not _f2_reduce(basis, vec)), (
                 b1m, b2m, ell)
 
@@ -532,7 +561,8 @@ def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, unsolvable):
     real = DescentContext.locally_solvable
 
     def unsolvable_on_a_class(self, b1m, b2m, ell):
-        if unsolvable.get(ell) == (self.local_class(b1m, ell), self.local_class(b2m, ell)):
+        if unsolvable.get(ell) == (mask_local_class(self, b1m, ell),
+                                  mask_local_class(self, b2m, ell)):
             return False
         return real(self, b1m, b2m, ell)
 

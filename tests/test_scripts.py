@@ -2,15 +2,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from emcurve.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_reproduce_table_matches_all_six_rows():
-    # The script puts src/ on its path relative to the repository root.
-    proc = subprocess.run([sys.executable, "scripts/reproduce_table.py"],
-                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+@pytest.mark.parametrize("where", ["repo-root", "elsewhere"])
+def test_reproduce_table_matches_all_six_rows(where, tmp_path):
+    # The script puts the src/ next to it on its path, so it runs from any
+    # working directory.
+    cwd = ROOT if where == "repo-root" else tmp_path
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_table.py")],
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count(", ok), w = ") == 6
     assert "MISMATCH" not in proc.stdout
