@@ -11,6 +11,9 @@ Appends are serialized across threads and processes by an exclusive flock.
 Under it, each append repairs whatever the file ends with after its last
 newline, as it is at that moment: a whole line gets its newline, a torn one
 is cut off.  Then the new line goes out in one write.
+
+A cache at path None (--no-cache) holds its snapshot in memory only: it
+loads nothing and writes nothing, so each value is still computed once.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ def resolve_cache_path(explicit: str | None = None) -> str:
 
 
 class ResultCache:
-    def __init__(self, path: str):
+    def __init__(self, path: str | None):
         self.path = path
         self._data: dict[tuple[str, str], object] = {}
-        if os.path.exists(path):
+        if path is not None and os.path.exists(path):
             with open(path, "rb") as fh:
                 raw = fh.read()
             cut = raw.rfind(b"\n") + 1
@@ -59,8 +62,10 @@ class ResultCache:
             self._data[key] = value
 
     def _put(self, kind: str, key: str, value) -> None:
-        line = json.dumps({"kind": kind, "key": key, "value": value}) + "\n"
         self._data[(kind, key)] = value
+        if self.path is None:
+            return
+        line = json.dumps({"kind": kind, "key": key, "value": value}) + "\n"
         fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close

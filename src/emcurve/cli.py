@@ -61,7 +61,7 @@ REFERENCE_ROWS = {
 # Every flag a subcommand may take; build_parser gives each the ones it reads.
 _FLAGS = {
     "--json": dict(action="store_true", help="newline-delimited JSON output"),
-    "--no-cache": dict(action="store_true", help="bypass the result cache"),
+    "--no-cache": dict(action="store_true", help="keep results in memory, no cache file"),
     "--cache-path": dict(help="cache file (default ./.emcache.jsonl or $EM_CACHE_PATH)"),
     "--seed": dict(type=int, default=0, help="seed for randomized stages"),
     "--rho-budget": dict(type=int, default=DEFAULT_RHO_BUDGET,
@@ -146,10 +146,9 @@ def _config(args) -> EngineConfig:
     )
 
 
-def _cache(args) -> ResultCache | None:
-    if args.no_cache:
-        return None
-    return ResultCache(resolve_cache_path(args.cache_path))
+def _cache(args) -> ResultCache:
+    """The command's cache; under --no-cache one held in memory only."""
+    return ResultCache(None if args.no_cache else resolve_cache_path(args.cache_path))
 
 
 def _print_audit(res: SelmerResult) -> None:
@@ -207,8 +206,7 @@ def _scan_worker(m, config, cache):
         record = run_analysis(m, config, cache=cache)
     except _SCAN_ERRORS as e:
         return e
-    if cache is not None:
-        cache.put_analysis(m, config.record_key, record.__dict__)
+    cache.put_analysis(m, config.record_key, record.__dict__)
     return record
 
 
@@ -241,7 +239,7 @@ def _analyses(ms, args):
     config = _config(args)
     key = config.record_key
     cache = _cache(args)
-    hits = [None if cache is None else cache.get_analysis(m, key) for m in ms]
+    hits = [cache.get_analysis(m, key) for m in ms]
     misses = [m for m, hit in zip(ms, hits) if hit is None]
     with contextlib.ExitStack() as stack:
         if args.jobs > 1 and len(misses) > 1 and not args.verbose:

@@ -11,10 +11,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .family import CurveParams
-from .numtheory import _legendre_prime, is_prime
+from .numtheory import _SMALL_PRIMES, _legendre_prime
 
 # Good odd primes torsion_bound_generic may count at before giving up.
 _TORSION_BOUND_PRIMES = 12
@@ -150,22 +149,15 @@ class TorsionGroup:
         return (INFINITY,) + self.generators
 
 
-def _good_odd_primes(c: CurveParams) -> Iterator[int]:
-    """The odd primes of good reduction, ascending."""
-    ell = 3
-    while True:
-        if is_prime(ell) and c.has_good_reduction(ell):
-            yield ell
-        ell += 2
-
-
 def torsion_bound_generic(c: CurveParams) -> int:
     """gcd of #E(F_ell) over good odd ell, ascending, stopping once it is 4.
 
-    An upper bound on |tors|; at most _TORSION_BOUND_PRIMES primes are used.
+    An upper bound on |tors|; at most _TORSION_BOUND_PRIMES primes are used,
+    all from numtheory's table of primes below 2^10.
     """
+    good = (ell for ell in _SMALL_PRIMES[1:] if c.has_good_reduction(ell))
     g = 0
-    for ell in itertools.islice(_good_odd_primes(c), _TORSION_BOUND_PRIMES):
+    for ell in itertools.islice(good, _TORSION_BOUND_PRIMES):
         g = math.gcd(g, count_points_mod(reduce_mod(c, ell)))
         if g == 4:
             break

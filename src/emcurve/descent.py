@@ -5,15 +5,15 @@ Candidate pairs live in Q(S,2) x Q(S,2) where Q(S,2) is generated by [-1],
 subgroup H; each of the 4^(nbits-1) H-cosets has one representative with
 b1 > 0 and b2 odd, so b1*b2 is never divisible by 4.  The five exclusion
 rules are linear in those representatives and leave 2^(nbits-2) of them:
-the descent indexes these survivors by their nbits-2 free bits and counts
-the excluded cosets in closed form.  Every later condition is an F2 linear
-form on mask pairs, and so on the index bits: each quadratic-symbol
-necessary condition (`symbol_forms`), and local solvability at each bad
-place of curve.s_primes, 2 and the odd bad primes.  At ell that is
-membership of the pair's classes in Q_ell*/Q_ell*^2 in the local image
-delta_ell(E(Q_ell)/2E(Q_ell)), spanned by images of actual points and
-built once per (A, Q, R, ell) by localsolve.local_image (the proof is in
-selmer_group); the image is cut out by 2 forms at odd ell and 3 at 2, its
+the descent indexes these survivors by their nbits-2 free bits, and every
+tally is a rank difference: a rule forcing k free bits to zero has rank k.
+Every later condition is an F2 linear form on mask pairs, and so on the
+index bits: each quadratic-symbol necessary condition (`symbol_forms`),
+and local solvability at each bad place of curve.s_primes, 2 and the odd
+bad primes.  At ell that is membership of the pair's classes in
+Q_ell*/Q_ell*^2 in the local image delta_ell(E(Q_ell)/2E(Q_ell)), spanned
+by images of actual points and built once per (A, Q, R, ell) by
+localsolve.local_image (the proof is in selmer_group); the image is cut out by 2 forms at odd ell and 3 at 2, its
 codimension (`local_forms`).  selmer_group takes the kernel of all these
 forms at once: the members are its span, a subgroup by construction, and
 the rank after each group of forms counts the cosets that group rejects.
@@ -50,6 +50,7 @@ first read.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -345,26 +346,6 @@ class DescentContext:
         b1m = (idx & ((1 << pq) - 1)) << 2
         return b1m, (b1m & self.p_mask) | ((idx >> pq) << (2 + pq))
 
-    def exclusion_counts(self) -> dict[str, int]:
-        """How many coset representatives each rule (i)-(v) rejects first.
-
-        Closed form: a rule forcing k free bits to zero keeps 1/2^k of the
-        representatives the earlier rules left, independently of them.
-        """
-        forced = (
-            ("(i) b2 < 0", 1),
-            ("(ii) b2 = 0 mod q_i", len(self.curve.q_primes)),
-            ("(iii) b1 = 0 mod r_i", len(self.curve.r_primes)),
-            ("(iv) v_p(b1*b2) = 1", len(self.curve.p_primes)),
-            ("(v) b1*b2 = 2 mod 4", 1),
-        )
-        left = self.coset_count()
-        out = {}
-        for reason, k in forced:
-            out[reason] = left - (left >> k)
-            left >>= k
-        return out
-
     # -- pipeline pieces -------------------------------------------------------
 
     def exclusion_reason(self, b1m: int, b2m: int) -> str | None:
@@ -555,19 +536,22 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
         )
     ctx = DescentContext(curve)
     places = ctx.local_places()
-    rule_counts = ctx.exclusion_counts()
-    ranks, basis = ctx.survivor_kernel(
+    kernel_ranks, basis = ctx.survivor_kernel(
         [ctx.symbol_forms()] + [ctx.local_forms(ell) for ell in places])
-    # passing[k]: the survivors that pass the first k groups.
-    passing = [1 << (ctx.nbits - 2 - r) for r in [0] + ranks]
-    symbol_fails = passing[0] - passing[1]
-    place_fails = {f"locally unsolvable at {ell}": passing[k + 1] - passing[k + 2]
-                   for k, ell in enumerate(places)}
-    tallies = {**rule_counts,
-               f"necessary_fail (symbol system of F2 rank {ranks[0]})": symbol_fails,
-               **place_fails}
-    counts = {"excluded": sum(rule_counts.values()) + sum(place_fails.values()),
-              "necessary_fail": symbol_fails, "member": passing[-1]}
+    symbol_reason = f"necessary_fail (symbol system of F2 rank {kernel_ranks[0]})"
+    reasons = ["(i) b2 < 0", "(ii) b2 = 0 mod q_i", "(iii) b1 = 0 mod r_i",
+               "(iv) v_p(b1*b2) = 1", "(v) b1*b2 = 2 mod 4", symbol_reason,
+               *(f"locally unsolvable at {ell}" for ell in places)]
+    # The F2 rank after each group: rules (i)-(v) force 1, #q, #r, #p and 1
+    # free bits to zero, leaving the survivors' nbits - 2, on which the
+    # kernel's groups add their ranks.  passing[k] counts the coset
+    # representatives that pass the first k groups.
+    forced = (1, len(curve.q_primes), len(curve.r_primes), len(curve.p_primes), 1)
+    ranks = [0, *itertools.accumulate(forced), *(ctx.nbits + k for k in kernel_ranks)]
+    passing = [ctx.coset_count() >> r for r in ranks]
+    tallies = {reason: passing[k] - passing[k + 1] for k, reason in enumerate(reasons)}
+    counts = {"excluded": sum(tallies.values()) - tallies[symbol_reason],
+              "necessary_fail": tallies[symbol_reason], "member": passing[-1]}
     indices = [0]
     for k in basis:
         indices += [i ^ k for i in indices]
@@ -586,7 +570,7 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
         members.append(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m),
                                    context=ctx))
     members.sort(key=DescentPair.key)
-    s2 = ctx.nbits - 2 - ranks[-1]
+    s2 = ctx.nbits - 2 - kernel_ranks[-1]
     return SelmerResult(
         curve=curve,
         members=tuple(members),

@@ -235,23 +235,31 @@ def pairing_matrix(
     return PairingMatrix(points=pts, entries=rows, determinant=_det(rows))
 
 
-def _det(rows: tuple[tuple[float, ...], ...]) -> float:
+def _pivots(rows: tuple[tuple[float, ...], ...]) -> tuple[list[float], int]:
+    """(pivots in column order, row swaps) of Gaussian elimination with
+    partial pivoting; it stops at the first zero column, short of a full list."""
     n = len(rows)
     a = [list(r) for r in rows]
-    det = 1.0
+    pivots, swaps = [], 0
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[piv][col] == 0.0:
-            return 0.0
+            break
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
+            swaps += 1
+        pivots.append(a[col][col])
         for r in range(col + 1, n):
             f = a[r][col] / a[col][col]
             for cc in range(col, n):
                 a[r][cc] -= f * a[col][cc]
-    return det
+    return pivots, swaps
+
+
+def _det(rows: tuple[tuple[float, ...], ...]) -> float:
+    """The pivots' product in order, signed by the swaps; +0.0 on a zero column."""
+    pivots, swaps = _pivots(rows)
+    return math.prod(pivots, start=(-1.0) ** swaps) if len(pivots) == len(rows) else 0.0
 
 
 def independence_rank(
@@ -261,34 +269,11 @@ def independence_rank(
 ) -> int:
     """Numerical rank of the pairing matrix of pts, computed at tol.
 
-    Pivots from Gaussian elimination with full pivoting, counted while they
-    exceed 50*tol.  Positive-semidefiniteness of the pairing makes this a
-    lower bound on the number of independent points, up to the height
-    error; the exact certificate is descent's rank_lower_bound.
+    The pivots of the elimination behind the determinant (_pivots, partial
+    pivoting) that exceed 50*tol in absolute value.  Positive-semidefiniteness
+    of the pairing makes this a lower bound on the number of independent
+    points, up to the height error; the exact certificate is descent's
+    rank_lower_bound.
     """
-    a = [list(r) for r in pairing_matrix(c, pts, tol).entries]
-    n = len(a)
-    threshold = 50.0 * tol
-    rank = 0
-    for _ in range(n):
-        piv_r, piv_c, piv = 0, 0, 0.0
-        for i in range(n):
-            for j in range(n):
-                if abs(a[i][j]) > piv:
-                    piv_r, piv_c, piv = i, j, abs(a[i][j])
-        if piv <= threshold:
-            break
-        rank += 1
-        pr = a[piv_r]
-        pv = pr[piv_c]
-        for i in range(n):
-            if i == piv_r:
-                continue
-            f = a[i][piv_c] / pv
-            for j in range(n):
-                a[i][j] -= f * pr[j]
-        for j in range(n):
-            pr[j] = 0.0
-        for i in range(n):
-            a[i][piv_c] = 0.0
-    return rank
+    pivots, _ = _pivots(pairing_matrix(c, pts, tol).entries)
+    return sum(abs(p) > 50.0 * tol for p in pivots)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 # least one to all of them (Jaeschke, Math. Comp. 61, 1993; Sorenson and
 # Webster, Math. Comp. 86, 2017).  The first 8 and the first 10 or 11 primes
 # share their psi with the first 7 and the first 9.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PSI = (
     (2_047, 1),
     (1_373_653, 2),
@@ -39,7 +38,7 @@ _MR_PSI = (
 )
 
 # Trial division stops here: rho finds any larger factor below 1e6 in about a
-# thousand iterations, far fewer than the wheel's steps up to 1e6.
+# thousand iterations, far fewer than the 78,498 primes below 1e6.
 TRIAL_DIVISION_BOUND = 2**10
 DEFAULT_RHO_BUDGET = 10**8
 
@@ -53,8 +52,6 @@ _ECM_SCHEDULE = ((2_000, 25), (11_000, 90), (50_000, None))
 _ECM_B2_FACTOR = 100
 _ECM_D = 840
 _ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 class FactorizationTimeout(Exception):
@@ -115,7 +112,7 @@ def _miller_rabin_composite_witness(a: int, n: int, d: int, s: int) -> bool:
 def is_prime(n: int, *, seed: int = 0) -> bool:
     """Primality test, deterministic below ~3.3e24, else seeded Miller-Rabin.
 
-    Below 3.3e24 the bases are the shortest prefix of _MR_BASES that _MR_PSI
+    Below 3.3e24 the bases are the shortest prefix of _SMALL_PRIMES that _MR_PSI
     proves for n, so composites are never reported prime there; beyond it 64
     seeded bases, drawn one by one until a witness turns up, bound the error
     probability by 4^-64.
@@ -124,7 +121,7 @@ def is_prime(n: int, *, seed: int = 0) -> bool:
         raise ValueError("is_prime expects n >= 0")
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _SMALL_PRIMES[:15]:  # the primes to 47, before any modular power
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -133,7 +130,7 @@ def is_prime(n: int, *, seed: int = 0) -> bool:
         s += 1
     for psi, k in _MR_PSI:
         if n < psi:
-            bases = _MR_BASES[:k]
+            bases = _SMALL_PRIMES[:k]
             break
     else:
         rng = random.Random(f"mr:{seed}:{n}")
@@ -262,6 +259,12 @@ def _odd_prime_flags(limit: int) -> bytearray:
             p = 2 * i + 1
             flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
     return flags
+
+
+# The 172 primes below TRIAL_DIVISION_BOUND: trial division's divisors,
+# is_prime's screen and Miller-Rabin bases, and torsion's small primes.
+_SMALL_PRIMES = (2,) + tuple(
+    2 * i + 1 for i, prime in enumerate(_odd_prime_flags(TRIAL_DIVISION_BOUND)) if prime)
 
 
 @functools.lru_cache(maxsize=None)
@@ -419,20 +422,12 @@ def factorize(
     original = n
     counts: dict[int, int] = {}
 
-    for p in (2, 3, 5):
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-    # Wheel over residues coprime to 30.
-    f = 7
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f <= TRIAL_DIVISION_BOUND and f * f <= n:
-        while n % f == 0:
-            counts[f] = counts.get(f, 0) + 1
-            n //= f
-        f += increments[i]
-        i = (i + 1) % 8
     # Whatever survives trial division is prime, or a composite for _split.
     stack = [n] if n > 1 else []
     budget_left = rho_budget

@@ -259,6 +259,30 @@ def test_verbose_prints_the_audit_for_cached_records(capsys, tmp_path, argv):
     assert rc == 0 and warm == cold
 
 
+@pytest.mark.parametrize("verbose", [False, True], ids=["plain", "verbose"])
+def test_no_cache_factors_each_number_once(capsys, tmp_path, monkeypatch, verbose):
+    # --no-cache keeps the command's results in memory, so the audit's curve
+    # is rebuilt from the factorizations the record made, and no file is
+    # written, wherever the cache would have gone.
+    import emcurve.numtheory as numtheory
+
+    splits = []
+    real_split = numtheory._split
+
+    def counting_split(c, rng, budget):
+        splits.append(c)
+        return real_split(c, rng, budget)
+
+    monkeypatch.setattr(numtheory, "_split", counting_split)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("EM_CACHE_PATH", str(tmp_path / "env.jsonl"))
+    argv = ["analyze", "--m", "10008", "--no-cache"] + (["--verbose"] if verbose else [])
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and ("necessary_fail (symbol system" in out) == verbose
+    assert len(splits) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_record_round_trip():
     rec = run_analysis(6)
     assert AnalysisRecord(**json.loads(rec.to_json())) == rec

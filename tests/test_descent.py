@@ -298,10 +298,12 @@ def test_survivor_reps_are_exactly_the_unexcluded_cosets(m):
 
 @pytest.mark.parametrize("m", [6, 12, 462])
 def test_exclusion_counts_match_brute_force_tally(m):
-    ctx = DescentContext(build_curve(m))
+    # The first five tallies, rank differences, against every coset's rule.
+    c = build_curve(m)
+    ctx = DescentContext(c)
     tally = Counter(ctx.exclusion_reason(*rep) for rep in ctx.coset_reps())
     survivors = tally.pop(None)
-    counts = ctx.exclusion_counts()
+    counts = dict(itertools.islice(selmer_group(c).tallies.items(), 5))
     assert counts == dict(tally)
     assert [r.split()[0] for r in counts] == ["(i)", "(ii)", "(iii)", "(iv)", "(v)"]
     assert sum(counts.values()) + survivors == ctx.coset_count()
@@ -335,7 +337,7 @@ def test_tallies_are_the_audit_of_the_status_counts(m):
     res = selmer_group(c)
     ctx = DescentContext(c)
     reasons = list(res.tallies)
-    assert reasons[:5] == list(ctx.exclusion_counts())
+    assert [r.split()[0] for r in reasons[:5]] == ["(i)", "(ii)", "(iii)", "(iv)", "(v)"]
     assert reasons[5].startswith("necessary_fail (symbol system of F2 rank ")
     assert reasons[6:] == [f"locally unsolvable at {ell}" for ell in c.s_primes]
     counts = list(res.tallies.values())

@@ -325,6 +325,14 @@ def test_pairing_matrix_sign_pattern_and_rank(c6, pts6):
     assert independence_rank(c6, (p1, p2, p3), TOL) == 2
 
 
+def test_det_signs_the_pivot_product_by_the_row_swaps():
+    assert heights._det(((0.0, 1.0), (1.0, 0.0))) == -1.0
+    assert heights._det(((2.0, 1.0), (1.0, 3.0))) == 5.0
+    # The swap makes the pivots (2.0, 0.0); a zero column gives +0.0, never -0.0.
+    det = heights._det(((0.0, 0.0), (2.0, 0.0)))
+    assert det == 0.0 and math.copysign(1.0, det) == 1.0
+
+
 def test_pairing_matrix_matches_log_m_profile(c6, pts6):
     # Entrywise the 2x2 Gram matrix is ln(m) * [[2, -1], [-1, 3]] up to
     # lower-order terms.

@@ -20,6 +20,7 @@ from emcurve.numtheory import (
     _ECM_D,
     _ECM_SCHEDULE,
     _RHO_SLICE,
+    _SMALL_PRIMES,
     _affine_x,
     _ecm_cost,
     _ecm_pairs,
@@ -65,6 +66,12 @@ def test_is_prime_matches_sieve_to_1e6():
             sieve[i * i:: i] = bytearray(len(sieve[i * i:: i]))
     mismatches = [n for n in range(limit + 1) if bool(sieve[n]) != is_prime(n)]
     assert mismatches == []
+
+
+def test_small_primes_are_the_primes_below_the_trial_division_bound():
+    # One table serves trial division, is_prime's screen and bases, and torsion.
+    assert _SMALL_PRIMES == tuple(n for n in range(2**10) if is_prime(n))
+    assert len(_SMALL_PRIMES) == 172
 
 
 @pytest.mark.parametrize("n,factors", [

@@ -22,3 +22,22 @@ def test_src_imports_only_the_standard_library():
                 for name in absolute_imports(path)}
     assert imported and "fcntl" in imported
     assert imported - sys.stdlib_module_names - {"emcurve"} == set()
+
+
+def unused_imports(path):
+    """The names path imports and never reads (__future__ imports aside)."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_src_imports_no_name_it_never_uses():
+    unused = {path.name: names for path in sorted(SRC.glob("*.py"))
+              if (names := unused_imports(path))}
+    assert unused == {}
