@@ -6,8 +6,10 @@ strong pseudoprime below n's size, which covers every n below 3.3e24 and
 so every integer this package ever has to classify at desk scale; beyond
 that a seeded 64-round probabilistic test takes over.  Factorization is
 trial division below 2^10, then a Brent-cycle Pollard rho slice that takes
-factors up to about 2.5e8, then ECM (Lenstra's elliptic curve method on
-Montgomery curves, stage 2 with prime pairing), under one work budget.
+most factors below 1e7, then ECM (Lenstra's elliptic curve method on
+Montgomery curves, stage 2 with prime pairing): one curve at B1 = 450 for
+the 8- to 10-digit factors, then the main schedule from B1 = 2000, all
+under one work budget.
 Square roots modulo p^k are Hensel-lifted from Tonelli-Shanks by the Newton iteration for the inverse
 square root, which needs no modular inverse beyond one mod p.
 """
@@ -42,12 +44,18 @@ _MR_PSI = (
 TRIAL_DIVISION_BOUND = 2**10
 DEFAULT_RHO_BUDGET = 10**8
 
-# Rho iterations per composite cofactor before ECM takes over.
-_RHO_SLICE = 1 << 15
-# ECM stage-1 bounds B1 with their curve counts; the last runs until the
-# budget is spent.  Stage 2 reaches B2 = _ECM_B2_FACTOR * B1 in giant steps
-# of D, against baby steps j < D/2 coprime to D: at B1 = 2000, 96 baby and
-# 238 giant steps.
+# Rho iterations per composite cofactor before ECM takes over.  Rho's cost
+# grows like sqrt(p) and a curve's does not: 2^12 iterations find most
+# factors below 1e7, and beyond that one B1 = 450 curve (4,229 units) is
+# the cheaper way to an 8- to 10-digit factor.
+_RHO_SLICE = 1 << 12
+# ECM stage-1 bounds B1 with their curve counts.  _ECM_FIRST runs between
+# the rho slice and _ECM_SCHEDULE, on a generator of its own, so that the
+# main schedule draws the same sigma whether or not it ran.  The last stage
+# of _ECM_SCHEDULE runs until the budget is spent.  Stage 2 reaches
+# B2 = _ECM_B2_FACTOR * B1 in giant steps of D, against baby steps j < D/2
+# coprime to D: at B1 = 2000, 96 baby and 238 giant steps.
+_ECM_FIRST = ((450, 1),)
 _ECM_SCHEDULE = ((2_000, 25), (11_000, 90), (50_000, None))
 _ECM_B2_FACTOR = 100
 _ECM_D = 840
@@ -281,8 +289,11 @@ def _stage1_multiplier(b1: int) -> int:
 
 
 def _ecm_stage2_span(b1: int) -> range:
-    """Giant steps k: every prime in (b1, _ECM_B2_FACTOR * b1] is k*D +- j."""
-    return range(max(2, b1 // _ECM_D), _ECM_B2_FACTOR * b1 // _ECM_D + 2)
+    """Giant steps k: every prime in (b1, _ECM_B2_FACTOR * b1] is k*D +- j.
+
+    Needs b1 >= D/2, since a prime below D/2 is 0*D + j and k starts at 1.
+    """
+    return range(max(1, b1 // _ECM_D), _ECM_B2_FACTOR * b1 // _ECM_D + 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,14 +368,20 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     return math.gcd(acc, n)
 
 
-def _ecm(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
-    """ECM curves along _ECM_SCHEDULE until one splits n or budget runs out.
+def _ecm(
+    n: int,
+    rng: random.Random,
+    budget: int,
+    schedule: tuple[tuple[int, int | None], ...] = _ECM_SCHEDULE,
+) -> tuple[int | None, int]:
+    """ECM curves along schedule until one splits n, budget runs out or a
+    finite schedule ends.
 
     Returns (factor or None, budget units used).  A curve is only started if
     its whole cost still fits the budget.
     """
     used = 0
-    for b1, curves in _ECM_SCHEDULE:
+    for b1, curves in schedule:
         cost = _ecm_cost(b1)
         for _ in itertools.count() if curves is None else range(curves):
             if used + cost > budget:
@@ -373,21 +390,28 @@ def _ecm(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
             g = _ecm_curve(n, rng.randrange(6, n - 1), b1)
             if 1 < g < n:
                 return g, used
-    raise AssertionError("the last ECM stage runs until the budget is spent")
+    return None, used
 
 
-def _split(c: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
+def _split(c: int, seed: int, budget: int) -> tuple[int | None, int]:
     """A proper factor of the composite c, or None once budget runs out.
 
     Returns (factor or None, budget units used).  Brent rho gets the first
-    _RHO_SLICE iterations, which find factors up to about 2.5e8; ECM takes
-    the rest, since its cost grows far slower than rho's sqrt(p).
+    _RHO_SLICE iterations, then one ECM curve at B1 = 450 (_ECM_FIRST),
+    then _ECM_SCHEDULE takes the rest, since a curve's cost does not grow
+    with p as rho's sqrt(p) does.  Rho and the main schedule draw from
+    Random("rho:{seed}:{c}"), the first curve from Random("ecm:{seed}:{c}").
     """
+    rng = random.Random(f"rho:{seed}:{c}")
     used = 0
     factor = None
     rho_budget = min(_RHO_SLICE, budget)
     while factor is None and used < rho_budget:
         factor, spent = _pollard_rho_brent(c, rng, rho_budget - used)
+        used += spent
+    if factor is None:
+        first = random.Random(f"ecm:{seed}:{c}")
+        factor, spent = _ecm(c, first, budget - used, _ECM_FIRST)
         used += spent
     if factor is None:
         factor, spent = _ecm(c, rng, budget - used)
@@ -405,8 +429,9 @@ def factorize(
 ) -> Factorization:
     """Complete factorization of n >= 1.
 
-    Trial division below 2^10, then Brent rho (whose first slice takes
-    factors up to about 2.5e8) and ECM on what remains (see _split).
+    Trial division below 2^10, then on each composite cofactor a 2^12
+    Brent rho slice, one ECM curve at B1 = 450 and the ECM schedule from
+    B1 = 2000 (see _split).
     rho_budget is shared by every cofactor of n and counts rho iterations
     plus ECM ladder steps and the prime-paired stage-2 products.  Raises
     FactorizationTimeout if a composite cofactor survives the budget.
@@ -436,7 +461,7 @@ def factorize(
         if is_prime(c, seed=seed):
             counts[c] = counts.get(c, 0) + 1
             continue
-        factor, used = _split(c, random.Random(f"rho:{seed}:{c}"), budget_left)
+        factor, used = _split(c, seed, budget_left)
         budget_left -= used
         if factor is None:
             raise FactorizationTimeout(original, sorted(counts.items()), c)

@@ -269,9 +269,9 @@ def test_no_cache_factors_each_number_once(capsys, tmp_path, monkeypatch, verbos
     splits = []
     real_split = numtheory._split
 
-    def counting_split(c, rng, budget):
+    def counting_split(c, seed, budget):
         splits.append(c)
-        return real_split(c, rng, budget)
+        return real_split(c, seed, budget)
 
     monkeypatch.setattr(numtheory, "_split", counting_split)
     monkeypatch.chdir(tmp_path)

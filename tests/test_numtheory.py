@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emcurve.numtheory as numtheory
 from emcurve.numtheory import (
     Factorization,
     FactorizationTimeout,
@@ -18,11 +19,13 @@ from emcurve.numtheory import (
     sqrt_mod_prime_power,
     _ECM_BABY,
     _ECM_D,
+    _ECM_FIRST,
     _ECM_SCHEDULE,
     _RHO_SLICE,
     _SMALL_PRIMES,
     _affine_x,
     _ecm_cost,
+    _ecm_curve,
     _ecm_pairs,
     _ecm_stage2_span,
     _pollard_rho_brent,
@@ -119,10 +122,14 @@ def test_factorize_ladder_top_rung_r(seed):
     assert f.is_squarefree()
 
 
+# The 1e10 Q cofactor left after 89 and 318811.
+Q_COFACTOR_1E10 = 172528145104789 * 2042757393218353249
+
+
 def test_rho_slice_fails_at_exactly_its_budget():
-    # The 1e10 Q cofactor left after 89 and 318811: no factor within the
-    # slice, and no block started beyond it.
-    c = 172528145104789 * 2042757393218353249
+    # No factor within 2^15 iterations, eight times the slice, and no block
+    # started beyond them.
+    c = Q_COFACTOR_1E10
     rng = random.Random(f"rho:0:{c}")
     assert _pollard_rho_brent(c, rng, 2**15) == (None, 2**15)
     fresh = random.Random(f"rho:0:{c}")
@@ -166,7 +173,9 @@ def _next_prime(n):
     return n
 
 
-@pytest.mark.parametrize("b1", [2000, 11000])
+# The B1 = 450 span starts at k = 1, whose giant step reaches the primes in
+# (450, 1260); a start at k = 2 used to skip them.
+@pytest.mark.parametrize("b1", [450, 2000, 11000])
 def test_ecm_pairs_cover_every_stage2_prime(b1):
     span = _ecm_stage2_span(b1)
     pairs = _ecm_pairs(b1)
@@ -181,10 +190,67 @@ def test_ecm_pairs_cover_every_stage2_prime(b1):
             assert (k, j) in listed, l
 
 
-@pytest.mark.parametrize("b1", [b1 for b1, _ in _ECM_SCHEDULE])
+# Budget units of one curve at every B1 that _split runs; README.md quotes
+# the first two.
+CURVE_COSTS = {450: 4_229, 2_000: 17_092, 11_000: 85_807, 50_000: 363_316}
+
+
+@pytest.mark.parametrize("b1", [b1 for b1, _ in _ECM_FIRST + _ECM_SCHEDULE])
 def test_ecm_cost_counts_ladder_bits_and_paired_products(b1):
     products = sum(len(ks) for ks in _ecm_pairs(b1))
     assert _ecm_cost(b1) == _stage1_multiplier(b1).bit_length() + products
+    assert _ecm_cost(b1) == CURVE_COSTS[b1]
+
+
+def _record_work(monkeypatch):
+    """Rho iterations and (b1, sigma) of every ECM curve, as factorize runs."""
+    work = {"rho": 0, "curves": []}
+    real_rho, real_curve = numtheory._pollard_rho_brent, numtheory._ecm_curve
+
+    def rho(n, rng, budget):
+        factor, used = real_rho(n, rng, budget)
+        work["rho"] += used
+        return factor, used
+
+    def curve(n, sigma, b1):
+        work["curves"].append((b1, sigma))
+        return real_curve(n, sigma, b1)
+
+    monkeypatch.setattr(numtheory, "_pollard_rho_brent", rho)
+    monkeypatch.setattr(numtheory, "_ecm_curve", curve)
+    return work
+
+
+def test_split_draws_each_ecm_stage_from_its_own_generator(monkeypatch):
+    # The B1 = 450 curve has a generator of its own, so the main schedule
+    # draws the sigma it would draw without it: after the slice's one rho
+    # attempt (two draws), the ninth B1 = 2000 curve splits c.
+    c = Q_COFACTOR_1E10
+    work = _record_work(monkeypatch)
+    assert factorize(c, seed=0).factors == ((172528145104789, 1), (2042757393218353249, 1))
+    first = random.Random(f"ecm:0:{c}")
+    rho = random.Random(f"rho:0:{c}")
+    rho.randrange(1, c)
+    rho.randrange(1, c)
+    assert work["rho"] == _RHO_SLICE
+    assert work["curves"] == ([(450, first.randrange(6, c - 1))]
+                              + [(2000, rho.randrange(6, c - 1)) for _ in range(9)])
+    b1, sigma = work["curves"][-1]
+    assert _ecm_curve(c, sigma, b1) in (172528145104789, 2042757393218353249)
+
+
+# A budget that ends inside the first curve's cost starts no curve; one that
+# covers it runs exactly that curve.  c resists both the slice and it.
+@pytest.mark.parametrize("extra,curves", [(0, []), (_ecm_cost(450) - 1, []),
+                                          (_ecm_cost(450), [450])])
+def test_first_curve_runs_only_within_the_budget(monkeypatch, extra, curves):
+    c = Q_COFACTOR_1E10
+    work = _record_work(monkeypatch)
+    with pytest.raises(FactorizationTimeout) as exc:
+        factorize(c, rho_budget=_RHO_SLICE + extra)
+    assert exc.value.cofactor == c and exc.value.partial == []
+    assert [b1 for b1, _ in work["curves"]] == curves
+    assert work["rho"] + sum(map(_ecm_cost, curves)) <= _RHO_SLICE + extra
 
 
 def test_affine_x_normalizes_points():
@@ -213,6 +279,19 @@ def test_factorize_ecm_semiprime(p, q, seed):
     with pytest.raises(FactorizationTimeout):
         factorize(p * q, seed=seed, rho_budget=_RHO_SLICE)
     assert factorize(p * q, seed=seed).factors == ((p, 1), (q, 1))
+
+
+# Q and R at the 1e6 and 1e8 ladder rungs: their 25- to 30-bit factors go to
+# the rho slice, the B1 = 450 curve or the main schedule, by seed.
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("m,q_primes,r_primes", [
+    (1000038, (179, 461, 122611339, 98851080299), (19, 52639579403590515478469)),
+    (100000038, (5196011, 993702881, 19367521616627549),
+     (1231, 36784459, 39791519, 55499326882861)),
+])
+def test_factorize_ladder_mid_size_factors(m, q_primes, r_primes, seed):
+    for n, primes in ((m**4 - 4 * m**2 - 1, q_primes), (m**4 + 4 * m**2 - 1, r_primes)):
+        assert factorize(n, seed=seed).factors == tuple((p, 1) for p in primes)
 
 
 def test_import_builds_no_pair_table():
