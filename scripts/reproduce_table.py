@@ -16,6 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from emcurve.analysis import EngineConfig, analysis_curve, run_analysis
+from emcurve.cache import ResultCache
 from emcurve.cli import REFERENCE_ROWS
 from emcurve.heights import DEFAULT_TOL
 
@@ -25,11 +26,12 @@ def main() -> int:
     ap.add_argument("--tol", type=float, default=DEFAULT_TOL)
     args = ap.parse_args()
     config = EngineConfig(tol=args.tol)
+    cache = ResultCache(None)  # in memory: each row's numbers are factored once
 
     failures = 0
     for m, ref in REFERENCE_ROWS.items():
-        c = analysis_curve(m, config)
-        r = run_analysis(m, config)
+        c = analysis_curve(m, config, cache)
+        r = run_analysis(m, config, cache=cache)
         ok = r.s2 == ref["s2"]
         failures += 0 if ok else 1
         print(f"m = {m}")

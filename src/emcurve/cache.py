@@ -2,10 +2,11 @@
 
 One JSON object per line, keyed by integer value for factorizations and by
 (m, EngineConfig.record_key) for analyses, so a record computed under
-another engine version, height tolerance or bit cap is never served.  Later
-lines win on duplicate keys, so the file can simply be appended to.  Readers
-see a dict snapshot loaded at construction.  A torn last line, left by an
-interrupted append, is skipped with a warning on stderr.
+another engine version, height tolerance or bit cap is never served, nor
+is a factorization whose product is not its key.  Later lines win on
+duplicate keys, so the file can simply be appended to.  Readers see a dict
+snapshot loaded at construction.  A torn last line, left by an interrupted
+append, is skipped with a warning on stderr.
 
 Appends are serialized across threads and processes by an exclusive flock.
 Under it, each append repairs whatever the file ends with after its last
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
 import sys
 
@@ -74,10 +76,21 @@ class ResultCache:
             os.close(fd)
 
     def get_factorization(self, n: int) -> list[tuple[int, int]] | None:
+        """The cached factors of n; ValueError unless they are (p, e) pairs
+        whose product is n (the p are not re-proven prime)."""
         raw = self._data.get(("factorization", str(n)))
         if raw is None:
             return None
-        return [(int(p), int(e)) for p, e in raw]
+        try:
+            factors = [(int(p), int(e)) for p, e in raw]
+            # The bounds keep a malformed exponent from building a huge power.
+            if (all(1 < p <= n and 0 < e <= n.bit_length() for p, e in factors)
+                    and math.prod(p**e for p, e in factors) == n):
+                return factors
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"cache {self.path}: the factorization at key {n} "
+                         f"is not one of {n}: {str(raw)[:80]}")
 
     def put_factorization(self, n: int, factors) -> None:
         self._put("factorization", str(n), [[str(p), e] for p, e in factors])

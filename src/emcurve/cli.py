@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -223,6 +224,9 @@ def _pool_worker(task):
     return _scan_worker(m, config, _pool_cache)
 
 
+_RECORD_FIELDS = {f.name for f in dataclasses.fields(AnalysisRecord)}
+
+
 def _analyses(ms, args):
     """(m, AnalysisRecord | scan error) for each m, in the order given.
 
@@ -234,12 +238,17 @@ def _analyses(ms, args):
     Either way the results stream in order.  With --verbose each record,
     served or computed, is preceded by the descent audit of its curve, built
     here through the cache (so it stays out of the record's timings); a scan
-    error has none.
+    error has none.  A cached value without exactly AnalysisRecord's fields
+    raises ValueError before anything runs.
     """
     config = _config(args)
     key = config.record_key
     cache = _cache(args)
     hits = [cache.get_analysis(m, key) for m in ms]
+    for m, hit in zip(ms, hits):
+        if hit is not None and (type(hit) is not dict or hit.keys() != _RECORD_FIELDS):
+            raise ValueError(f"cache {cache.path}: the value at key {m}:{key} "
+                             f"is not an analysis record")
     misses = [m for m, hit in zip(ms, hits) if hit is None]
     with contextlib.ExitStack() as stack:
         if args.jobs > 1 and len(misses) > 1 and not args.verbose:

@@ -3,20 +3,20 @@
 Candidate pairs live in Q(S,2) x Q(S,2) where Q(S,2) is generated by [-1],
 [2] and the odd bad primes.  The four torsion images span an order-4
 subgroup H; each of the 4^(nbits-1) H-cosets has one representative with
-b1 > 0 and b2 odd, so b1*b2 is never divisible by 4.  The five exclusion
-rules are linear in those representatives and leave 2^(nbits-2) of them:
-the descent indexes these survivors by their nbits-2 free bits, and every
-tally is a rank difference: a rule forcing k free bits to zero has rank k.
-Every later condition is an F2 linear form on mask pairs, and so on the
-index bits: each quadratic-symbol necessary condition (`symbol_forms`),
-and local solvability at each bad place of curve.s_primes, 2 and the odd
-bad primes.  At ell that is membership of the pair's classes in
-Q_ell*/Q_ell*^2 in the local image delta_ell(E(Q_ell)/2E(Q_ell)), spanned
-by images of actual points and built once per (A, Q, R, ell) by
-localsolve.local_image (the proof is in selmer_group); the image is cut out by 2 forms at odd ell and 3 at 2, its
-codimension (`local_forms`).  selmer_group takes the kernel of all these
-forms at once: the members are its span, a subgroup by construction, and
-the rank after each group of forms counts the cosets that group rejects.
+b1 > 0 and b2 odd, so b1*b2 is never divisible by 4, and the representatives
+are indexed F2-linearly by their 2(nbits-1) free bits (`rep_of_index`).
+Every condition of the descent is an F2 linear form on mask pairs, and so on
+the index bits: the five exclusion rules (`rule_forms`), which leave
+2^(nbits-2) representatives; each quadratic-symbol necessary condition
+(`symbol_forms`); and local solvability at each bad place of curve.s_primes,
+2 and the odd bad primes.  At ell that is membership of the pair's classes
+in Q_ell*/Q_ell*^2 in the local image delta_ell(E(Q_ell)/2E(Q_ell)),
+spanned by images of actual points and built once per (A, Q, R, ell) by
+localsolve.local_image (the proof is in selmer_group).  The image has
+codimension 2 at odd ell and 3 at 2, and is cut out by that many forms
+(`local_forms`).  selmer_group takes the kernel of all these forms at once:
+the members are its span, a subgroup by construction, and the rank after
+each group of forms counts the cosets that group rejects.
 The real place needs no form: rule (i) makes b2 > 0.  An odd prime p
 outside S needs no test, 3 included (3 | m for every admissible m >= 6).
 There b1 and b2 are p-units, and up to sign the six 2x2 minors of the two
@@ -31,12 +31,9 @@ popcount parity.  DescentContext is the interface to those pieces: the
 generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`),
 the symbol conditions (`necessary_failures`), the forms of the local images
 (`local_forms`) and membership in them (`locally_solvable`) act on mask
-pairs;
-`survivor_kernel` solves groups of forms on the survivors, and
+pairs; `kernel` solves groups of forms on the coset index, and
 selmer_group re-checks the rules and conditions on every member;
-`coset_reps` lists every coset, the brute-force reference for
-`survivor_reps`, and `survivor_reps` is the reference for the kernel of
-`symbol_forms`.
+`coset_reps` lists every coset, the brute-force reference for the kernels.
 `rank_lower_bound` certifies rank >= 2 from the images of the torsion and of
 the points (0, t) and (n1, t).  `_f2_eliminate` is the one F2 eliminator,
 and localsolve's `_f2_reduce` tests membership in an echelon basis.
@@ -50,7 +47,6 @@ first read.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -328,24 +324,6 @@ class DescentContext:
     def coset_count(self) -> int:
         return 1 << (2 * (self.nbits - 1))
 
-    def survivor_reps(self) -> Iterator[tuple[int, int]]:
-        """The 2^(nbits-2) coset representatives that no exclusion rule rejects.
-
-        Rules (i), (ii) and (v) clear b2's sign bit, b2's q-bits and b1's
-        2-bit; (iii) clears b1's r-bits and (iv) makes the p-bits of b1 and
-        b2 agree.  So b1 runs over the subsets of the p- and q-primes (the
-        contiguous bits above the 2-bit), and b2 is b1's p-part times any
-        subset of the r-primes (the bits above those).
-        """
-        for idx in range(1 << (self.nbits - 2)):
-            yield self.survivor_rep(idx)
-
-    def survivor_rep(self, idx: int) -> tuple[int, int]:
-        """Survivor #idx; the map is F2-linear in the bits of idx."""
-        pq = len(self.curve.p_primes) + len(self.curve.q_primes)
-        b1m = (idx & ((1 << pq) - 1)) << 2
-        return b1m, (b1m & self.p_mask) | ((idx >> pq) << (2 + pq))
-
     # -- pipeline pieces -------------------------------------------------------
 
     def exclusion_reason(self, b1m: int, b2m: int) -> str | None:
@@ -390,13 +368,30 @@ class DescentContext:
             out.append("(iv) b1 != 1 mod 4")
         return out
 
+    def rule_forms(self) -> list[list[tuple[int, int]]]:
+        """Exclusion rules (i)-(v) as five groups of F2 linear forms (u, v) on
+        mask pairs: a coset representative passes a rule iff
+        (b1m & u) ^ (b2m & v) has even popcount for every form of its group.
+        (v) reads b1's 2-bit alone, since no representative's b2 has one."""
+        def bits(primes):
+            return [1 << self.index[p] for p in primes]
+
+        c = self.curve
+        return [
+            [(0, self.sign_bit)],
+            [(0, b) for b in bits(c.q_primes)],
+            [(b, 0) for b in bits(c.r_primes)],
+            [(b, b) for b in bits(c.p_primes)],
+            [(self.two_bit, self.two_bit)],
+        ]
+
     def symbol_forms(self) -> list[tuple[int, int]]:
         """The symbol conditions as F2 linear forms (u, v) on mask pairs.
 
-        On a survivor of rules (i)-(v) the p-bits of b1 and b2 agree and b2
-        has no q-bits, so each condition of necessary_failures fails exactly
-        when (b1 & u) ^ (b2 & v) has odd popcount: one form per p-, q- and
-        r-prime, then b1 = 1 mod 4.
+        On a coset representative that passes rules (i)-(v) the p-bits of
+        b1 and b2 agree and b2 has no q-bits, so each condition of
+        necessary_failures fails exactly when (b1 & u) ^ (b2 & v) has odd
+        popcount: one form per p-, q- and r-prime, then b1 = 1 mod 4.
         """
         c, nr = self.curve, self.nonres
 
@@ -410,19 +405,26 @@ class DescentContext:
             + [(self.mod4_mask, 0)]
         )
 
-    def survivor_kernel(self, groups) -> tuple[list[int], list[int]]:
+    def kernel(self, groups) -> tuple[list[int], list[int]]:
         """(rank of groups 0..k for each k, kernel basis) of ordered groups of
-        F2 linear forms (u, v) on the survivors.  survivor_rep is F2-linear
-        and survivor 0 is the identity pair, so each form is linear in the
-        index bits, given by its parities at the unit vectors; the kernel
-        basis spans the indices of the survivors that pass every form."""
+        F2 linear forms (u, v) on the coset index of rep_of_index.
+
+        rep_of_index is F2-linear and index 0 is the identity pair, so each
+        form is linear in the 2(nbits-1) index bits.  Each index bit is one
+        generator on one side: bit j < nbits-1 is b2's generator 0 (the sign)
+        or j+1, bit nbits-1+j is b1's generator j+1.  So a form's parity at
+        a unit vector is one bit of u or v, and the forms' set bits fill the
+        rows.  The kernel basis spans the indices that pass every form.
+        """
+        half = self.nbits - 1
         forms = [f for group in groups for f in group]
-        rows = []  # per unit vector, its parities with the first form on top
-        for b1m, b2m in map(self.survivor_rep, (1 << i for i in range(self.nbits - 2))):
-            row = 0
-            for u, v in forms:
-                row = row << 1 | (((b1m & u) ^ (b2m & v)).bit_count() & 1)
-            rows.append(row)
+        rows = [0] * (2 * half)  # per unit vector, its parities, first form on top
+        for k, (u, v) in enumerate(reversed(forms)):
+            cols = (u >> 1) << half | (v & 1) | (v >> 2) << 1  # the index bits read
+            while cols:
+                low = cols & -cols
+                rows[low.bit_length() - 1] |= 1 << k
+                cols ^= low
         # The leading bits of an echelon basis of the rows that fall among
         # the top n bits number the rank of the first n forms.
         pivots, basis = _f2_eliminate(rows)
@@ -501,14 +503,15 @@ def phi_image(curve: CurveParams, pt: RationalPoint) -> DescentPair:
 
 
 def selmer_group(curve: CurveParams) -> SelmerResult:
-    """Full 2-Selmer computation: one F2 kernel on the survivors.
+    """Full 2-Selmer computation: one F2 kernel on the coset index.
 
-    The member cosets are the common kernel of the symbol forms and of each
-    place's local forms, in curve.s_primes order, so a subgroup of 2^s2;
-    the rank after each group counts the survivors it rejects.  Refuses when
-    m^4-1+4m^2 is not squarefree (a hypothesis of the exclusion lemmas), and
-    raises rather than guess when a local image cannot be completed.  s2
-    satisfies |Sel| = 2^(2+s2) where |Sel| counts 4 elements per member coset.
+    The member cosets are the common kernel of the rule forms, the symbol
+    forms and each place's local forms, in curve.s_primes order, so a
+    subgroup of 2^s2; the rank after each group counts the coset
+    representatives it rejects.  Refuses when m^4-1+4m^2 is not squarefree
+    (a hypothesis of the exclusion lemmas), and raises rather than guess
+    when a local image cannot be completed.  s2 satisfies |Sel| = 2^(2+s2)
+    where |Sel| counts 4 elements per member coset.
 
     Local solvability at a bad prime ell is membership in a subgroup: the
     space of (b1, b2) has a Q_ell-point iff the pair of classes of b1 and b2
@@ -536,19 +539,14 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
         )
     ctx = DescentContext(curve)
     places = ctx.local_places()
-    kernel_ranks, basis = ctx.survivor_kernel(
-        [ctx.symbol_forms()] + [ctx.local_forms(ell) for ell in places])
-    symbol_reason = f"necessary_fail (symbol system of F2 rank {kernel_ranks[0]})"
+    ranks, basis = ctx.kernel(ctx.rule_forms() + [ctx.symbol_forms()]
+                              + [ctx.local_forms(ell) for ell in places])
+    symbol_reason = f"necessary_fail (symbol system of F2 rank {ranks[5] - ranks[4]})"
     reasons = ["(i) b2 < 0", "(ii) b2 = 0 mod q_i", "(iii) b1 = 0 mod r_i",
                "(iv) v_p(b1*b2) = 1", "(v) b1*b2 = 2 mod 4", symbol_reason,
                *(f"locally unsolvable at {ell}" for ell in places)]
-    # The F2 rank after each group: rules (i)-(v) force 1, #q, #r, #p and 1
-    # free bits to zero, leaving the survivors' nbits - 2, on which the
-    # kernel's groups add their ranks.  passing[k] counts the coset
-    # representatives that pass the first k groups.
-    forced = (1, len(curve.q_primes), len(curve.r_primes), len(curve.p_primes), 1)
-    ranks = [0, *itertools.accumulate(forced), *(ctx.nbits + k for k in kernel_ranks)]
-    passing = [ctx.coset_count() >> r for r in ranks]
+    # passing[k] counts the coset representatives that pass the first k groups.
+    passing = [ctx.coset_count() >> r for r in [0, *ranks]]
     tallies = {reason: passing[k] - passing[k + 1] for k, reason in enumerate(reasons)}
     counts = {"excluded": sum(tallies.values()) - tallies[symbol_reason],
               "necessary_fail": tallies[symbol_reason], "member": passing[-1]}
@@ -557,7 +555,7 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
         indices += [i ^ k for i in indices]
     members: list[DescentPair] = []
     for idx in indices:
-        b1m, b2m = ctx.survivor_rep(idx)
+        b1m, b2m = ctx.rep_of_index(idx)
         b1, b2 = ctx.value_of_mask(b1m), ctx.value_of_mask(b2m)
         reason = (ctx.exclusion_reason(b1m, b2m)
                   or "; ".join(ctx.necessary_failures(b1m, b2m)))
@@ -570,7 +568,7 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
         members.append(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m),
                                    context=ctx))
     members.sort(key=DescentPair.key)
-    s2 = ctx.nbits - 2 - kernel_ranks[-1]
+    s2 = len(basis)
     return SelmerResult(
         curve=curve,
         members=tuple(members),

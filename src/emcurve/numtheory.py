@@ -10,8 +10,9 @@ most factors below 1e7, then ECM (Lenstra's elliptic curve method on
 Montgomery curves, stage 2 with prime pairing): one curve at B1 = 450 for
 the 8- to 10-digit factors, then the main schedule from B1 = 2000, all
 under one work budget.
-Square roots modulo p^k are Hensel-lifted from Tonelli-Shanks by the Newton iteration for the inverse
-square root, which needs no modular inverse beyond one mod p.
+Square roots modulo p^k are Hensel-lifted from Tonelli-Shanks by the
+Newton iteration for the inverse square root, which needs no modular
+inverse beyond one mod p.
 """
 
 from __future__ import annotations

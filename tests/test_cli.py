@@ -476,6 +476,31 @@ def test_cache_malformed_inner_line_raises(tmp_path, capsys):
     assert err.startswith("error:") and "warning" not in err
 
 
+_M6_RECORD_KEY = f"6:{EngineConfig().record_key}"
+
+
+@pytest.mark.parametrize("argv, kind, key, value", [
+    (["analyze", "--m", "6"], "analysis", _M6_RECORD_KEY, [1, 2]),
+    (["analyze", "--m", "6"], "analysis", _M6_RECORD_KEY, {"m": 6}),
+    (["selmer", "--m", "6"], "factorization", "1151", 5),
+    (["selmer", "--m", "6"], "factorization", "1151", [["7", 1]]),
+    (["selmer", "--m", "6"], "factorization", "1151", [["1151", "one"]]),
+    (["analyze", "--m", "6"], "factorization", "1151", [["1151", 1, 0]]),
+    (["scan", "--from", "6", "--to", "6"], "factorization", "1295", [["1295", 1]] * 2),
+], ids=["record-list", "record-fields", "factors-int", "factors-product",
+        "factors-exponent", "factors-pair", "scan-factors-product"])
+def test_cached_value_of_wrong_shape_exits_2(tmp_path, capsys, argv, kind, key, value):
+    # Well-formed lines whose values are not what their kind holds: 1151 is
+    # Q and 1295 is A at m = 6, so 7 is not a factorization of the first
+    # and 1295^2 not one of the second.  Neither is served.
+    cache_file = tmp_path / "cache.jsonl"
+    cache_file.write_text(json.dumps({"kind": kind, "key": key, "value": value}) + "\n")
+    rc, out, err = run_cli(capsys, *argv, "--cache-path", str(cache_file))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: cache {cache_file}: ")
+    assert f"at key {key} " in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("line", [
     b'{"kind": "x"}', b"[1, 2]", b'{"kind": ["x"], "key": "1", "value": 1}'])
 def test_cache_line_of_wrong_shape_is_malformed(tmp_path, capsys, line):
@@ -589,8 +614,9 @@ def test_cache_writer_loaded_before_a_tear_starts_a_line(tmp_path, capsys):
 def test_cache_repair_reads_back_past_long_tails(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     ResultCache(str(path)).put_factorization(6, [(2, 1), (3, 1)])
-    long_factors = [[str(p), 1] for p in range(3, 6000, 2)]  # a 10 kB line
-    whole = json.dumps({"kind": "factorization", "key": "1", "value": long_factors})
+    long_factors = [["2", 1]] * 1000  # a 10 kB line, a factorization of 2^1000
+    whole = json.dumps({"kind": "factorization", "key": str(2**1000),
+                        "value": long_factors})
     with open(path, "ab") as fh:
         fh.write(whole.encode())
     ResultCache(str(path)).put_factorization(10, [(2, 1), (5, 1)])
@@ -599,7 +625,7 @@ def test_cache_repair_reads_back_past_long_tails(tmp_path, capsys):
     ResultCache(str(path)).put_factorization(14, [(2, 1), (7, 1)])
     reloaded = ResultCache(str(path))
     assert capsys.readouterr().err.count("warning") == 1
-    assert [len(reloaded.get_factorization(n)) for n in (6, 1, 10, 14)] == [
+    assert [len(reloaded.get_factorization(n)) for n in (6, 2**1000, 10, 14)] == [
         2, len(long_factors), 2, 2]
 
 

@@ -287,13 +287,29 @@ def test_selmer_refuses_non_squarefree_r(c6):
         selmer_group(broken)
 
 
+def span(basis):
+    """The ascending elements of the F2 span of bitmasks."""
+    out = [0]
+    for k in basis:
+        out += [s ^ k for s in out]
+    return sorted(out)
+
+
+def unexcluded(ctx):
+    """The coset indices that pass every exclusion rule, ascending."""
+    return span(ctx.kernel(ctx.rule_forms())[1])
+
+
 @pytest.mark.parametrize("m", [6, 12, 462])
 def test_survivor_reps_are_exactly_the_unexcluded_cosets(m):
+    # The kernel of the rule forms, against every coset's rule.
     ctx = DescentContext(build_curve(m))
-    survivors = list(ctx.survivor_reps())
+    ranks, basis = ctx.kernel(ctx.rule_forms())
+    survivors = [ctx.rep_of_index(idx) for idx in span(basis)]
     brute = {rep for rep in ctx.coset_reps() if ctx.exclusion_reason(*rep) is None}
     assert len(survivors) == len(set(survivors)) == 1 << (ctx.nbits - 2)
     assert set(survivors) == brute
+    assert ranks[-1] == ctx.nbits
 
 
 @pytest.mark.parametrize("m", [6, 12, 462])
@@ -328,7 +344,21 @@ def test_status_counts_match_full_scan(m):
     )
 
 
-@pytest.mark.parametrize("m", [6, 1950])
+# The full audit of selmer_group: the rules, the symbol system with its
+# rank, then each place.  Q is not squarefree at m = 228 and 1950.
+RULE_TALLIES = {
+    4: (8192, 4096, 3072, 896, 64),
+    6: (2048, 1024, 512, 448, 32),
+    228: (2097152, 1572864, 458752, 63488, 1024),
+    1950: (2097152, 1966080, 98304, 30720, 1024),
+}
+SYMBOL_TALLIES = {4: (3, 56), 6: (1, 16), 228: (7, 1016), 1950: (7, 1016)}
+PLACE_TALLIES = {  # the nonzero ones; every other place of s_primes rejects 0
+    4: {}, 6: {}, 228: {}, 1950: {11: 4},
+}
+
+
+@pytest.mark.parametrize("m", [4, 6, 228, 1950])
 def test_tallies_are_the_audit_of_the_status_counts(m):
     # The rules (i)-(v), the symbol conditions, then every bad place in
     # s_primes order, zeros included; with the members they count every
@@ -336,10 +366,15 @@ def test_tallies_are_the_audit_of_the_status_counts(m):
     c = build_curve(m)
     res = selmer_group(c)
     ctx = DescentContext(c)
-    reasons = list(res.tallies)
-    assert [r.split()[0] for r in reasons[:5]] == ["(i)", "(ii)", "(iii)", "(iv)", "(v)"]
-    assert reasons[5].startswith("necessary_fail (symbol system of F2 rank ")
-    assert reasons[6:] == [f"locally unsolvable at {ell}" for ell in c.s_primes]
+    rank, rejected = SYMBOL_TALLIES[m]
+    labels = ["(i) b2 < 0", "(ii) b2 = 0 mod q_i", "(iii) b1 = 0 mod r_i",
+              "(iv) v_p(b1*b2) = 1", "(v) b1*b2 = 2 mod 4"]
+    assert list(res.tallies.items()) == [
+        *zip(labels, RULE_TALLIES[m]),
+        (f"necessary_fail (symbol system of F2 rank {rank})", rejected),
+        *((f"locally unsolvable at {ell}", PLACE_TALLIES[m].get(ell, 0))
+          for ell in c.s_primes),
+    ]
     counts = list(res.tallies.values())
     assert res.status_counts == {"excluded": sum(counts) - counts[5],
                                  "necessary_fail": counts[5],
@@ -347,25 +382,18 @@ def test_tallies_are_the_audit_of_the_status_counts(m):
     assert sum(counts) + len(res.members) == ctx.coset_count()
 
 
-def span(basis):
-    """The ascending elements of the F2 span of bitmasks."""
-    out = [0]
-    for k in basis:
-        out += [s ^ k for s in out]
-    return sorted(out)
-
-
 @pytest.mark.parametrize("m", [6, 12, 30, 42, 60, 312, 462, 1302])
 def test_symbol_solutions_match_brute_force_scan(m):
-    # The span of the kernel of the symbol forms alone.
+    # The span of the kernel of the rule and symbol forms.
     ctx = DescentContext(build_curve(m))
-    (rank,), basis = ctx.survivor_kernel([ctx.symbol_forms()])
+    ranks, basis = ctx.kernel(ctx.rule_forms() + [ctx.symbol_forms()])
+    rank = ranks[5] - ranks[4]
     solutions = span(basis)
-    brute = [idx for idx, rep in enumerate(ctx.survivor_reps())
-             if not ctx.necessary_failures(*rep)]
+    brute = [idx for idx in unexcluded(ctx)
+             if not ctx.necessary_failures(*ctx.rep_of_index(idx))]
     assert solutions == brute
     assert len(solutions) == 1 << (ctx.nbits - 2 - rank)
-    # The solutions are a subgroup of the survivor index space.
+    # The solutions are a subgroup of the coset index space.
     found = set(solutions)
     assert 0 in found
     assert all(a ^ b in found for a in solutions for b in solutions)
@@ -431,9 +459,9 @@ def test_local_verdict_depends_only_on_local_classes(m):
     # the symbol conditions reject supply the unsolvable verdicts.
     c = build_curve(m)
     ctx = DescentContext(c)
-    solutions = span(ctx.survivor_kernel([ctx.symbol_forms()])[1])
-    rejected = sorted(set(range(1 << (ctx.nbits - 2))) - set(solutions))
-    pairs = [tuple(map(ctx.value_of_mask, ctx.survivor_rep(idx)))
+    solutions = span(ctx.kernel(ctx.rule_forms() + [ctx.symbol_forms()])[1])
+    rejected = sorted(set(unexcluded(ctx)) - set(solutions))
+    pairs = [tuple(map(ctx.value_of_mask, ctx.rep_of_index(idx)))
              for idx in solutions[:12] + rejected[:12]]
     seen = set()
     for ell in c.s_primes:
@@ -472,7 +500,7 @@ def test_local_image_membership_matches_decide_local(m):
     seen = set()
     for ell in c.s_primes:
         reps = {}
-        for b1m, b2m in ctx.survivor_reps():
+        for b1m, b2m in map(ctx.rep_of_index, unexcluded(ctx)):
             classes = (mask_local_class(ctx, b1m, ell), mask_local_class(ctx, b2m, ell))
             reps.setdefault(classes, (b1m, b2m))
         for b1m, b2m in reps.values():
@@ -539,10 +567,15 @@ def test_one_local_image_per_place():
 
 
 def test_selmer_asserts_every_member_passes_the_rules_and_symbols(c6, monkeypatch):
-    # A kernel that is the whole survivor space makes (7, 7) a member at
-    # m = 6, though 7 = 3 mod 4.
-    monkeypatch.setattr(DescentContext, "survivor_kernel", lambda self, groups: (
-        [0] * len(groups), [1 << i for i in range(self.nbits - 2)]))
+    # The kernel of the rules alone makes (7, 7) a member at m = 6, though
+    # 7 = 3 mod 4.
+    rules_kernel = DescentContext.kernel
+
+    def rules_only(self, groups):
+        ranks, basis = rules_kernel(self, groups[:5])
+        return ranks + ranks[-1:] * (len(groups) - 5), basis
+
+    monkeypatch.setattr(DescentContext, "kernel", rules_only)
     with pytest.raises(AssertionError, match=r"symbol solution \(7, 7\) fails .*"
                                              r"\(iv\) b1 != 1 mod 4 for m=6"):
         selmer_group(c6)
