@@ -5,13 +5,27 @@ One JSON object per line, keyed by integer value for factorizations and by
 another engine version, height tolerance or bit cap is never served, nor
 is a factorization whose product is not its key.  Later lines win on
 duplicate keys, so the file can simply be appended to.  Readers see a dict
-snapshot loaded at construction.  A torn last line, left by an interrupted
-append, is skipped with a warning on stderr.
+snapshot loaded at construction.
+
+Each line is written tagged: {"kind": K, "key": KEY, "crc": C, "value": V}
+as json.dumps prints it, with C the crc32 of V's bytes.  Loading matches a
+tagged line with one regex, checks C and keeps V as bytes; V is decoded
+the first time its key is read, so a command decodes only what it serves.
+A line that is not tagged this way (an older cache, a hand-written line, a
+byte-order mark, whitespace around the object) is parsed whole, as before.
+Either way it stays one JSON object with kind, key and value fields, so
+json.loads reads every line.
+
+One judge, _judge, decides for loading and for repair whether a line is
+damaged: a tagged line whose checksum fails, or a line that is not one
+kind/key/value object with only JSON whitespace around it.  A damaged line
+inside the file raises ValueError.  As the last line, where an interrupted
+append leaves one, it is skipped with a warning on stderr.
 
 Appends are serialized across threads and processes by an exclusive flock.
 Under it, each append repairs whatever the file ends with after its last
-newline, as it is at that moment: a whole line gets its newline, a torn one
-is cut off.  Then the new line goes out in one write.
+newline, as it is at that moment: a whole line gets its newline, a damaged
+one is cut off.  Then the new line goes out in one write.
 
 A cache at path None (--no-cache) holds its snapshot in memory only: it
 loads nothing and writes nothing, so each value is still computed once.
@@ -19,16 +33,24 @@ loads nothing and writes nothing, so each value is still computed once.
 
 from __future__ import annotations
 
+import binascii
 import fcntl
 import json
 import math
 import os
+import re
 import sys
 
 DEFAULT_CACHE_PATH = ".emcache.jsonl"
 CACHE_PATH_ENV = "EM_CACHE_PATH"
 
-# One decoder for every cache line, and the JSON whitespace around each.
+# A tagged line as _put writes it.  Kind and key are JSON strings without
+# escapes (printable ASCII but the quote and the backslash), so their bytes
+# are their text; a line that escapes anything goes through _parse_line.
+_TAGGED = re.compile(rb'\{"kind": "([ !#-\[\]-~]*)", "key": "([ !#-\[\]-~]*)", '
+                     rb'"crc": ([0-9]+), "value": (.*)\}')
+
+# One decoder for every untagged line, and the JSON whitespace around each.
 _scan_once = json.JSONDecoder().scan_once
 _WHITESPACE = json.decoder.WHITESPACE
 
@@ -42,43 +64,58 @@ def resolve_cache_path(explicit: str | None = None) -> str:
 class ResultCache:
     def __init__(self, path: str | None):
         self.path = path
+        # A value still held as bytes is a tagged line's, not yet decoded;
+        # JSON decodes to no bytes object, so the two never mix up.
         self._data: dict[tuple[str, str], object] = {}
         if path is not None and os.path.exists(path):
             with open(path, "rb") as fh:
-                raw = fh.read()
-            cut = raw.rfind(b"\n") + 1
-            for line in _decode(raw[:cut]).split("\n")[:-1]:
-                self._load_line(line)
+                *lines, last = fh.read().split(b"\n")
             try:
-                self._load_line(_decode(raw[cut:]))
+                self._data.update(filter(None, map(_judge, lines)))
+            except ValueError as e:
+                raise ValueError(f"cache {path}: {e}") from None
+            try:
+                self._data.update(filter(None, [_judge(last)]))
             except ValueError:
                 # An interrupted append leaves its line without the newline;
                 # only there is damage skipped, anywhere else it raises.
                 print(f"warning: skipping torn last line of cache {path}",
                       file=sys.stderr)
 
-    def _load_line(self, line: str) -> None:
-        entry = _parse_line(line)
-        if entry is not None:
-            key, value = entry
-            self._data[key] = value
+    def get(self, kind: str, key: str):
+        """The value stored under (kind, key), or None.
+
+        A tagged line's value is decoded here the first time it is read,
+        and kept decoded.
+        """
+        value = self._data.get((kind, key))
+        if type(value) is bytes:
+            try:
+                value = self._data[(kind, key)] = _decode(value)
+            except ValueError as e:
+                raise ValueError(f"cache {self.path}: the value at key {key} "
+                                 f"is not JSON: {e}") from None
+        return value
 
     def _put(self, kind: str, key: str, value) -> None:
         self._data[(kind, key)] = value
         if self.path is None:
             return
-        line = json.dumps({"kind": kind, "key": key, "value": value}) + "\n"
+        text = json.dumps(value)
+        crc = binascii.crc32(text.encode("ascii"))
+        line = (f'{{"kind": {json.dumps(kind)}, "key": {json.dumps(key)}, '
+                f'"crc": {crc}, "value": {text}}}\n')
         fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close
-            os.write(fd, _repair_tail(fd) + line.encode("utf-8"))
+            os.write(fd, _repair_tail(fd) + line.encode("ascii"))
         finally:
             os.close(fd)
 
     def get_factorization(self, n: int) -> list[tuple[int, int]] | None:
         """The cached factors of n; ValueError unless they are (p, e) pairs
         whose product is n (the p are not re-proven prime)."""
-        raw = self._data.get(("factorization", str(n)))
+        raw = self.get("factorization", str(n))
         if raw is None:
             return None
         try:
@@ -96,15 +133,30 @@ class ResultCache:
         self._put("factorization", str(n), [[str(p), e] for p, e in factors])
 
     def get_analysis(self, m: int, record_key: str) -> dict | None:
-        return self._data.get(("analysis", f"{m}:{record_key}"))
+        return self.get("analysis", f"{m}:{record_key}")
 
     def put_analysis(self, m: int, record_key: str, record: dict) -> None:
         self._put("analysis", f"{m}:{record_key}", record)
 
 
-def _decode(raw: bytes) -> str:
-    """Cache bytes as text, decoded as json.loads decodes UTF-8."""
-    return raw.decode("utf-8", "surrogatepass")
+def _decode(raw: bytes):
+    """The value of a tagged line, from its bytes."""
+    return json.loads(raw)
+
+
+def _judge(line: bytes) -> tuple[tuple[str, str], object] | None:
+    """((kind, key), value) of one cache line, or None if it is blank.
+
+    A tagged line keeps its value as bytes, and is damaged (ValueError) if
+    the value fails its checksum.  Any other line goes through _parse_line.
+    """
+    tagged = _TAGGED.fullmatch(line)
+    if tagged is None:
+        return _parse_line(line.decode("utf-8", "surrogatepass"))
+    kind, key, crc, value = tagged.groups()
+    if binascii.crc32(value) != int(crc):
+        raise ValueError(f"cache line fails its checksum: {line[:80]!r}")
+    return (kind.decode("ascii"), key.decode("ascii")), value
 
 
 def _parse_line(line: str) -> tuple[tuple[str, str], object] | None:
@@ -136,7 +188,7 @@ def _repair_tail(fd: int) -> bytes:
     """Make the locked file end at a line boundary before an append.
 
     Returns the newline that ends a whole last line, or b"" after cutting
-    off a torn one (bytes after the last newline that do not parse).
+    off a damaged one (bytes after the last newline that _judge rejects).
     """
     end = os.fstat(fd).st_size
     start, tail = end, b""
@@ -145,7 +197,7 @@ def _repair_tail(fd: int) -> bytes:
         tail = os.pread(fd, end - start, start)
     tail = tail[tail.rfind(b"\n") + 1:]
     try:
-        if _parse_line(_decode(tail)) is None:
+        if _judge(tail) is None:
             return b""
     except ValueError:
         os.ftruncate(fd, end - len(tail))

@@ -1,8 +1,10 @@
+import binascii
 import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -547,9 +549,11 @@ def test_cache_line_with_more_than_one_value_is_malformed(tmp_path, line):
     assert cache.get_factorization(6) is None
     # The writer cuts off the same tail that the reader skipped.
     cache.put_factorization(14, [(2, 1), (7, 1)])
+    # Its line is tagged with the crc32 of the value's bytes.
     assert cache_file.read_bytes() == (
         whole + b" \t\r\n"
-        + b'{"kind": "factorization", "key": "14", "value": [["2", 1], ["7", 1]]}\n')
+        + b'{"kind": "factorization", "key": "14", "crc": 1975649954, '
+        + b'"value": [["2", 1], ["7", 1]]}\n')
 
 
 def test_cache_line_may_start_with_a_byte_order_mark(tmp_path):
@@ -580,7 +584,110 @@ def test_cache_unterminated_whole_last_line_is_kept(tmp_path):
     assert reloaded.get_factorization(10) == [(2, 1), (5, 1)]
 
 
-TORN = b'{"kind": "factorization", "key": "17", "val'
+def test_cache_tagged_line_failing_its_checksum_is_damaged(tmp_path, capsys):
+    # One digit of a tagged value changed: the line still parses as JSON,
+    # but its crc no longer matches, so it is damaged like a torn line.
+    cache_file = tmp_path / "cache.jsonl"
+    writer = ResultCache(str(cache_file))
+    for n, p in ((6, 3), (10, 5), (14, 7)):
+        writer.put_factorization(n, [(2, 1), (p, 1)])
+    six, ten, fourteen = cache_file.read_bytes().splitlines(keepends=True)
+    assert ten.endswith(b'"value": [["2", 1], ["5", 1]]}\n')
+    damaged = ten.replace(b'["5", 1]', b'["5", 3]')
+    json.loads(damaged)
+    cache_file.write_bytes(six + damaged + fourteen)
+    with pytest.raises(ValueError, match=f"^cache {re.escape(str(cache_file))}: "
+                                         f"cache line fails its checksum"):
+        ResultCache(str(cache_file))
+    rc, out, err = run_cli(capsys, "analyze", "--m", "6", "--json",
+                           "--cache-path", str(cache_file))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: cache {cache_file}: ") and "warning" not in err
+    # As the last line, where an interrupted append leaves one, it is skipped
+    # and the next append cuts it off.
+    cache_file.write_bytes(six + fourteen + damaged.rstrip(b"\n"))
+    cache, err = _load_cache(str(cache_file))
+    assert err == f"warning: skipping torn last line of cache {cache_file}\n"
+    assert cache.get_factorization(6) == [(2, 1), (3, 1)]
+    assert cache.get_factorization(14) == [(2, 1), (7, 1)]
+    assert cache.get_factorization(10) is None
+    cache.put_factorization(22, [(2, 1), (11, 1)])
+    data = cache_file.read_bytes()
+    assert data.startswith(six + fourteen + b'{"kind": "factorization", "key": "22", ')
+    assert data.count(b"\n") == 3 and damaged.rstrip(b"\n") not in data
+    reloaded, err = _load_cache(str(cache_file))
+    assert err == "" and reloaded.get_factorization(22) == [(2, 1), (11, 1)]
+
+
+def test_cache_tagged_value_that_is_not_json_exits_2(tmp_path, capsys):
+    # Only a hand-written line has a checksum that matches a value which is
+    # not JSON; loading keeps it, and reading it fails, naming the file.
+    value = b'{"m": 6,'
+    cache_file = tmp_path / "cache.jsonl"
+    cache_file.write_bytes(b'{"kind": "analysis", "key": "%s", "crc": %d, "value": %s}\n'
+                           % (_M6_RECORD_KEY.encode(), binascii.crc32(value), value))
+    rc, out, err = run_cli(capsys, "analyze", "--m", "6", "--json",
+                           "--cache-path", str(cache_file))
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: cache {cache_file}: the value at key "
+                          f"{_M6_RECORD_KEY} is not JSON: ")
+
+
+def test_cache_serves_untagged_and_tagged_lines(tmp_path):
+    # Lines without a crc, as earlier versions wrote them, mixed with tagged
+    # ones: both are served, the later line wins in either order, and new
+    # appends are tagged.
+    def untagged(m, value):
+        obj = {"kind": "analysis", "key": f"{m}:k", "value": value}
+        return json.dumps(obj).encode() + b"\n"
+
+    cache_file = tmp_path / "cache.jsonl"
+    writer = ResultCache(str(cache_file))
+    writer.put_analysis(6, "k", {"line": 1})
+    with open(cache_file, "ab") as fh:
+        fh.write(untagged(6, {"line": 2}) + untagged(10, {"line": 3})
+                 + untagged(12, {"line": 4}))
+    writer.put_analysis(10, "k", {"line": 5})
+    cache = ResultCache(str(cache_file))
+    assert cache.get_analysis(6, "k") == {"line": 2}  # untagged after tagged
+    assert cache.get_analysis(10, "k") == {"line": 5}  # tagged after untagged
+    assert cache.get_analysis(12, "k") == {"line": 4}
+    cache.put_analysis(14, "k", {"line": 6})
+    lines = cache_file.read_bytes().splitlines()
+    assert ["crc" in json.loads(line) for line in lines] == [
+        True, False, False, False, True, True]
+    assert lines[-1] == b'{"kind": "analysis", "key": "14:k", "crc": %d, ' \
+        b'"value": {"line": 6}}' % binascii.crc32(b'{"line": 6}')
+    assert ResultCache(str(cache_file)).get_analysis(14, "k") == {"line": 6}
+
+
+def test_cache_decodes_only_what_it_serves(tmp_path, capsys, monkeypatch):
+    import emcurve.cache as cache_mod
+
+    cache_file = tmp_path / "cache.jsonl"
+    rc, cold, _ = run_cli(capsys, "scan", "--from", "2", "--to", "31", "--json",
+                          "--cache-path", str(cache_file))
+    assert rc == 0
+    lines = cache_file.read_bytes().splitlines()
+    assert len(lines) > 10 and all(b'"crc": ' in line for line in lines)
+    decoded = []
+
+    def counting_decode(raw):
+        value = decode(raw)
+        decoded.append(value)
+        return value
+
+    decode = cache_mod._decode
+    monkeypatch.setattr(cache_mod, "_decode", counting_decode)
+    ResultCache(str(cache_file))
+    assert decoded == []  # loading decodes none of the values
+    rc, warm, _ = run_cli(capsys, "analyze", "--m", "6", "--json",
+                          "--cache-path", str(cache_file))
+    assert rc == 0 and warm in cold.splitlines(keepends=True)
+    assert len(decoded) == 1 and decoded[0]["m"] == 6
+
+
+TORN =b'{"kind": "factorization", "key": "17", "val'
 
 
 def test_cache_repair_keeps_records_of_other_writers(tmp_path, capsys):
@@ -775,12 +882,18 @@ def test_scan_jobs_matches_serial(capsys):
 
 def test_scan_jobs_caches_the_same_factorizations(tmp_path, capsys):
     def entries(path):
-        """(kind, key) -> value, timings left out, and the line count."""
+        """(kind, key) -> value as the cache serves it, timings left out,
+        and the line count."""
         cache = ResultCache(str(path))
-        for value in cache._data.values():
+        lines = path.read_text().splitlines()
+        data = {}
+        for line in lines:
+            obj = json.loads(line)
+            key = obj["kind"], obj["key"]
+            value = data[key] = cache.get(*key)
             if isinstance(value, dict):
                 value.pop("timings")
-        return cache._data, len(path.read_text().splitlines())
+        return data, len(lines)
 
     serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
     argv = ("scan", "--from", "2", "--to", "100", "--json")
