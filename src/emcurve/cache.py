@@ -7,20 +7,19 @@ is a factorization whose product is not its key.  Later lines win on
 duplicate keys, so the file can simply be appended to.  Readers see a dict
 snapshot loaded at construction.
 
-Each line is written tagged: {"kind": K, "key": KEY, "crc": C, "value": V}
-as json.dumps prints it, with C the crc32 of V's bytes.  Loading matches a
-tagged line with one regex, checks C and keeps V as bytes; V is decoded
-the first time its key is read, so a command decodes only what it serves.
-A line that is not tagged this way (an older cache, a hand-written line, a
-byte-order mark, whitespace around the object) is parsed whole, as before.
-Either way it stays one JSON object with kind, key and value fields, so
-json.loads reads every line.
+Each line is {"kind": K, "key": KEY, "crc": C, "value": V} as json.dumps
+prints it, C the crc32 of V's bytes; caches written before the checksum
+lack "crc": C.  One regex reads every line.  A tagged line keeps V as
+bytes once C holds, decoded the first time its key is read, so a command
+decodes only what it serves; a line without C has V decoded at load.
+json.loads reads every line as one kind/key/value object.
 
-One judge, _judge, decides for loading and for repair whether a line is
-damaged: a tagged line whose checksum fails, or a line that is not one
-kind/key/value object with only JSON whitespace around it.  A damaged line
-inside the file raises ValueError.  As the last line, where an interrupted
-append leaves one, it is skipped with a warning on stderr.
+A line is damaged if the regex does not match it (a byte-order mark,
+whitespace around the object, a carriage return, another key order), if C
+fails, or if a line without C holds a V that is not JSON; _judge decides
+this for loading and for repair.  A damaged line inside the file raises ValueError;
+as the last line, where an interrupted append leaves one, it is skipped
+with a warning on stderr.
 
 Appends are serialized across threads and processes by an exclusive flock.
 Under it, each append repairs whatever the file ends with after its last
@@ -44,15 +43,11 @@ import sys
 DEFAULT_CACHE_PATH = ".emcache.jsonl"
 CACHE_PATH_ENV = "EM_CACHE_PATH"
 
-# A tagged line as _put writes it.  Kind and key are JSON strings without
-# escapes (printable ASCII but the quote and the backslash), so their bytes
-# are their text; a line that escapes anything goes through _parse_line.
-_TAGGED = re.compile(rb'\{"kind": "([ !#-\[\]-~]*)", "key": "([ !#-\[\]-~]*)", '
-                     rb'"crc": ([0-9]+), "value": (.*)\}')
-
-# One decoder for every untagged line, and the JSON whitespace around each.
-_scan_once = json.JSONDecoder().scan_once
-_WHITESPACE = json.decoder.WHITESPACE
+# A line as _put writes it, with or without the crc.  Kind and key are
+# JSON strings without escapes (printable ASCII but the quote and the
+# backslash), so their bytes are their text.
+_LINE = re.compile(rb'\{"kind": "([ !#-\[\]-~]*)", "key": "([ !#-\[\]-~]*)", '
+                   rb'(?:"crc": ([0-9]+), )?"value": (.*)\}')
 
 
 def resolve_cache_path(explicit: str | None = None) -> str:
@@ -140,48 +135,29 @@ class ResultCache:
 
 
 def _decode(raw: bytes):
-    """The value of a tagged line, from its bytes."""
-    return json.loads(raw)
+    """A value from its bytes, which json.dumps writes as ASCII."""
+    return json.loads(raw.decode("ascii"))
 
 
 def _judge(line: bytes) -> tuple[tuple[str, str], object] | None:
-    """((kind, key), value) of one cache line, or None if it is blank.
-
-    A tagged line keeps its value as bytes, and is damaged (ValueError) if
-    the value fails its checksum.  Any other line goes through _parse_line.
-    """
-    tagged = _TAGGED.fullmatch(line)
-    if tagged is None:
-        return _parse_line(line.decode("utf-8", "surrogatepass"))
-    kind, key, crc, value = tagged.groups()
-    if binascii.crc32(value) != int(crc):
+    """((kind, key), value) of one cache line, None if empty, ValueError if
+    damaged.  A tagged line keeps its value as bytes; one without a crc has
+    it decoded here."""
+    if not line:
+        return None
+    parts = _LINE.fullmatch(line)
+    if parts is None:
+        raise ValueError(f"cache line is not one the cache writes: {line[:80]!r}")
+    kind, key, crc, value = parts.groups()
+    if crc is None:
+        try:
+            value = _decode(value)
+        except ValueError:
+            raise ValueError(
+                f"cache line holds a value that is not JSON: {line[:80]!r}") from None
+    elif binascii.crc32(value) != int(crc):
         raise ValueError(f"cache line fails its checksum: {line[:80]!r}")
     return (kind.decode("ascii"), key.decode("ascii")), value
-
-
-def _parse_line(line: str) -> tuple[tuple[str, str], object] | None:
-    """((kind, key), value) of one cache line, or None if it is blank.
-
-    ValueError unless the line holds one kind/key/value object with only
-    JSON whitespace around it; a leading BOM is skipped.
-    """
-    bom = 1 if line.startswith("\ufeff") else 0
-    start = _WHITESPACE.match(line, bom).end()
-    if start == len(line):
-        return None
-    try:
-        obj, end = _scan_once(line, start)
-    except StopIteration:
-        end = None
-    if end is None or _WHITESPACE.match(line, end).end() != len(line):
-        raise ValueError(f"cache line is not one JSON value: {line[:80]!r}")
-    try:
-        key = obj["kind"], obj["key"]
-        hash(key)  # an unhashable kind or key would fail only when stored
-        return key, obj["value"]
-    except (KeyError, TypeError) as e:
-        raise ValueError(
-            f"cache line is not a kind/key/value object: {line[:80]!r}") from e
 
 
 def _repair_tail(fd: int) -> bytes:

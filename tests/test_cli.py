@@ -407,13 +407,24 @@ def _load_cache(path):
 
 
 @settings(max_examples=25, deadline=None)
-@given(lines=st.integers(1, 6), data=st.data())
-def test_cache_cut_at_any_byte_then_two_writers(lines, data):
+@given(lines=st.integers(1, 6), tagged=st.booleans(), nested=st.booleans(),
+       data=st.data())
+def test_cache_cut_at_any_byte_then_two_writers(lines, tagged, nested, data):
+    def value(n):
+        # A nested value puts closing braces inside the line, so a cut can
+        # leave a line that ends in "}" and matches the line regex.
+        return {"m": n, "stats": {"f": {"n": n}, "g": [n]}} if nested else [[str(n), 1]]
+
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cache.jsonl")
         writer = ResultCache(path)
         for n in range(2, 2 + lines):
-            writer.put_factorization(n, [(n, 1)])
+            if tagged:
+                writer.put_analysis(n, "k", value(n))
+            else:  # as lines were written before they carried a crc
+                line = {"kind": "analysis", "key": f"{n}:k", "value": value(n)}
+                with open(path, "ab") as fh:
+                    fh.write(json.dumps(line).encode() + b"\n")
         raw = Path(path).read_bytes()
         last = raw.rfind(b"\n", 0, len(raw) - 1) + 1  # start of the last line
         cut = data.draw(st.integers(last + 1, len(raw) - 1), label="cut")
@@ -425,16 +436,16 @@ def test_cache_cut_at_any_byte_then_two_writers(lines, data):
         warning = f"warning: skipping torn last line of cache {path}\n"
         assert err1 == err2 == (warning if torn else "")
         for cache in (first, second):
-            assert all(cache.get_factorization(n) == [(n, 1)] for n in served)
-            assert (cache.get_factorization(1 + lines) is None) == torn
+            assert all(cache.get_analysis(n, "k") == value(n) for n in served)
+            assert (cache.get_analysis(1 + lines, "k") is None) == torn
         # Interleaved appends from both writers: the first repairs the tail.
-        first.put_factorization(100, [(100, 1)])
-        second.put_factorization(101, [(101, 1)])
-        first.put_factorization(102, [(102, 1)])
+        first.put_analysis(100, "k", value(100))
+        second.put_analysis(101, "k", value(101))
+        first.put_analysis(102, "k", value(102))
         reloaded, err = _load_cache(path)
         assert err == ""
         for n in [*served, 100, 101, 102]:
-            assert reloaded.get_factorization(n) == [(n, 1)]
+            assert reloaded.get_analysis(n, "k") == value(n)
         data_now = Path(path).read_bytes()
         assert data_now.startswith(raw[:last] if torn else raw)
         assert data_now.count(b"\n") == len(served) + 3
@@ -503,11 +514,19 @@ def test_cached_value_of_wrong_shape_exits_2(tmp_path, capsys, argv, kind, key, 
     assert f"at key {key} " in err and err.count("\n") == 1
 
 
+_SIX = b'{"kind": "factorization", "key": "6", "value": [["2", 1], ["3", 1]]}'
+
+
 @pytest.mark.parametrize("line", [
-    b'{"kind": "x"}', b"[1, 2]", b'{"kind": ["x"], "key": "1", "value": 1}'])
+    b'{"kind": "x"}', b"[1, 2]", b'{"kind": ["x"], "key": "1", "value": 1}',
+    pytest.param("\ufeff".encode() + _SIX, id="bom"),
+    pytest.param(b" " + _SIX, id="leading-space"),
+    pytest.param(b" \t", id="whitespace"),
+    pytest.param(b'{"kind": "factorization", "key": "6", "value": [["2", 1],}',
+                 id="crcless-value-not-json")])
 def test_cache_line_of_wrong_shape_is_malformed(tmp_path, capsys, line):
-    # Valid JSON that is not a kind/key/value object: an error inside the
-    # file, a torn line at its end.
+    # Lines the cache never writes, JSON or not: an error inside the file,
+    # a torn line at its end.
     cache_file = tmp_path / "cache.jsonl"
     rc, cold, _ = run_cli(capsys, "analyze", "--m", "6", "--json",
                           "--cache-path", str(cache_file))
@@ -536,13 +555,14 @@ def test_cache_line_of_wrong_shape_is_malformed(tmp_path, capsys, line):
     b'{"kind": "factorization", "key": "6", "value": []}{}',
     b'\f{"kind": "factorization", "key": "6", "value": []}'])
 def test_cache_line_with_more_than_one_value_is_malformed(tmp_path, line):
-    # One JSON value per line, with only JSON whitespace around it.
+    # One JSON object per line, with nothing around it.
     whole = b'{"kind": "factorization", "key": "10", "value": [["2", 1], ["5", 1]]}\n'
     cache_file = tmp_path / "cache.jsonl"
     cache_file.write_bytes(line + b"\n" + whole)
-    with pytest.raises(ValueError, match="cache line is not one JSON value"):
+    with pytest.raises(ValueError, match="cache line (is not one the cache writes"
+                                         "|holds a value that is not JSON)"):
         ResultCache(str(cache_file))
-    cache_file.write_bytes(whole + b" \t\r\n" + line)
+    cache_file.write_bytes(whole + line)
     cache, err = _load_cache(str(cache_file))
     assert err == f"warning: skipping torn last line of cache {cache_file}\n"
     assert cache.get_factorization(10) == [(2, 1), (5, 1)]
@@ -551,25 +571,8 @@ def test_cache_line_with_more_than_one_value_is_malformed(tmp_path, line):
     cache.put_factorization(14, [(2, 1), (7, 1)])
     # Its line is tagged with the crc32 of the value's bytes.
     assert cache_file.read_bytes() == (
-        whole + b" \t\r\n"
-        + b'{"kind": "factorization", "key": "14", "crc": 1975649954, '
+        whole + b'{"kind": "factorization", "key": "14", "crc": 1975649954, '
         + b'"value": [["2", 1], ["7", 1]]}\n')
-
-
-def test_cache_line_may_start_with_a_byte_order_mark(tmp_path):
-    # As json.loads reads UTF-8 bytes: a BOM before a line is skipped, by the
-    # reader and by the writer's repair of an unterminated last line.
-    bom = "\ufeff".encode("utf-8")
-    six = b'{"kind": "factorization", "key": "6", "value": [["2", 1], ["3", 1]]}'
-    ten = b'{"kind": "factorization", "key": "10", "value": [["2", 1], ["5", 1]]}'
-    cache_file = tmp_path / "cache.jsonl"
-    cache_file.write_bytes(bom + six + b"\n" + bom + ten)
-    cache = ResultCache(str(cache_file))
-    assert cache.get_factorization(6) == [(2, 1), (3, 1)]
-    assert cache.get_factorization(10) == [(2, 1), (5, 1)]
-    cache.put_factorization(14, [(2, 1), (7, 1)])
-    assert cache_file.read_bytes().startswith(bom + six + b"\n" + bom + ten + b"\n")
-    assert ResultCache(str(cache_file)).get_factorization(14) == [(2, 1), (7, 1)]
 
 
 def test_cache_unterminated_whole_last_line_is_kept(tmp_path):
@@ -584,20 +587,27 @@ def test_cache_unterminated_whole_last_line_is_kept(tmp_path):
     assert reloaded.get_factorization(10) == [(2, 1), (5, 1)]
 
 
-def test_cache_tagged_line_failing_its_checksum_is_damaged(tmp_path, capsys):
+@pytest.mark.parametrize("ending, message", [
+    (b"", "fails its checksum"),
+    (b" ", "is not one the cache writes"),
+    (b"\r", "is not one the cache writes"),
+], ids=["bare", "space", "cr"])
+def test_cache_tagged_line_failing_its_checksum_is_damaged(tmp_path, capsys,
+                                                           ending, message):
     # One digit of a tagged value changed: the line still parses as JSON,
     # but its crc no longer matches, so it is damaged like a torn line.
+    # JSON whitespace after the object does not take it past the checksum.
     cache_file = tmp_path / "cache.jsonl"
     writer = ResultCache(str(cache_file))
     for n, p in ((6, 3), (10, 5), (14, 7)):
         writer.put_factorization(n, [(2, 1), (p, 1)])
     six, ten, fourteen = cache_file.read_bytes().splitlines(keepends=True)
     assert ten.endswith(b'"value": [["2", 1], ["5", 1]]}\n')
-    damaged = ten.replace(b'["5", 1]', b'["5", 3]')
+    damaged = ten[:-1].replace(b'["5", 1]', b'["5", 3]') + ending + b"\n"
     json.loads(damaged)
     cache_file.write_bytes(six + damaged + fourteen)
     with pytest.raises(ValueError, match=f"^cache {re.escape(str(cache_file))}: "
-                                         f"cache line fails its checksum"):
+                                         f"cache line {message}"):
         ResultCache(str(cache_file))
     rc, out, err = run_cli(capsys, "analyze", "--m", "6", "--json",
                            "--cache-path", str(cache_file))
