@@ -6,8 +6,9 @@ Reads the records of `emcurve scan --json` on stdin, e.g.
     emcurve scan --from 2 --to 500 --json | python scripts/selmer_survey.py
 
 and tabulates how often the theorem bound is sharp and where the corollary
-applies.  Parameters the scan refused (an r-side cofactor that is not
-squarefree) are reported by the scan itself on stderr.
+applies; it exits 1 if the corollary's value differs from s2 anywhere.
+Parameters the scan refused (an r-side cofactor that is not squarefree) are
+reported by the scan itself on stderr.
 """
 
 import json
@@ -29,11 +30,11 @@ def main() -> int:
     print()
     print(f"analyzed {len(rows)} parameters; s2 histogram: {dict(sorted(s2_hist.items()))}")
     print(f"theorem bound sharp (w == s2) for {sharp} of {len(rows)}")
+    bad = [r for r in corollary_rows if r[1] != r[2]]
     if corollary_rows:
-        bad = [r for r in corollary_rows if r[1] != r[2]]
         print(f"corollary applied at {[r[0] for r in corollary_rows]}; "
               f"{'all matched s2' if not bad else f'MISMATCHES: {bad}'}")
-    return 0
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

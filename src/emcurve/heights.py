@@ -8,7 +8,9 @@ stripping the bad primes, exact because the resultant of the duplication
 numerator and denominator is supported on 2AQR.  Coordinates grow 4x in bit
 length per doubling, so a bit-length cap bounds the work.  A long chain's
 last doubling is needed only for its float estimate, which is certified bit
-for bit from the previous pair's top bits (_certified_log) instead.
+for bit from the previous pair's top bits (_certified_log) instead.  The
+chain of 2P is P's chain one step on, so one chain per point gives both
+h-hat(P) and h-hat(2P), and the pairing of two points takes three chains.
 
 The pairing is a report: DescentContext.rank_lower_bound certifies rank >= 2
 exactly, and independence_rank is a numerical cross-check.
@@ -156,6 +158,68 @@ def _certified_log(w: int, v: int, e3: int, qr: int,
     return math.log(int(lo_f) << 4 * s + t)
 
 
+def _doubling_chain(
+    c: CurveParams, p: RationalPoint, tol: float, readers: int
+) -> list[HeightEstimate | HeightBudgetExceeded]:
+    """canonical_height of 2^s P for s < readers, each an estimate or the
+    error it raises, from P's one chain.  The chain of 2^s P is P's from step
+    s on, so its estimates and gaps are P's times 4^s, exactly in binary
+    floating point, and reader s stops where that chain alone would.  So the
+    readers end in order, and a step may be the last when the last may end."""
+    if not 0 < tol < math.inf:  # also false for nan
+        raise ValueError("tol must be finite and positive")
+    if not contains(c, p):
+        raise ValueError(f"{p} is not on the curve for m={c.m}")
+    if p.is_infinity or p.y == 0:
+        return [HeightEstimate(value=0.0, iterations=0, error_bound=0.0)] * readers
+
+    e3, qr, strip = c.e3, c.q_value * c.r_value, c.s_primes
+    w, v = p.x.numerator - e3 * p.x.denominator, p.x.denominator
+    est_prev = naive_height(p) / 2.0
+    out: list = [None] * readers
+    gaps = [math.inf] * readers  # reader s's last gap, from step s + 1 on
+    n = 0
+    while out[-1] is None:
+        n += 1
+        scale = 2.0 * 4.0**n
+        certified = None
+        if gaps[-1] < tol and max(w.bit_length(), v.bit_length()) > _CERTIFY_MIN_BITS:
+            certified = _certified_log(w, v, e3, qr, strip)
+        # A certified float that ends the last reader skips the step.
+        log_top, capped = certified, False
+        last_gap = math.inf if certified is None else abs(certified / scale - est_prev)
+        if not 4.0**(readers - 1) * last_gap < tol:
+            # A 2-torsion x would zero the denominator; non-torsion points never hit it.
+            w, v = _duplication_step(w, v, e3, qr, strip)
+            u = w + e3 * v  # x(2^n P) = u/v, still in lowest terms
+            log_top = math.log(max(abs(u), v))
+            if certified is not None and certified != log_top:
+                raise AssertionError(f"certified {certified!r} != exact {log_top!r}")
+            capped = max(u.bit_length(), v.bit_length()) * 4 > DEFAULT_MAX_BITS
+        est = log_top / scale
+        for s in range(min(n, readers)):
+            if out[s] is not None:
+                continue
+            gap = 4.0**s * abs(est - est_prev)
+            reading = HeightEstimate(4.0**s * est, iterations=n - s, error_bound=gap)
+            # The gap sequence is not monotone (early coincidental plateaus
+            # occur), so demand two consecutive sub-tolerance gaps.
+            if gap < tol and gaps[s] < tol:
+                out[s] = reading
+            elif capped:
+                out[s] = HeightBudgetExceeded(reading)
+            gaps[s] = gap
+        est_prev = est
+    return out
+
+
+def _estimate(reading: HeightEstimate | HeightBudgetExceeded) -> HeightEstimate:
+    """A chain reader's estimate; its bit-cap error is raised instead."""
+    if isinstance(reading, HeightBudgetExceeded):
+        raise reading
+    return reading
+
+
 def canonical_height(c: CurveParams, p: RationalPoint,
                      tol: float = DEFAULT_TOL) -> HeightEstimate:
     """Neron-Tate height by the doubling limit, exactly 0 on torsion.
@@ -168,45 +232,7 @@ def canonical_height(c: CurveParams, p: RationalPoint,
     float ends the chain the step is skipped, else the exact step runs and
     must agree bit for bit.
     """
-    if not 0 < tol < math.inf:  # also false for nan
-        raise ValueError("tol must be finite and positive")
-    if not contains(c, p):
-        raise ValueError(f"{p} is not on the curve for m={c.m}")
-    if p.is_infinity or p.y == 0:
-        return HeightEstimate(value=0.0, iterations=0, error_bound=0.0)
-
-    e3, qr, strip = c.e3, c.q_value * c.r_value, c.s_primes
-    w, v = p.x.numerator - e3 * p.x.denominator, p.x.denominator
-    est_prev = naive_height(p) / 2.0
-    n = 0
-    gap_prev = math.inf
-    while True:
-        n += 1
-        scale = 2.0 * 4.0**n
-        certified = None
-        if gap_prev < tol and max(w.bit_length(), v.bit_length()) > _CERTIFY_MIN_BITS:
-            certified = _certified_log(w, v, e3, qr, strip)
-        if certified is not None and abs(certified / scale - est_prev) < tol:
-            est = certified / scale
-            return HeightEstimate(est, iterations=n, error_bound=abs(est - est_prev))
-        # A 2-torsion x would zero the denominator; non-torsion points never hit it.
-        w, v = _duplication_step(w, v, e3, qr, strip)
-        u = w + e3 * v  # x(2^n P) = u/v, still in lowest terms
-        log_top = math.log(max(abs(u), v))
-        if certified is not None and certified != log_top:
-            raise AssertionError(f"certified {certified!r} != exact {log_top!r}")
-        est = log_top / scale
-        gap = abs(est - est_prev)
-        # The gap sequence is not monotone (early coincidental plateaus
-        # occur), so demand two consecutive sub-tolerance gaps.
-        if gap < tol and gap_prev < tol:
-            return HeightEstimate(value=est, iterations=n, error_bound=gap)
-        est_prev = est
-        gap_prev = gap
-        if max(u.bit_length(), v.bit_length()) * 4 > DEFAULT_MAX_BITS:
-            raise HeightBudgetExceeded(
-                HeightEstimate(value=est, iterations=n, error_bound=gap)
-            )
+    return _estimate(_doubling_chain(c, p, tol, 1)[0])
 
 
 def pairing_matrix(
@@ -216,20 +242,27 @@ def pairing_matrix(
 ) -> PairingMatrix:
     """Gram matrix of <P, Q> = h-hat(P+Q) - h-hat(P) - h-hat(Q).
 
-    Every height is taken at tol/3 and computed once per distinct point:
-    h-hat(P) once per point, h-hat(P+Q) once per pair.
+    Every height is taken at tol/3, by one doubling chain per point, which
+    gives h-hat(P) and, one step on, h-hat(2P), and one per pair of points
+    for h-hat(P+Q): two points take three chains.  A bit-cap error raises in
+    the order the entries read the heights, h-hat(2P) before h-hat(P) on
+    the diagonal.
     """
     pts = tuple(pts)
     k = len(pts)
 
     @functools.cache
-    def height(p: RationalPoint) -> float:
-        return canonical_height(c, p, tol / 3.0).value
+    def chain(p: RationalPoint) -> list[HeightEstimate | HeightBudgetExceeded]:
+        return _doubling_chain(c, p, tol / 3.0, 2)
+
+    def height(p: RationalPoint, doubled: bool = False) -> float:
+        return _estimate(chain(p)[doubled]).value
 
     entries = [[0.0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            hsum = height(add(c, pts[i], pts[j]))
+            hsum = (height(pts[i], doubled=True) if i == j
+                    else canonical_height(c, add(c, pts[i], pts[j]), tol / 3.0).value)
             entries[i][j] = entries[j][i] = hsum - height(pts[i]) - height(pts[j])
     rows = tuple(tuple(r) for r in entries)
     return PairingMatrix(points=pts, entries=rows, determinant=_det(rows))

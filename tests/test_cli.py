@@ -1050,16 +1050,26 @@ def test_scan_csv_without_records_prints_no_header(capsys):
 
 def test_run_analysis_pairs_each_height_once(monkeypatch):
     import emcurve.heights as heights_mod
+    from emcurve.curve import add, point
+    from emcurve.family import build_curve
 
-    calls = []
-    real = heights_mod.canonical_height
+    chains, doubled = [], []
+    real_chain, real_add = heights_mod._doubling_chain, heights_mod.add
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counting_chain(c, p, tol, readers):
+        chains.append((p, readers))
+        return real_chain(c, p, tol, readers)
 
-    monkeypatch.setattr(heights_mod, "canonical_height", counting)
+    def counting_add(c, p, q):
+        doubled.append(p == q)
+        return real_add(c, p, q)
+
+    monkeypatch.setattr(heights_mod, "_doubling_chain", counting_chain)
+    monkeypatch.setattr(heights_mod, "add", counting_add)
     rec = run_analysis(6)
-    # h(P1), h(P2), h(2 P1), h(P1 + P2), h(2 P2): each distinct height once.
-    assert len(calls) == 5
+    # P1's and P2's chains read h(P) and h(2P); P1 + P2 takes a third.
+    c = build_curve(6)
+    p1, p2 = point(0, c.t), point(c.n1, c.t)
+    assert chains == [(p1, 2), (add(c, p1, p2), 1), (p2, 2)]
+    assert doubled == [False]
     assert rec.independence == 2

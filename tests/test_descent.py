@@ -280,6 +280,43 @@ def test_corollary_rank_values():
     assert corollary_rank(build_curve(12)) is None
 
 
+def theorem_pairs(c):
+    """(p, p) for p = 1 mod 4, (-p, p) for p = 3 mod 4, over the primes p | A
+    that theorem_lower_bound counts, restated from its hypotheses."""
+    pairs = []
+    for p in c.p_primes:
+        p_at_r = p if p % 4 == 1 else -p
+        if (all(_legendre_prime(p, q) == 1 for q in c.q_primes)
+                and all(_legendre_prime(p_at_r, r) == 1 for r in c.r_primes)):
+            pairs.append((p_at_r, p))
+    return pairs
+
+
+def test_theorem_pairs_and_corollary_hold_where_q_and_r_are_squarefree():
+    # The paper's theorem puts each counted pair in Sel, and its corollary
+    # gives s2 when Q and R are prime.  Where Q is not squarefree s2 can be
+    # one too low (ROADMAP item 1), so only squarefree Q and R are checked.
+    ms, pairs, corollary_ms = 0, 0, 0
+    for m in scan_admissible(2, 20000):
+        c = build_curve(m)
+        if math.prod(c.q_primes) != c.q_value or not c.r_squarefree:
+            continue
+        ms += 1
+        ctx = DescentContext(c)
+        sel = selmer_group(c)
+        members = {ctx.canonical_rep(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
+                   for p in sel.members}
+        counted = theorem_pairs(c)
+        assert len(counted) == theorem_lower_bound(c) == sel.theorem_w, m
+        for b1, b2 in counted:
+            assert ctx.canonical_rep(*masks(ctx, b1, b2)) in members, (m, b1, b2)
+        pairs += len(counted)
+        if sel.corollary_value is not None:
+            assert sel.s2 == sel.corollary_value == corollary_rank(c), m
+            corollary_ms += 1
+    assert (ms, pairs, corollary_ms) == (267, 312, 8)
+
+
 def test_selmer_refuses_non_squarefree_r(c6):
     import dataclasses
     broken = dataclasses.replace(c6, r_squarefree=False)

@@ -10,6 +10,7 @@ from emcurve.heights import (
     HeightBudgetExceeded,
     HeightEstimate,
     _certified_log,
+    _doubling_chain,
     _duplication_step,
     _numerators,
     canonical_height,
@@ -348,3 +349,89 @@ def test_pairing_matrix_matches_log_m_profile(c6, pts6):
 def test_rejects_off_curve_point(c6):
     with pytest.raises(ValueError):
         canonical_height(c6, point(1, 1), TOL)
+
+
+def _outcome(c, p, tol):
+    """canonical_height(c, p, tol), or the estimate its bit-cap error carries."""
+    try:
+        return canonical_height(c, p, tol)
+    except HeightBudgetExceeded as exc:
+        return ("capped", exc.estimate)
+
+
+def _chain_outcomes(c, p, tol):
+    """h-hat(P) and h-hat(2P) from P's one chain, in _outcome's form."""
+    return [("capped", r.estimate) if isinstance(r, HeightBudgetExceeded) else r
+            for r in _doubling_chain(c, p, tol, 2)]
+
+
+@pytest.mark.parametrize("ms, caps", [
+    (sorted(TABLE1_HEIGHTS), 1),
+    ([10008, 100152, 1000038, 100000038], 0),
+    (list(scan_admissible(2, 3000)), 3),
+], ids=["table1", "ladder", "m<=3000"])
+def test_one_chain_reads_h_of_p_and_2p_bit_for_bit(ms, caps):
+    # The chain of 2P is P's one step on: value, iterations and gap equal
+    # canonical_height's on P and on 2P, bit-cap hits included (2 P1 at m = 30,
+    # and 2 P1 and 2 P2 at m = 4, at the lower tolerance).
+    capped = 0
+    for m in ms:
+        c = build_curve(m)
+        for p in (point(0, c.t), point(c.n1, c.t)):
+            for tol in (1e-3 / 3, 1e-4 / 3):
+                got = _chain_outcomes(c, p, tol)
+                want = [_outcome(c, p, tol), _outcome(c, add(c, p, p), tol)]
+                assert got == want, (m, tol)
+                capped += sum(isinstance(r, tuple) for r in got)
+        if m in TABLE1_HEIGHTS:
+            rows = TABLE1_HEIGHTS[m]
+            for p, (row, row2) in ((point(0, c.t), (rows[0], rows[3])),
+                                   (point(c.n1, c.t), (rows[1], rows[4]))):
+                assert _doubling_chain(c, p, TOL / 3, 2) == [HeightEstimate(*row),
+                                                             HeightEstimate(*row2)]
+    assert capped == caps
+
+
+def test_one_chain_on_torsion_and_identity_reads_zero(c6):
+    zero = HeightEstimate(value=0.0, iterations=0, error_bound=0.0)
+    for p in (*(point(e, 0) for e in c6.roots), INFINITY):
+        assert add(c6, p, p) == INFINITY
+        assert _doubling_chain(c6, p, TOL, 2) == [zero, zero]
+        assert canonical_height(c6, add(c6, p, p), TOL) == zero
+
+
+def _first_capped(c, pts, tol):
+    """The estimate of the first bit-cap error in the order the pairing's
+    entries read their heights: h(P_i + P_j), then h(P_i) and h(P_j), each on
+    its own chain, with 2P = P + P."""
+    for i in range(len(pts)):
+        for j in range(i, len(pts)):
+            for q in (add(c, pts[i], pts[j]), pts[i], pts[j]):
+                got = _outcome(c, q, tol / 3)
+                if isinstance(got, tuple):
+                    return got[1]
+    return None
+
+
+@pytest.mark.parametrize("m, which, tol, cap", [
+    (6, "first", 1e-12, 2000),
+    (12, "first", 1e-12, 20000),
+    (30, "second", 1e-4, 2000),
+    (60, "second", 1e-5, 4000),
+])
+def test_capped_pairing_raises_the_first_capped_height(m, which, tol, cap, monkeypatch):
+    # On the diagonal 2P is read before P; a later point's P is read (for
+    # its first pair) before its 2P (on its own diagonal).  Both chains are
+    # capped here, at different estimates, so the order shows.
+    c = build_curve(m)
+    p1, p2 = point(0, c.t), point(c.n1, c.t)
+    # Where P1 comes second, h(2 P2), h(P2) and h(P2 + P1) end under the cap.
+    pts = (p1, p2) if which == "first" else (p2, p1)
+    monkeypatch.setattr(heights, "DEFAULT_MAX_BITS", cap)
+    want = _first_capped(c, pts, tol)
+    h1, h2 = _chain_outcomes(c, p1, tol / 3)
+    assert isinstance(h1, tuple) and isinstance(h2, tuple) and h1 != h2
+    assert want == (h2 if which == "first" else h1)[1]
+    with pytest.raises(HeightBudgetExceeded) as exc:
+        pairing_matrix(c, pts, tol)
+    assert exc.value.estimate == want

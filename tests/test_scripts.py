@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,16 @@ def test_selmer_survey_reads_scan_records(capsys):
                           input=records, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "analyzed 17 parameters" in proc.stdout
+    assert "all matched s2" in proc.stdout
+
+
+def test_selmer_survey_exits_1_on_a_corollary_mismatch(capsys):
+    assert main(["analyze", "--m", "6", "--json", "--no-cache"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["corollary_value"] == record["s2"] == 4
+    record["s2"] = 3
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "selmer_survey.py")],
+                          input=json.dumps(record) + "\n", capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "MISMATCHES: [(6, 4, 3)]" in proc.stdout
