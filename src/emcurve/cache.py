@@ -9,17 +9,25 @@ snapshot loaded at construction.
 
 Each line is {"kind": K, "key": KEY, "crc": C, "value": V} as json.dumps
 prints it, C the crc32 of V's bytes; caches written before the checksum
-lack "crc": C.  One regex reads every line.  A tagged line keeps V as
-bytes once C holds, decoded the first time its key is read, so a command
-decodes only what it serves; a line without C has V decoded at load.
-json.loads reads every line as one kind/key/value object.
+lack "crc": C.  One regex, _LINE, reads every line.  A tagged line keeps
+V as bytes once C holds, decoded the first time its key is read, so a
+command decodes only what it serves; a line without C has V decoded at
+load.  json.loads reads every line as one kind/key/value object.
 
 A line is damaged if the regex does not match it (a byte-order mark,
-whitespace around the object, a carriage return, another key order), if C
-fails, or if a line without C holds a V that is not JSON; _judge decides
-this for loading and for repair.  A damaged line inside the file raises ValueError;
-as the last line, where an interrupted append leaves one, it is skipped
-with a warning on stderr.
+whitespace around the object, a carriage return, another key order, a C
+of more than ten digits), if C fails, or if a line without C holds a V
+that is not JSON.  A damaged line inside the file raises ValueError; as
+the last line, where an interrupted append leaves one, it is skipped with
+a warning on stderr.
+
+Loading reads every line before the last newline in one expression, with
+no Python code run per line: _LINE over the whole buffer, then every C
+checked against its V.  That pass takes a file whose lines are all tagged
+and hold their C.  _judge, the same checks one line at a time, reads the
+rest: the tail after the last newline, a file with a line without C or a
+blank line, and one with damage, where it names the first damaged line.
+It also decides what an append cuts off.
 
 Appends are serialized across threads and processes by an exclusive flock.
 Under it, each append repairs whatever the file ends with after its last
@@ -36,6 +44,7 @@ import binascii
 import fcntl
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -45,9 +54,10 @@ CACHE_PATH_ENV = "EM_CACHE_PATH"
 
 # A line as _put writes it, with or without the crc.  Kind and key are
 # JSON strings without escapes (printable ASCII but the quote and the
-# backslash), so their bytes are their text.
-_LINE = re.compile(rb'\{"kind": "([ !#-\[\]-~]*)", "key": "([ !#-\[\]-~]*)", '
-                   rb'(?:"crc": ([0-9]+), )?"value": (.*)\}')
+# backslash), so their bytes are their text.  A CRC-32 prints in at most
+# ten digits.  Anchored to line ends, it also finds every line of a buffer.
+_LINE = re.compile(rb'^\{"kind": "([ !#-\[\]-~]*)", "key": "([ !#-\[\]-~]*)", '
+                   rb'(?:"crc": ([0-9]{1,10}), )?"value": (.*)\}$', re.M)
 
 
 def resolve_cache_path(explicit: str | None = None) -> str:
@@ -64,18 +74,48 @@ class ResultCache:
         self._data: dict[tuple[str, str], object] = {}
         if path is not None and os.path.exists(path):
             with open(path, "rb") as fh:
-                *lines, last = fh.read().split(b"\n")
+                data = fh.read()
+            end = data.rfind(b"\n") + 1  # the tail after it is judged alone
+            if not self._load_tagged(data, end):
+                try:
+                    self._data.update(filter(None, map(_judge, data[:end].split(b"\n"))))
+                except ValueError as e:
+                    raise ValueError(f"cache {path}: {e}") from None
             try:
-                self._data.update(filter(None, map(_judge, lines)))
-            except ValueError as e:
-                raise ValueError(f"cache {path}: {e}") from None
-            try:
-                self._data.update(filter(None, [_judge(last)]))
+                self._data.update(filter(None, [_judge(data[end:])]))
             except ValueError:
                 # An interrupted append leaves its line without the newline;
                 # only there is damage skipped, anywhere else it raises.
                 print(f"warning: skipping torn last line of cache {path}",
                       file=sys.stderr)
+
+    def _load_tagged(self, data: bytes, end: int) -> bool:
+        """Load the whole lines data[:end] in one pass if each is tagged and
+        holds its crc; False, loading nothing, if any is not.
+
+        split gives one flat list, no tuple per line: the text before the
+        first match, then per match its four groups and the text after it,
+        up to the next.  Every line matches when each such text is one
+        newline.
+        """
+        # A cache begun before lines carried C starts with a line without
+        # one; it would fail the pass, so skip it rather than pay twice.
+        first = _LINE.match(data, 0, end)
+        if first is None or first[3] is None:
+            return False
+        parts = _LINE.split(memoryview(data)[:end])
+        gaps = parts[5::5]
+        if gaps.count(b"\n") != len(gaps):
+            return False  # a blank line, or one _LINE does not match
+        kinds, keys, crcs, values = parts[1::5], parts[2::5], parts[3::5], parts[4::5]
+        # The crc of a line without one is None.
+        if None in crcs or not all(map(operator.eq, map(binascii.crc32, values),
+                                       map(int, crcs))):
+            return False
+        # Kind and key are ASCII, so UTF-8 decodes them as _judge does.
+        self._data.update(zip(zip(map(bytes.decode, kinds), map(bytes.decode, keys)),
+                              values))
+        return True
 
     def get(self, kind: str, key: str):
         """The value stored under (kind, key), or None.

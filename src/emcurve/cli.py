@@ -94,14 +94,20 @@ def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
         group.add_argument(name, **_FLAGS[name])
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused by every main call.
+    """The argument parser, built on first use and reused by every main call;
+    main parses a known subcommand's flags on that subcommand's own parser.
 
     Each subcommand takes only the flags it reads, apart from --jobs, which
     analyze, heights and torsion accept without effect so that one flag set
     serves every command.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """build_parser's parser, and each subcommand's own parser by name."""
     ap = argparse.ArgumentParser(
         prog="emcurve",
         description="Torsion, rank lower bounds and 2-Selmer groups for the "
@@ -136,7 +142,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     _add_flags(p, *shared, "--jobs")
 
-    return ap
+    return ap, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), on the subcommand's own parser when
+    argv starts with one, so the top-level parser does not scan the flags
+    first; an unrecognized flag then prints the subcommand's usage."""
+    ap, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return ap.parse_args(argv)  # -h, or a missing or unknown command
+    args = commands[argv[0]].parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _config(args) -> EngineConfig:
@@ -412,7 +430,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         # Before any curve is built.  scan --admissible-only reads none of
         # these and refuses a set one itself, by name.

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import emcurve
 from emcurve.analysis import AnalysisRecord, EngineConfig, run_analysis
@@ -398,6 +398,54 @@ def test_benchmark_command_lines_parse(argv):
     assert args.command == argv[0] and args.json
 
 
+def _every_flag_argvs():
+    """(command, argv) giving the command every flag it takes, once with
+    each of its mutually exclusive output flags."""
+    from emcurve.cli import _parsers
+
+    values = {int: "7", float: "0.5", None: "c.jsonl"}
+    for command, parser in _parsers()[1].items():
+        exclusive = {a for g in parser._mutually_exclusive_groups
+                     for a in g._group_actions}
+        flags = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+
+        def argv(action):
+            name = action.option_strings[0]
+            return [name] if action.nargs == 0 else [name, values[action.type]]
+
+        shared = [s for a in flags if a not in exclusive for s in argv(a)]
+        for output in [a for a in flags if a in exclusive]:
+            yield command, [command, *shared, *argv(output)]
+
+
+@pytest.mark.parametrize("command, argv", list(_every_flag_argvs()))
+def test_direct_subcommand_parse_matches_the_top_level_parser(command, argv):
+    from emcurve.cli import _parse_args
+
+    args = _parse_args(argv)
+    assert args == build_parser().parse_args(argv)
+    assert args.command == command
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["-h"], 0), (["nosuch"], 2)])
+def test_missing_or_unknown_command_prints_the_top_level_usage(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == code
+    assert (out if code == 0 else err).startswith(
+        "usage: emcurve [-h] {analyze,scan,table1,selmer,heights,torsion} ...\n")
+
+
+def test_unrecognized_flag_prints_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--m", "6", "--bogus"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: emcurve analyze [-h] --m M ")
+    assert err.endswith(": error: unrecognized arguments: --bogus\n")
+
+
 def _load_cache(path):
     """(ResultCache, what loading it printed on stderr)."""
     err = io.StringIO()
@@ -450,6 +498,91 @@ def test_cache_cut_at_any_byte_then_two_writers(lines, tagged, nested, data):
         assert data_now.startswith(raw[:last] if torn else raw)
         assert data_now.count(b"\n") == len(served) + 3
         assert data_now.endswith(b"\n")
+
+
+def _cache_line(key, value, tagged):
+    """A line as the cache writes it, or as it wrote it before the crc."""
+    if not tagged:
+        return json.dumps({"kind": "analysis", "key": key, "value": value}).encode()
+    text = json.dumps(value).encode()
+    return b'{"kind": "analysis", "key": "%s", "crc": %d, "value": %s}' % (
+        key.encode(), binascii.crc32(text), text)
+
+
+def _damage(line, how, at):
+    """line damaged as `how` says; `at` picks the byte a digit change or a
+    cut hits."""
+    if how == "bom":
+        return b"\xef\xbb\xbf" + line
+    if how == "cr":
+        return line + b"\r"
+    if how == "space":
+        return line + b" "
+    if how == "digit":
+        start = line.index(b'"value": ')
+        digits = [i for i in range(start, len(line)) if line[i:i + 1].isdigit()]
+        i = digits[at % len(digits)]
+        return line[:i] + str((int(line[i:i + 1]) + 1) % 10).encode() + line[i + 1:]
+    if how == "cut":
+        return line[:at % len(line)]
+    if how == "whitespace":
+        return b" \t"
+    assert how == "overlong-crc"
+    return re.sub(rb'"crc": ([0-9]+)', lambda m: b'"crc": 0' + m[1].zfill(10), line)
+
+
+_LINE_SPECS = st.tuples(
+    st.sampled_from(["2:k", "3:k", "4:k"]),  # few keys, so some repeat
+    st.integers(0, 10**6),
+    st.sampled_from(["tagged"] * 6 + ["crcless", "blank", "bom", "cr", "space",
+                                      "digit", "cut", "whitespace", "overlong-crc"]),
+    st.booleans(), st.integers(0, 10**4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=st.lists(_LINE_SPECS, min_size=1, max_size=8), ends_whole=st.booleans())
+# Every line matches and one fails its crc; a key repeats, the later line winning.
+@example(specs=[("2:k", 5, "tagged", True, 0), ("3:k", 5, "digit", True, 0)],
+         ends_whole=True)
+@example(specs=[("2:k", 5, "tagged", True, 0), ("2:k", 6, "tagged", True, 0),
+                ("2:k", 7, "crcless", False, 0)], ends_whole=False)
+def test_cache_one_pass_load_matches_the_per_line_judge(specs, ends_whole):
+    """ResultCache's one-pass load serves what judging line by line serves,
+    the later line winning, or raises the same error for the same first
+    damaged line, and warns about the same torn tail."""
+    from emcurve.cache import _judge
+
+    lines = []
+    for key, n, how, tagged, at in specs:
+        # tagged picks the line a damage starts from.
+        line = _cache_line(key, {"m": n, "f": [[str(n + 7), 1]]},
+                           how in ("tagged", "overlong-crc") or tagged and how != "crcless")
+        lines.append(b"" if how == "blank" else line if how in ("tagged", "crcless")
+                     else _damage(line, how, at))
+    raw = b"\n".join(lines) + b"\n" * ends_whole
+    *inner, last = raw.split(b"\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.jsonl")
+        Path(path).write_bytes(raw)
+        try:
+            expected = dict(filter(None, map(_judge, inner)))
+        except ValueError as e:
+            with pytest.raises(ValueError) as exc:
+                _load_cache(path)
+            assert str(exc.value) == f"cache {path}: {e}"
+            return
+        try:
+            expected.update(filter(None, [_judge(last)]))
+            warning = ""
+        except ValueError:
+            warning = f"warning: skipping torn last line of cache {path}\n"
+        cache, err = _load_cache(path)
+    assert err == warning
+    assert cache._data == expected
+    for kind, key in expected:
+        value = expected[kind, key]
+        assert cache.get(kind, key) == (json.loads(value) if type(value) is bytes
+                                        else value)
 
 
 def test_cache_torn_last_line_is_skipped(tmp_path, capsys):
@@ -515,6 +648,9 @@ def test_cached_value_of_wrong_shape_exits_2(tmp_path, capsys, argv, kind, key, 
 
 
 _SIX = b'{"kind": "factorization", "key": "6", "value": [["2", 1], ["3", 1]]}'
+# A tagged line whose crc field is the given digits; a CRC-32 prints in at
+# most ten.
+_OVERLONG_CRC = b'{"kind": "factorization", "key": "6", "crc": %s, "value": []}'
 
 
 @pytest.mark.parametrize("line", [
@@ -523,7 +659,10 @@ _SIX = b'{"kind": "factorization", "key": "6", "value": [["2", 1], ["3", 1]]}'
     pytest.param(b" " + _SIX, id="leading-space"),
     pytest.param(b" \t", id="whitespace"),
     pytest.param(b'{"kind": "factorization", "key": "6", "value": [["2", 1],}',
-                 id="crcless-value-not-json")])
+                 id="crcless-value-not-json"),
+    pytest.param(_OVERLONG_CRC % (b"%011d" % binascii.crc32(b"[]")),
+                 id="crc-of-11-digits"),
+    pytest.param(_OVERLONG_CRC % (b"9" * 5000), id="crc-of-5000-digits")])
 def test_cache_line_of_wrong_shape_is_malformed(tmp_path, capsys, line):
     # Lines the cache never writes, JSON or not: an error inside the file,
     # a torn line at its end.
@@ -548,6 +687,17 @@ def test_cache_line_of_wrong_shape_is_malformed(tmp_path, capsys, line):
     data = cache_file.read_bytes()
     assert data.startswith(whole + b'{"kind": ') and data.endswith(b"\n")
     assert line not in data
+
+
+def test_cache_overlong_crc_names_its_line(tmp_path, capsys):
+    # int() would refuse 5000 digits with a message that names no line.
+    line = _OVERLONG_CRC % (b"9" * 5000)
+    cache_file = tmp_path / "cache.jsonl"
+    cache_file.write_bytes(line + b"\n" + _SIX + b"\n")
+    rc, out, err = run_cli(capsys, "selmer", "--m", "6", "--cache-path", str(cache_file))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: cache {cache_file}: cache line is not one the cache "
+                   f"writes: {line[:80]!r}\n")
 
 
 @pytest.mark.parametrize("line", [
@@ -695,6 +845,29 @@ def test_cache_decodes_only_what_it_serves(tmp_path, capsys, monkeypatch):
                           "--cache-path", str(cache_file))
     assert rc == 0 and warm in cold.splitlines(keepends=True)
     assert len(decoded) == 1 and decoded[0]["m"] == 6
+
+
+def test_cache_of_tagged_lines_is_judged_in_one_pass(tmp_path, capsys, monkeypatch):
+    # Loading a clean tagged cache runs no Python code per line: _judge
+    # sees the tail alone.
+    import emcurve.cache as cache_mod
+
+    cache_file = tmp_path / "cache.jsonl"
+    rc, cold, _ = run_cli(capsys, "scan", "--from", "2", "--to", "31", "--json",
+                          "--cache-path", str(cache_file))
+    assert rc == 0
+    judged = []
+
+    def counting_judge(line):
+        judged.append(line)
+        return judge(line)
+
+    judge = cache_mod._judge
+    monkeypatch.setattr(cache_mod, "_judge", counting_judge)
+    rc, warm, _ = run_cli(capsys, "analyze", "--m", "6", "--json",
+                          "--cache-path", str(cache_file))
+    assert rc == 0 and warm in cold.splitlines(keepends=True)
+    assert judged == [b""]
 
 
 TORN =b'{"kind": "factorization", "key": "17", "val'
