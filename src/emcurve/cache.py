@@ -21,13 +21,12 @@ that is not JSON.  A damaged line inside the file raises ValueError; as
 the last line, where an interrupted append leaves one, it is skipped with
 a warning on stderr.
 
-Loading reads every line before the last newline in one expression, with
-no Python code run per line: _LINE over the whole buffer, then every C
-checked against its V.  That pass takes a file whose lines are all tagged
-and hold their C.  _judge, the same checks one line at a time, reads the
-rest: the tail after the last newline, a file with a line without C or a
-blank line, and one with damage, where it names the first damaged line.
-It also decides what an append cuts off.
+Loading serves every line before the last newline from one pass of _LINE
+over the whole buffer and one comparison of every C with its V; Python
+code runs per line only to decode the V of a line without C, and a blank
+line needs nothing.  _judge, the same checks one line at a time, reads
+the tail after the last newline and decides what an append cuts off; on
+damage it walks the lines to name the first damaged one, serving nothing.
 
 Appends are serialized across threads and processes by an exclusive flock.
 Under it, each append repairs whatever the file ends with after its last
@@ -48,6 +47,7 @@ import operator
 import os
 import re
 import sys
+from itertools import compress
 
 DEFAULT_CACHE_PATH = ".emcache.jsonl"
 CACHE_PATH_ENV = "EM_CACHE_PATH"
@@ -61,7 +61,7 @@ _LINE = re.compile(rb'^\{"kind": "([ !#-\[\]-~]*)", "key": "([ !#-\[\]-~]*)", '
 
 
 def resolve_cache_path(explicit: str | None = None) -> str:
-    if explicit:
+    if explicit is not None:
         return explicit
     return os.environ.get(CACHE_PATH_ENV, DEFAULT_CACHE_PATH)
 
@@ -76,11 +76,31 @@ class ResultCache:
             with open(path, "rb") as fh:
                 data = fh.read()
             end = data.rfind(b"\n") + 1  # the tail after it is judged alone
-            if not self._load_tagged(data, end):
+            # split gives one flat list, no tuple per line: the text before
+            # the first match, then per match its four groups and the text
+            # after it.  A match is a whole line, so any line that is not
+            # lies in those texts; a blank line leaves two newlines there.
+            parts = _LINE.split(memoryview(data)[:end])
+            kinds, keys, crcs, values = parts[1::5], parts[2::5], parts[3::5], parts[4::5]
+            whole = not b"".join(parts[::5]).strip(b"\n")
+            tagged, tagged_crcs = compress(values, crcs), filter(None, crcs)
+            if None in crcs:  # C is None on a line without one: V is decoded here
                 try:
-                    self._data.update(filter(None, map(_judge, data[:end].split(b"\n"))))
+                    for i in compress(range(len(crcs)), map(operator.not_, crcs)):
+                        values[i] = _decode(values[i])
+                except ValueError:
+                    whole = False
+            # A tagged line's V is still bytes when compress reaches it.
+            if not (whole and all(map(operator.eq, map(binascii.crc32, tagged),
+                                      map(int, tagged_crcs)))):
+                try:  # judged one by one, the first damaged line names itself
+                    for line in data[:end].split(b"\n"):
+                        _judge(line)
                 except ValueError as e:
                     raise ValueError(f"cache {path}: {e}") from None
+            # Kind and key are ASCII, so UTF-8 decodes them as _judge does.
+            self._data.update(zip(zip(map(bytes.decode, kinds), map(bytes.decode, keys)),
+                                  values))
             try:
                 self._data.update(filter(None, [_judge(data[end:])]))
             except ValueError:
@@ -88,34 +108,6 @@ class ResultCache:
                 # only there is damage skipped, anywhere else it raises.
                 print(f"warning: skipping torn last line of cache {path}",
                       file=sys.stderr)
-
-    def _load_tagged(self, data: bytes, end: int) -> bool:
-        """Load the whole lines data[:end] in one pass if each is tagged and
-        holds its crc; False, loading nothing, if any is not.
-
-        split gives one flat list, no tuple per line: the text before the
-        first match, then per match its four groups and the text after it,
-        up to the next.  Every line matches when each such text is one
-        newline.
-        """
-        # A cache begun before lines carried C starts with a line without
-        # one; it would fail the pass, so skip it rather than pay twice.
-        first = _LINE.match(data, 0, end)
-        if first is None or first[3] is None:
-            return False
-        parts = _LINE.split(memoryview(data)[:end])
-        gaps = parts[5::5]
-        if gaps.count(b"\n") != len(gaps):
-            return False  # a blank line, or one _LINE does not match
-        kinds, keys, crcs, values = parts[1::5], parts[2::5], parts[3::5], parts[4::5]
-        # The crc of a line without one is None.
-        if None in crcs or not all(map(operator.eq, map(binascii.crc32, values),
-                                       map(int, crcs))):
-            return False
-        # Kind and key are ASCII, so UTF-8 decodes them as _judge does.
-        self._data.update(zip(zip(map(bytes.decode, kinds), map(bytes.decode, keys)),
-                              values))
-        return True
 
     def get(self, kind: str, key: str):
         """The value stored under (kind, key), or None.

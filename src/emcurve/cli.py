@@ -12,8 +12,9 @@ only); --verbose adds the descent audit trail to the default output, so
 --json, --csv and --verbose exclude each other.  The audit is read from the
 Selmer result of each record's curve, whether the record was served from
 the cache or computed.  Each subcommand takes only the flags it reads (see
-build_parser).  Exit codes: 0 success, 1 reference-table mismatch, 2
-invalid input (an unusable cache path included), 3 resource exhaustion.
+build_parser), but for --jobs, which analyze, heights and torsion accept
+and ignore.  Exit codes: 0 success, 1 reference-table mismatch, 2 invalid
+input (an unusable cache path included), 3 resource exhaustion.
 """
 
 from __future__ import annotations

@@ -38,14 +38,11 @@ class AdmissibilityReport:
     def describe(self) -> str:
         if self.admissible:
             return "even; m-1, m+1 both prime; m^2+1 squarefree"
-        parts = []
         if not self.is_even:
-            parts.append("odd")
-        elif not self.twin_primes:
-            parts.append("m-1, m+1 not twin primes")
-        else:
-            parts.append("m^2+1 not squarefree")
-        return "; ".join(parts)
+            return "odd"
+        if not self.twin_primes:
+            return "m-1, m+1 not twin primes"
+        return "m^2+1 not squarefree"
 
 
 @dataclass(frozen=True)

@@ -546,6 +546,11 @@ _LINE_SPECS = st.tuples(
          ends_whole=True)
 @example(specs=[("2:k", 5, "tagged", True, 0), ("2:k", 6, "tagged", True, 0),
                 ("2:k", 7, "crcless", False, 0)], ends_whole=False)
+# A line without a crc takes no check off the tagged line or the gap beside it.
+@example(specs=[("2:k", 5, "crcless", False, 0), ("3:k", 5, "digit", True, 0),
+                ("4:k", 5, "tagged", True, 0)], ends_whole=True)
+@example(specs=[("2:k", 5, "crcless", False, 0), ("3:k", 5, "whitespace", False, 0),
+                ("4:k", 5, "tagged", True, 0)], ends_whole=True)
 def test_cache_one_pass_load_matches_the_per_line_judge(specs, ends_whole):
     """ResultCache's one-pass load serves what judging line by line serves,
     the later line winning, or raises the same error for the same first
@@ -583,6 +588,17 @@ def test_cache_one_pass_load_matches_the_per_line_judge(specs, ends_whole):
         value = expected[kind, key]
         assert cache.get(kind, key) == (json.loads(value) if type(value) is bytes
                                         else value)
+
+
+def test_cache_line_without_crc_holding_no_json_names_itself(tmp_path):
+    # _damage makes no such line: the regex matches it, the decode fails.
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b"\n".join([_cache_line("2:k", {"m": 2}, True),
+                                 _cache_line("3:k", {"m": 3}, False).replace(b"3}}", b"3}x}"),
+                                 _cache_line("4:k", {"m": 4}, True), b""]))
+    with pytest.raises(ValueError, match=f"^cache {re.escape(str(path))}: "
+                                         "cache line holds a value that is not JSON"):
+        ResultCache(str(path))
 
 
 def test_cache_torn_last_line_is_skipped(tmp_path, capsys):
@@ -868,6 +884,23 @@ def test_cache_of_tagged_lines_is_judged_in_one_pass(tmp_path, capsys, monkeypat
                           "--cache-path", str(cache_file))
     assert rc == 0 and warm in cold.splitlines(keepends=True)
     assert judged == [b""]
+    # So does one with a line written before the crc, first or later, or
+    # with a blank line.
+    lines = cache_file.read_bytes().split(b"\n")
+
+    def crcless(line):
+        obj = json.loads(line)
+        return json.dumps({k: obj[k] for k in ("kind", "key", "value")}).encode()
+
+    for mixed in ([*lines[:3], crcless(lines[3]), *lines[4:]],
+                  [*lines[:3], b"", *lines[3:]],
+                  [crcless(lines[0]), *lines[1:]]):
+        cache_file.write_bytes(b"\n".join(mixed))
+        judged.clear()
+        rc, warm, _ = run_cli(capsys, "analyze", "--m", "6", "--json",
+                              "--cache-path", str(cache_file))
+        assert rc == 0 and warm in cold.splitlines(keepends=True)
+        assert judged == [b""]
 
 
 TORN =b'{"kind": "factorization", "key": "17", "val'
@@ -977,6 +1010,22 @@ def test_unusable_cache_path_exits_2(tmp_path, capsys, where):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_empty_cache_path_exits_2(tmp_path, capsys, monkeypatch, via):
+    # An empty path is unusable, not a request for the default one.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EM_CACHE_PATH", raising=False)
+    argv = ["torsion", "--m", "6"]
+    if via == "flag":
+        argv += ["--cache-path", ""]
+    else:
+        monkeypatch.setenv("EM_CACHE_PATH", "")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_round_trip_and_determinism(tmp_path, capsys):
