@@ -148,7 +148,7 @@ def run_analysis(
         size_log2=selmer.size_log2,
         theorem_w=selmer.theorem_w,
         corollary_value=selmer.corollary_value,
-        members=[[str(p.b1.value), str(p.b2.value)] for p in selmer.members],
+        members=[[str(b1), str(b2)] for b1, b2 in selmer.values],
         status_counts=dict(selmer.status_counts),
         timings=timings,
     )

@@ -380,13 +380,13 @@ def cmd_selmer(args) -> int:
         print(json.dumps({
             "m": args.m, "s2": res.s2, "size_log2": res.size_log2,
             "theorem_w": res.theorem_w, "corollary": res.corollary_value,
-            "members": [[str(p.b1.value), str(p.b2.value)] for p in res.members],
+            "members": [[str(b1), str(b2)] for b1, b2 in res.values],
         }, sort_keys=True))
     else:
         print(f"m = {args.m}: s2 = {res.s2}, w = {res.theorem_w}, "
               f"corollary = {res.corollary_value}")
-        for p in res.members:
-            print(f"  ({p.b1.value}, {p.b2.value})")
+        for b1, b2 in res.values:
+            print(f"  ({b1}, {b2})")
     return EXIT_OK
 
 

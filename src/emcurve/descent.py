@@ -37,10 +37,11 @@ selmer_group re-checks the rules and conditions on every member;
 `rank_lower_bound` certifies rank >= 2 from the images of the torsion and of
 the points (0, t) and (n1, t).  `_f2_eliminate` is the one F2 eliminator,
 and localsolve's `_f2_reduce` tests membership in an echelon basis.
-selmer_group is the one descent entry point.  Its result carries the audit
-as data: `tallies`, the cosets each rule, the symbol conditions and each
-bad place reject; the witnesses of a member, points of E(Q_ell) in the
-pair's classes, are found by decide_local when its `local_evidence` is
+selmer_group is the one descent entry point.  Its result carries the
+members' values, and the audit as data: `tallies`, the cosets each rule,
+the symbol conditions and each bad place reject.  The member objects are
+built when first read, and the witnesses of a member, points of E(Q_ell) in
+the pair's classes, are found by decide_local when its `local_evidence` is
 first read.
 """
 
@@ -156,19 +157,31 @@ class DescentPair:
 
 @dataclass(frozen=True)
 class SelmerResult:
-    """The descent's result.  tallies is its audit, in order: the coset
-    representatives each exclusion rule (i)-(v) rejects first, those the
-    symbol conditions reject after all five rules, then those each bad place
-    rejects after those and the places before it, zeros included."""
+    """The descent's result.  values holds each member coset's representative
+    (b1, b2) as ints, ascending; records and the selmer command read these.
+    members holds the same pairs as DescentPair objects with their context
+    set, in the same order; they are built from masks and context on first
+    read, once.  tallies is the audit, in order: the coset representatives
+    each exclusion rule (i)-(v) rejects first, those the symbol conditions
+    reject after all five rules, then those each bad place rejects after
+    those and the places before it, zeros included."""
 
     curve: CurveParams
-    members: tuple[DescentPair, ...]
+    values: tuple[tuple[int, int], ...]
     size_log2: int
     s2: int
     theorem_w: int
     corollary_value: int | None
     status_counts: dict
     tallies: dict[str, int]
+    masks: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    context: DescentContext = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def members(self) -> tuple[DescentPair, ...]:
+        ctx = self.context
+        return tuple(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m), context=ctx)
+                     for b1m, b2m in self.masks)
 
 
 class DescentContext:
@@ -241,15 +254,6 @@ class DescentContext:
             if mask >> i & 1:
                 out *= self.gens[i]
         return out
-
-    def chi(self, pi: int, mask: int) -> int:
-        """Legendre symbol at pi of the class `mask` with pi's own bit
-        ignored: of the value if pi does not divide it, else of its unit part."""
-        return -1 if (mask & self.nonres[pi]).bit_count() & 1 else 1
-
-    def mod4(self, mask: int) -> int:
-        """Residue mod 4 of the odd part of a class value."""
-        return 3 if (mask & self.mod4_mask).bit_count() & 1 else 1
 
     def local_forms(self, ell: int) -> tuple[tuple[int, int], ...]:
         """The F2 linear forms (u, v) on mask pairs that cut out the local
@@ -340,31 +344,49 @@ class DescentContext:
             return "(v) b1*b2 = 2 mod 4"
         return None
 
+    @functools.cached_property
+    def symbol_table(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        """The p-, q- and r-prime rows of the symbol conditions: for each
+        prime pi, (pi, its bit, nonres[pi], 1 if g is a non-residue mod pi
+        else 0), where g is -1 for a p-prime and 2 for a q- or r-prime."""
+        def rows(primes, g):
+            return tuple((pi, 1 << self.index[pi], self.nonres[pi], self.nonres[pi] >> g & 1)
+                         for pi in primes)
+
+        c = self.curve
+        return rows(c.p_primes, 0), rows(c.q_primes, 1), rows(c.r_primes, 1)
+
     def necessary_failures(self, b1m: int, b2m: int) -> list[str]:
-        """Violated symbol conditions, assuming no exclusion rule fired."""
+        """Violated symbol conditions, assuming no exclusion rule fired.
+
+        Each condition is a Legendre symbol at a p-, q- or r-prime of b1, b2
+        or -b1*b2/p^2 with that prime divided out, then b1 = 1 mod 4.  Each
+        is read from symbol_table as a popcount parity: a symbol is -1 iff
+        the class meets nonres[pi] in an odd number of bits, and nonres[pi]
+        leaves out pi's own bit.  Returns the messages in that order.
+        """
+        p_rows, q_rows, r_rows = self.symbol_table
         out = []
-        both = b1m & b2m & self.p_mask
-        neither = ~(b1m | b2m)
-        for p in self.curve.p_primes:
-            bit = 1 << self.index[p]
-            if both & bit:
-                # The class of b1*b2/p^2 is the symmetric difference of the
-                # masks (the shared p-bit squares away); prepend a sign flip.
-                val = self.chi(p, self.sign_bit) * self.chi(p, b1m ^ b2m)
-                if val != 1:
+        diff = b1m ^ b2m
+        for p, bit, nr, sign_odd in p_rows:
+            if diff & bit:  # p divides exactly one of b1, b2: no condition
+                continue
+            # Both or neither hold p.  chi_p(b1) * chi_p(b2) is chi_p of the
+            # symmetric difference, the class of b1*b2/p^2 when both hold it
+            # (the shared p-bit squares away); the sign flip adds chi_p(-1).
+            odd = (diff & nr).bit_count() & 1
+            if b1m & bit:
+                if odd ^ sign_odd:
                     out.append(f"(i) chi_{p}(-b1*b2/p^2) != 1")
-            elif neither & bit:
-                if self.chi(p, b1m) != self.chi(p, b2m):
-                    out.append(f"(i) chi_{p}(b1) != chi_{p}(b2)")
-        for q in self.curve.q_primes:
-            target = self.chi(q, self.two_bit) if b1m >> self.index[q] & 1 else 1
-            if self.chi(q, b2m & ~(1 << self.index[q])) != target:
+            elif odd:
+                out.append(f"(i) chi_{p}(b1) != chi_{p}(b2)")
+        for q, bit, nr, two_odd in q_rows:
+            if (b2m & nr).bit_count() & 1 != (two_odd if b1m & bit else 0):
                 out.append(f"(ii) chi_{q}(b2) condition")
-        for r in self.curve.r_primes:
-            target = self.chi(r, self.two_bit) if b2m >> self.index[r] & 1 else 1
-            if self.chi(r, b1m & ~(1 << self.index[r])) != target:
+        for r, bit, nr, two_odd in r_rows:
+            if (b1m & nr).bit_count() & 1 != (two_odd if b2m & bit else 0):
                 out.append(f"(iii) chi_{r}(b1) condition")
-        if self.mod4(b1m) != 1:
+        if (b1m & self.mod4_mask).bit_count() & 1:
             out.append("(iv) b1 != 1 mod 4")
         return out
 
@@ -393,15 +415,11 @@ class DescentContext:
         necessary_failures fails exactly when (b1 & u) ^ (b2 & v) has odd
         popcount: one form per p-, q- and r-prime, then b1 = 1 mod 4.
         """
-        c, nr = self.curve, self.nonres
-
-        def odd(pi, gen_bit):  # pi's own bit when the generator is a non-residue
-            return 1 << self.index[pi] if nr[pi] & gen_bit else 0
-
+        p_rows, q_rows, r_rows = self.symbol_table
         return (
-            [(nr[p] ^ odd(p, self.sign_bit), nr[p]) for p in c.p_primes]
-            + [(odd(q, self.two_bit), nr[q]) for q in c.q_primes]
-            + [(nr[r], odd(r, self.two_bit)) for r in c.r_primes]
+            [(nr ^ bit * odd, nr) for _, bit, nr, odd in p_rows]
+            + [(bit * odd, nr) for _, bit, nr, odd in q_rows]
+            + [(nr, bit * odd) for _, bit, nr, odd in r_rows]
             + [(self.mod4_mask, 0)]
         )
 
@@ -531,7 +549,10 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
     Asserts what the mathematics gives: every member passes the exclusion
     rules and the symbol conditions and is solvable at the real place (rule
     (i) makes b2 > 0), and the images of rational points span no more than
-    dim E(Q_ell)/2E(Q_ell) at any place.
+    dim E(Q_ell)/2E(Q_ell) at any place.  The pass over the members runs
+    exclusion_reason, necessary_failures and real_solvable on each and keeps
+    its masks and values only, in ascending (b1, b2) order: the result's
+    values, which records read, and its members, built on first read.
     """
     if not curve.r_squarefree:
         raise SquarefreePrecondition(
@@ -553,7 +574,7 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
     indices = [0]
     for k in basis:
         indices += [i ^ k for i in indices]
-    members: list[DescentPair] = []
+    rows = []
     for idx in indices:
         b1m, b2m = ctx.rep_of_index(idx)
         b1, b2 = ctx.value_of_mask(b1m), ctx.value_of_mask(b2m)
@@ -565,19 +586,20 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
         if not real_solvable(b1, b2).is_solvable:
             raise AssertionError(
                 f"symbol solution ({b1}, {b2}) is not real-solvable for m={curve.m}")
-        members.append(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m),
-                                   context=ctx))
-    members.sort(key=DescentPair.key)
+        rows.append((b1, b2, b1m, b2m))
+    rows.sort()
     s2 = len(basis)
     return SelmerResult(
         curve=curve,
-        members=tuple(members),
+        values=tuple(row[:2] for row in rows),
         size_log2=2 + s2,
         s2=s2,
         theorem_w=theorem_lower_bound(curve),
         corollary_value=corollary_rank(curve),
         status_counts=counts,
         tallies=tallies,
+        masks=tuple(row[2:] for row in rows),
+        context=ctx,
     )
 
 

@@ -3,12 +3,14 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emcurve.analysis import run_analysis
 from emcurve.curve import INFINITY, add, point, scalar_mul
 from emcurve.descent import (
     DescentContext,
@@ -436,6 +438,79 @@ def test_symbol_solutions_match_brute_force_scan(m):
     assert all(a ^ b in found for a in solutions for b in solutions)
 
 
+def value_failures(ctx, b1m, b2m):
+    """necessary_failures from the values: each condition's Legendre symbol
+    of b1, b2 or -b1*b2/p^2 with its prime divided out, then the odd part of
+    b1 mod 4."""
+    b1, b2 = ctx.value_of_mask(b1m), ctx.value_of_mask(b2m)
+
+    def chi(n, pi):
+        return _legendre_prime(n // pi if n % pi == 0 else n, pi)
+
+    out = []
+    for p in ctx.curve.p_primes:
+        if b1 % p == 0 and b2 % p == 0:
+            if _legendre_prime(-b1 * b2 // p**2, p) != 1:
+                out.append(f"(i) chi_{p}(-b1*b2/p^2) != 1")
+        elif b1 % p and b2 % p and chi(b1, p) != chi(b2, p):
+            out.append(f"(i) chi_{p}(b1) != chi_{p}(b2)")
+    for q in ctx.curve.q_primes:
+        if chi(b2, q) != (chi(2, q) if b1 % q == 0 else 1):
+            out.append(f"(ii) chi_{q}(b2) condition")
+    for r in ctx.curve.r_primes:
+        if chi(b1, r) != (chi(2, r) if b2 % r == 0 else 1):
+            out.append(f"(iii) chi_{r}(b1) condition")
+    odd = b1 // (b1 & -b1)
+    if odd % 4 != 1:
+        out.append("(iv) b1 != 1 mod 4")
+    return out
+
+
+@pytest.mark.parametrize("m", [6, 12, 462, 1950])
+def test_necessary_failures_match_the_values(m):
+    # The same list, messages and order as the Legendre symbols of the
+    # values.  Every unexcluded representative at m = 6 and 12; at 462 and
+    # 1950, which have only 64 and 1,024 of them, 4,096 seeded ones drawn
+    # from every coset, where the conditions still read the values with the
+    # prime divided out.
+    ctx = DescentContext(build_curve(m))
+    if m in (6, 12):
+        indices = unexcluded(ctx)
+    else:
+        rng = random.Random(m)
+        indices = [rng.randrange(ctx.coset_count()) for _ in range(4096)]
+    seen = set()
+    for idx in indices:
+        rep = ctx.rep_of_index(idx)
+        fails = ctx.necessary_failures(*rep)
+        assert fails == value_failures(ctx, *rep), (m, idx)
+        seen.update(re.sub(r"_\d+", "_", f) for f in fails)
+    # Each of the five messages is met, but (ii) at m = 6: there every
+    # unexcluded representative satisfies it.
+    assert len(seen) == (4 if m == 6 else 5), seen
+
+
+@pytest.mark.parametrize("m", [6, 12, 30, 42, 60, 462, 228, 1950])
+def test_member_values_match_the_member_objects(m):
+    # The record and the selmer command read values; --verbose and
+    # local_evidence read members, built once from the same masks.
+    res = selmer_group(build_curve(m))
+    assert len(res.values) == 2 ** res.s2
+    assert all(a < b for a, b in zip(res.values, res.values[1:]))
+    assert res.values == tuple((p.b1.value, p.b2.value) for p in res.members)
+    assert res.members is res.members
+    assert all(p.context is res.context for p in res.members)
+    assert run_analysis(m).members == [[str(a), str(b)] for a, b in res.values]
+
+
+def test_records_build_no_member_objects(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a record reads the member values only")
+
+    monkeypatch.setattr(DescentPair, "__init__", refuse)
+    assert len(run_analysis(6).members) == 16
+
+
 def local_class(n, ell):
     """The class of n in Q_ell*/Q_ell*^2, from the value: (v_ell(n) mod 2,
     unit part mod 8) at 2, (v_ell(n) mod 2, Legendre symbol of the unit
@@ -445,11 +520,14 @@ def local_class(n, ell):
 
 
 def mask_local_class(ctx, mask, ell):
-    """The same class from the mask, by the context's characters:
+    """The same class from the mask, by the context's character masks:
     (v_2 mod 2, unit part mod 8) at 2, (v_ell mod 2, chi_ell) at odd ell."""
+    def odd(char):
+        return (mask & char).bit_count() & 1
+
     if ell == 2:
-        return mask >> 1 & 1, ctx.mod4(mask) + 4 * ((mask & ctx.mod8_mask).bit_count() & 1)
-    return mask >> ctx.index[ell] & 1, ctx.chi(ell, mask)
+        return mask >> 1 & 1, 1 + 2 * odd(ctx.mod4_mask) + 4 * odd(ctx.mod8_mask)
+    return mask >> ctx.index[ell] & 1, 1 - 2 * odd(ctx.nonres[ell])
 
 
 @pytest.mark.parametrize("m", [6, 42, 462])
