@@ -33,7 +33,8 @@ the symbol conditions (`necessary_failures`), the forms of the local images
 (`local_forms`) and membership in them (`locally_solvable`) act on mask
 pairs; `kernel` solves groups of forms on the coset index, and
 selmer_group re-checks the rules and conditions on every member;
-`coset_reps` lists every coset, the brute-force reference for the kernels.
+`rep_of_index` names each coset by its index, so a brute-force reference
+for the kernels can list every one.
 `rank_lower_bound` certifies rank >= 2 from the images of the torsion and of
 the points (0, t) and (n1, t).  `_f2_eliminate` is the one F2 eliminator,
 and localsolve's `_f2_reduce` tests membership in an echelon basis.
@@ -50,7 +51,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .curve import RationalPoint, contains
 from .family import CurveParams
@@ -301,16 +301,6 @@ class DescentContext:
 
     # -- coset machinery ------------------------------------------------------
 
-    def canonical_rep(self, b1m: int, b2m: int) -> tuple[int, int]:
-        """The H-coset representative with b1 > 0 and b2 odd."""
-        if b2m & self.two_bit:
-            b1m ^= self.h2[0]
-            b2m ^= self.h2[1]
-        if b1m & self.sign_bit:
-            b1m ^= self.h4[0]
-            b2m ^= self.h4[1]
-        return b1m, b2m
-
     def rep_of_index(self, idx: int) -> tuple[int, int]:
         """Representative #idx: b1 ranges over subsets of the gens minus the
         sign (a contiguous shift), b2 over subsets of the gens minus 2."""
@@ -319,11 +309,6 @@ class DescentContext:
         b1m = a << 1
         b2m = (b & 1) | (b >> 1) << 2
         return b1m, b2m
-
-    def coset_reps(self) -> Iterator[tuple[int, int]]:
-        """All 4^(1 + #odd bad primes) coset representatives, in index order."""
-        for idx in range(self.coset_count()):
-            yield self.rep_of_index(idx)
 
     def coset_count(self) -> int:
         return 1 << (2 * (self.nbits - 1))

@@ -6,11 +6,14 @@ in x' = x - 4m^2 on y^2 = x'(x'^2 + 8m^2 x' - QR), which puts the 2-torsion
 point (4m^2, 0) at the origin.  The pair x'(2^N P) is kept reduced by
 stripping the bad primes, exact because the resultant of the duplication
 numerator and denominator is supported on 2AQR.  Coordinates grow 4x in bit
-length per doubling, so a bit-length cap bounds the work.  A long chain's
-last doubling is needed only for its float estimate, which is certified bit
-for bit from the previous pair's top bits (_certified_log) instead.  The
-chain of 2P is P's chain one step on, so one chain per point gives both
-h-hat(P) and h-hat(2P), and the pairing of two points takes three chains.
+length per doubling, so a bit-length cap bounds the work.  Past
+_CERTIFY_MIN_BITS a step is needed only for its float estimate and the bit
+length the cap reads, so the chain carries a window instead of the pair:
+bounds on the pair's top bits and its residues mod the bad primes, from which
+_window_step certifies both bit for bit, or declines and the chain doubles
+exactly from its last exact pair.  The chain of 2P is P's chain one step on,
+so one chain per point gives both h-hat(P) and h-hat(2P), and the pairing of
+two points takes three chains.
 
 The pairing is a report: DescentContext.rank_lower_bound certifies rank >= 2
 exactly, and independence_rank is a numerical cross-check.
@@ -27,11 +30,12 @@ from .family import CurveParams
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_BITS = 10**6
-# Width max(bits(w), bits(v)) above which a step that may end the chain is
-# first certified.  Per call (2-core x86, Python 3.11), exact step against
-# certificate: 12 vs 31 us at 960 bits, 23-44 vs 18-33 us at 1,700-2,800 bits.
+# Width max(bits(w), bits(v)) past which the chain steps a window.  Per step
+# at m = 6 (2-core x86, Python 3.11), exact against window: 8 vs 31 us at
+# 490 bits, 45 vs 31 us at 2,000 and 360 vs 31 us at 7,900, where opening
+# the window costs 23 us.
 _CERTIFY_MIN_BITS = 2000
-_WINDOW_BITS = 128  # bits of w and v that the certificate reads
+_WINDOW_BITS = 128  # bits of w and v that a window keeps
 
 
 class HeightBudgetExceeded(RuntimeError):
@@ -118,44 +122,71 @@ class _Interval:
     __rmul__ = __mul__
 
 
-def _certified_log(w: int, v: int, e3: int, qr: int,
-                   strip: tuple[int, ...]) -> float | None:
-    """math.log(max(|u'|, v')) for the step (w', v') = _duplication_step(w, v,
-    ...), u' = w' + e3 v', from the top bits of w and v; None if uncertified.
-
-    w, v lie in [w>>s, (w>>s)+1] 2^s, [v>>s, (v>>s)+1] 2^s for s =
-    max(bits(w), bits(v)) - _WINDOW_BITS, and _numerators is homogeneous of
-    degree 4, so exact interval arithmetic puts M = max(|nu + e3 dv|, dv) in
-    [lo, hi] 2^(4s).  The stripped g = prod p^min(v_p(nu), v_p(dv)) is read
-    exactly from residues mod p^J > 2^64.  Int true division rounds
-    correctly, so if lo and hi over 2^t g round to one double, it times
-    2^(4s+t) is M/g = max(|u'|, v') correctly rounded; and CPython's math.log
-    of an int reads only that double, or _PyLong_Frexp's correctly rounded
-    mantissa and exponent when it overflows.  Declines when the bounds round
-    apart (as when lo <= 0 by cancellation), both residues vanish mod p^J, or
-    M/g < 2^53, a guard that operands as wide as _CERTIFY_MIN_BITS do not reach.
-    """
+def _open_window(w: int, v: int, strip: tuple[int, ...]) -> tuple:
+    """The window of the exact pair (w, v): the scale s = max(bits(w),
+    bits(v)) - _WINDOW_BITS, the box [w>>s, (w>>s)+1] x [v>>s, (v>>s)+1] that
+    holds (w, v) / 2^s, the moduli {p: p^J} over strip, each the least power
+    past 2^64, and (w, v) mod their product."""
+    s = max(max(w.bit_length(), v.bit_length()) - _WINDOW_BITS, 0)
+    box = tuple(_Interval(x >> s, (x >> s) + 1) for x in (w, v))
     moduli = {p: p ** (64 // (p.bit_length() - 1) + 1) for p in strip}
     big = math.prod(moduli.values())
-    wr, vr = w % big, v % big
-    g = 1
+    return s, box, moduli, (w % big, v % big)
+
+
+def _window_step(window: tuple, e3: int, qr: int) -> tuple | None:
+    """(log, bits, window') for the step (w', v') = _duplication_step(w, v, ...)
+    from a window of (w, v): log = math.log(M) and bits = M.bit_length() for
+    M = max(|u'|, v'), u' = w' + e3 v', and window' the window of (w', v'); None
+    if uncertified.
+
+    _numerators is homogeneous of degree 4, so exact interval arithmetic puts
+    M g in [lo, hi] 2^(4s).  The stripped g = prod p^min(v_p(nu), v_p(dv)) is
+    read exactly from the residues mod each p^J (a zero residue has the larger
+    valuation, so v_p(g) < J); g divides the modulus and the residues of nu
+    and dv, so their quotients are the residues of (w', v') mod the modulus
+    over g, and what stripping leaves of p^J the next step reads.  Int true
+    division rounds correctly, so if lo and hi over 2^t g round to one double,
+    it times 2^(4s+t) is M correctly rounded; and CPython's math.log of an int
+    reads only that double, or _PyLong_Frexp's correctly rounded mantissa and
+    exponent when it overflows.  Declines when the bounds round apart (as when
+    lo <= 0 by cancellation), both residues vanish mod some p^J, M < 2^53 (a
+    guard that operands as wide as _CERTIFY_MIN_BITS do not reach), or the
+    floors of the bounds differ in bit length, so that bits straddles a power
+    of two.
+    """
+    s, (w, v), moduli, residues = window
+    big = math.prod(moduli.values())
+    nu_r, dv_r = (x % big for x in _numerators(*residues, e3, qr))
+    g, left = 1, {}
     for p, pj in moduli.items():
-        nu, dv = (x % pj for x in _numerators(wr % pj, vr % pj, e3, qr))
+        nu, dv = nu_r % pj, dv_r % pj
         if nu == dv == 0:
             return None
-        while nu % p == 0 and dv % p == 0:  # a zero residue has the larger valuation
-            nu //= p
-            dv //= p
-            g *= p
-    s = max(max(w.bit_length(), v.bit_length()) - _WINDOW_BITS, 0)
-    nu, dv = _numerators(*(_Interval(x >> s, (x >> s) + 1) for x in (w, v)), e3, qr)
+        while nu % p == 0 and dv % p == 0:
+            nu, dv, pj, g = nu // p, dv // p, pj // p, g * p
+        left[p] = pj
+    nu, dv = _numerators(w, v, e3, qr)
     u = nu + e3 * dv
     lo, hi = max(u.lo, -u.hi, dv.lo), max(-u.lo, u.hi, dv.hi)
     t = max(hi.bit_length() - g.bit_length() - 64, 0)  # brings hi/g to about 2^64
     lo_f, hi_f = lo / (g << t), hi / (g << t)
-    if lo_f != hi_f or lo_f < 2.0**53:
+    bits = (lo // (g << t)).bit_length()
+    if lo_f != hi_f or lo_f < 2.0**53 or bits != (hi // (g << t)).bit_length():
         return None
-    return math.log(int(lo_f) << 4 * s + t)
+    r = max(max(nu.hi.bit_length(), dv.hi.bit_length()) - g.bit_length() - _WINDOW_BITS, 0)
+    box = tuple(_Interval(x.lo // (g << r), -(-x.hi // (g << r))) for x in (nu, dv))
+    window = 4 * s + r, box, left, (nu_r // g, dv_r // g)
+    return math.log(int(lo_f) << 4 * s + t), bits + 4 * s + t, window
+
+
+def _exact_step(w: int, v: int, e3: int, qr: int,
+                strip: tuple[int, ...]) -> tuple[int, int, float, int]:
+    """(w', v', log, bits) of _duplication_step, as _window_step reads them."""
+    # A 2-torsion x would zero the denominator; non-torsion points never hit it.
+    w, v = _duplication_step(w, v, e3, qr, strip)
+    u = w + e3 * v  # x(2P) = u/v, still in lowest terms
+    return w, v, math.log(max(abs(u), v)), max(u.bit_length(), v.bit_length())
 
 
 def _doubling_chain(
@@ -164,8 +195,13 @@ def _doubling_chain(
     """canonical_height of 2^s P for s < readers, each an estimate or the
     error it raises, from P's one chain.  The chain of 2^s P is P's from step
     s on, so its estimates and gaps are P's times 4^s, exactly in binary
-    floating point, and reader s stops where that chain alone would.  So the
-    readers end in order, and a step may be the last when the last may end."""
+    floating point, and reader s stops where that chain alone would, so the
+    readers end in order.
+
+    Once the operands pass _CERTIFY_MIN_BITS the chain steps a window
+    (_window_step) and keeps the last exact pair.  At the first decline it
+    catches up exactly from that pair, checking each float the window gave
+    bit for bit, and carries on exactly."""
     if not 0 < tol < math.inf:  # also false for nan
         raise ValueError("tol must be finite and positive")
     if not contains(c, p):
@@ -178,25 +214,26 @@ def _doubling_chain(
     est_prev = naive_height(p) / 2.0
     out: list = [None] * readers
     gaps = [math.inf] * readers  # reader s's last gap, from step s + 1 on
+    window, windowed = None, []  # False once declined; the floats it gave since (w, v)
     n = 0
     while out[-1] is None:
         n += 1
-        scale = 2.0 * 4.0**n
-        certified = None
-        if gaps[-1] < tol and max(w.bit_length(), v.bit_length()) > _CERTIFY_MIN_BITS:
-            certified = _certified_log(w, v, e3, qr, strip)
-        # A certified float that ends the last reader skips the step.
-        log_top, capped = certified, False
-        last_gap = math.inf if certified is None else abs(certified / scale - est_prev)
-        if not 4.0**(readers - 1) * last_gap < tol:
-            # A 2-torsion x would zero the denominator; non-torsion points never hit it.
-            w, v = _duplication_step(w, v, e3, qr, strip)
-            u = w + e3 * v  # x(2^n P) = u/v, still in lowest terms
-            log_top = math.log(max(abs(u), v))
-            if certified is not None and certified != log_top:
-                raise AssertionError(f"certified {certified!r} != exact {log_top!r}")
-            capped = max(u.bit_length(), v.bit_length()) * 4 > DEFAULT_MAX_BITS
-        est = log_top / scale
+        if window is None and max(w.bit_length(), v.bit_length()) > _CERTIFY_MIN_BITS:
+            window = _open_window(w, v, strip)
+        step = window and _window_step(window, e3, qr)
+        if step:
+            log_top, bits, window = step
+            windowed.append(log_top)
+        else:
+            for certified in windowed:
+                w, v, log_top, _ = _exact_step(w, v, e3, qr, strip)
+                if certified != log_top:
+                    raise AssertionError(f"window {certified!r} != exact {log_top!r}")
+            if window:
+                window, windowed = False, []
+            w, v, log_top, bits = _exact_step(w, v, e3, qr, strip)
+        capped = bits * 4 > DEFAULT_MAX_BITS
+        est = log_top / (2.0 * 4.0**n)
         for s in range(min(n, readers)):
             if out[s] is not None:
                 continue
@@ -227,10 +264,10 @@ def canonical_height(c: CurveParams, p: RationalPoint,
     Stops once successive normalized estimates differ by less than tol,
     which must be finite and positive (ValueError otherwise);
     raises HeightBudgetExceeded (carrying the last estimate) if the
-    coordinate bit-length cap DEFAULT_MAX_BITS is reached first.  A wide
-    step that may be the last is first certified (_certified_log): if that
-    float ends the chain the step is skipped, else the exact step runs and
-    must agree bit for bit.
+    coordinate bit-length cap DEFAULT_MAX_BITS is reached first.  Steps
+    past _CERTIFY_MIN_BITS run on a window (_window_step) that certifies the
+    exact chain's float and bit length; after a decline the chain runs
+    exactly, and each float a window gave must agree bit for bit.
     """
     return _estimate(_doubling_chain(c, p, tol, 1)[0])
 

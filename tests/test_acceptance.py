@@ -22,6 +22,7 @@ from emcurve.family import build_curve, scan_admissible
 from emcurve.heights import canonical_height, independence_rank, pairing_matrix
 from emcurve.localsolve import decide_local, kstar, real_solvable
 from oracle import oracle_local_solvable
+from test_descent import canonical_rep, coset_reps
 
 TOL = 1e-3
 TABLE_S2 = {6: 4, 12: 3, 30: 3, 42: 4, 60: 4}
@@ -185,12 +186,12 @@ def test_property_lemma_filter_soundness_m6(curves, small_selmer):
     ctx = DescentContext(c)
     results, _ = small_selmer
     member_keys = {
-        ctx.canonical_rep(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
+        canonical_rep(ctx, ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
         for p in results[6].members
     }
     t0 = time.perf_counter()
     local_keys = set()
-    for b1m, b2m in ctx.coset_reps():
+    for b1m, b2m in coset_reps(ctx):
         b1v, b2v = ctx.value_of_mask(b1m), ctx.value_of_mask(b2m)
         if _locally_solvable_everywhere(c, ctx, b1v, b2v):
             local_keys.add((b1m, b2m))
@@ -207,7 +208,7 @@ def test_property_local_solver_vs_oracle_m6(curves):
     # sample keeps members, near-members and random cosets).
     c = curves[6]
     ctx = DescentContext(c)
-    reps = list(ctx.coset_reps())
+    reps = list(coset_reps(ctx))
     t0 = time.perf_counter()
     for ell in (2, 3, 5):
         for b1m, b2m in reps:
@@ -239,12 +240,12 @@ def test_property_member_closure(small_selmer, selmer_462, curves):
     for m, res in list(results.items()) + [(462, res462)]:
         ctx = DescentContext(curves[m])
         keys = {
-            ctx.canonical_rep(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
+            canonical_rep(ctx, ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
             for p in res.members
         }
         for a in keys:
             for b in keys:
-                assert ctx.canonical_rep(a[0] ^ b[0], a[1] ^ b[1]) in keys
+                assert canonical_rep(ctx, a[0] ^ b[0], a[1] ^ b[1]) in keys
     report("member-closure", True, "all six parameters")
 
 

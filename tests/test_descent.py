@@ -34,6 +34,23 @@ from emcurve.numtheory import _legendre_prime, factorize
 from oracle import oracle_local_solvable
 
 
+def canonical_rep(ctx, b1m, b2m):
+    """The H-coset representative with b1 > 0 and b2 odd."""
+    if b2m & ctx.two_bit:
+        b1m ^= ctx.h2[0]
+        b2m ^= ctx.h2[1]
+    if b1m & ctx.sign_bit:
+        b1m ^= ctx.h4[0]
+        b2m ^= ctx.h4[1]
+    return b1m, b2m
+
+
+def coset_reps(ctx):
+    """All 4^(1 + #odd bad primes) coset representatives, in index order."""
+    for idx in range(ctx.coset_count()):
+        yield ctx.rep_of_index(idx)
+
+
 @pytest.fixture(scope="module")
 def c6():
     return build_curve(6)
@@ -105,7 +122,7 @@ def test_phi_is_homomorphism_on_samples(c6):
 def test_candidate_pairs_count_and_identity(c6):
     ctx = DescentContext(c6)
     pairs = [DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m))
-             for b1m, b2m in ctx.coset_reps()]
+             for b1m, b2m in coset_reps(ctx)]
     assert len(pairs) == 4096  # 2^(2*(2+5)) / 4
     assert pairs[0].b1 == pairs[0].b2 == IDENTITY_CLASS
     # Normalization: b1 positive, b2 odd, so b1*b2 is never 0 mod 4.
@@ -117,15 +134,15 @@ def test_candidate_pairs_count_and_identity(c6):
 def test_candidate_pairs_cover_cosets_once(c6):
     ctx = DescentContext(c6)
     seen = set()
-    for b1m, b2m in ctx.coset_reps():
-        rep = ctx.canonical_rep(b1m, b2m)
+    for b1m, b2m in coset_reps(ctx):
+        rep = canonical_rep(ctx, b1m, b2m)
         assert rep == (b1m, b2m)  # reps are already canonical
         seen.add(rep)
     assert len(seen) == ctx.coset_count()
     # Multiplying by each torsion image lands back in the same coset.
     h3 = (ctx.h2[0] ^ ctx.h4[0], ctx.h2[1] ^ ctx.h4[1])
     for h in ((0, 0), ctx.h2, h3, ctx.h4):
-        assert ctx.canonical_rep(h[0] ^ 0, h[1] ^ 0) == (0, 0)
+        assert canonical_rep(ctx, h[0] ^ 0, h[1] ^ 0) == (0, 0)
 
 
 def masks(ctx, b1, b2):
@@ -179,7 +196,7 @@ def test_necessary_conditions_examples(c6):
     # Torsion image (after normalization) passes: Sel contains it.
     h3 = (ctx.h2[0] ^ ctx.h4[0], ctx.h2[1] ^ ctx.h4[1])
     for b1m, b2m in ((0, 0), ctx.h2, h3, ctx.h4):
-        rep = ctx.canonical_rep(b1m, b2m)
+        rep = canonical_rep(ctx, b1m, b2m)
         assert ctx.exclusion_reason(*rep) is None
         fails = ctx.necessary_failures(*rep)
         assert not fails, fails
@@ -218,7 +235,7 @@ def test_selmer_m6(c6, sel6):
 def test_selmer_members_contain_images(c6, sel6):
     ctx = DescentContext(c6)
     member_keys = {
-        ctx.canonical_rep(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
+        canonical_rep(ctx, ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
         for p in sel6.members
     }
     p1 = point(0, c6.t)
@@ -226,7 +243,7 @@ def test_selmer_members_contain_images(c6, sel6):
     check = [p1, p2, INFINITY, point(c6.e1, 0), point(c6.e2, 0), point(c6.e3, 0)]
     for pt in check:
         img = phi_image(c6, pt)
-        key = ctx.canonical_rep(ctx.mask_of_class(img.b1), ctx.mask_of_class(img.b2))
+        key = canonical_rep(ctx, ctx.mask_of_class(img.b1), ctx.mask_of_class(img.b2))
         assert key in member_keys, f"phi image of {pt} missing"
 
 
@@ -246,18 +263,18 @@ def test_point_images_are_members(m):
     members = {(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
                for p in selmer_group(ctx.curve).members}
     for image in ctx.point_images:
-        assert ctx.canonical_rep(*image) in members
+        assert canonical_rep(ctx, *image) in members
 
 
 def test_selmer_members_closed_under_multiplication(c6, sel6):
     ctx = DescentContext(c6)
     keys = {
-        ctx.canonical_rep(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
+        canonical_rep(ctx, ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
         for p in sel6.members
     }
     for a in keys:
         for b in keys:
-            assert ctx.canonical_rep(a[0] ^ b[0], a[1] ^ b[1]) in keys
+            assert canonical_rep(ctx, a[0] ^ b[0], a[1] ^ b[1]) in keys
 
 
 def test_member_witnesses_recorded(sel6):
@@ -306,12 +323,12 @@ def test_theorem_pairs_and_corollary_hold_where_q_and_r_are_squarefree():
         ms += 1
         ctx = DescentContext(c)
         sel = selmer_group(c)
-        members = {ctx.canonical_rep(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
+        members = {canonical_rep(ctx, ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
                    for p in sel.members}
         counted = theorem_pairs(c)
         assert len(counted) == theorem_lower_bound(c) == sel.theorem_w, m
         for b1, b2 in counted:
-            assert ctx.canonical_rep(*masks(ctx, b1, b2)) in members, (m, b1, b2)
+            assert canonical_rep(ctx, *masks(ctx, b1, b2)) in members, (m, b1, b2)
         pairs += len(counted)
         if sel.corollary_value is not None:
             assert sel.s2 == sel.corollary_value == corollary_rank(c), m
@@ -345,7 +362,7 @@ def test_survivor_reps_are_exactly_the_unexcluded_cosets(m):
     ctx = DescentContext(build_curve(m))
     ranks, basis = ctx.kernel(ctx.rule_forms())
     survivors = [ctx.rep_of_index(idx) for idx in span(basis)]
-    brute = {rep for rep in ctx.coset_reps() if ctx.exclusion_reason(*rep) is None}
+    brute = {rep for rep in coset_reps(ctx) if ctx.exclusion_reason(*rep) is None}
     assert len(survivors) == len(set(survivors)) == 1 << (ctx.nbits - 2)
     assert set(survivors) == brute
     assert ranks[-1] == ctx.nbits
@@ -356,7 +373,7 @@ def test_exclusion_counts_match_brute_force_tally(m):
     # The first five tallies, rank differences, against every coset's rule.
     c = build_curve(m)
     ctx = DescentContext(c)
-    tally = Counter(ctx.exclusion_reason(*rep) for rep in ctx.coset_reps())
+    tally = Counter(ctx.exclusion_reason(*rep) for rep in coset_reps(ctx))
     survivors = tally.pop(None)
     counts = dict(itertools.islice(selmer_group(c).tallies.items(), 5))
     assert counts == dict(tally)
@@ -722,7 +739,7 @@ def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, unsolvable):
     keys = {(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2)) for p in result.members}
     assert len(keys) == 16 and result.size_log2 == 6
     assert (0, 0) in keys
-    assert all(ctx.canonical_rep(a1 ^ b1, a2 ^ b2) in keys
+    assert all(canonical_rep(ctx, a1 ^ b1, a2 ^ b2) in keys
                for a1, a2 in keys for b1, b2 in keys)
     rejected = 0
     for pair in result.members:

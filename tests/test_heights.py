@@ -9,10 +9,11 @@ from emcurve.family import build_curve, scan_admissible
 from emcurve.heights import (
     HeightBudgetExceeded,
     HeightEstimate,
-    _certified_log,
     _doubling_chain,
     _duplication_step,
     _numerators,
+    _open_window,
+    _window_step,
     canonical_height,
     independence_rank,
     naive_height,
@@ -133,6 +134,25 @@ def test_duplication_step_matches_group_law(m):
                 assert (u, v) == (p.x.numerator, p.x.denominator)
 
 
+def _checked_window_step(c, w, v, window=None):
+    """_window_step from the window of the exact pair (w, v), or from
+    `window`, checked against the exact step: its float and bit length, and
+    the next window holding (w', v') in its box and residues.  None if it
+    declines."""
+    qr = c.q_value * c.r_value
+    step = _window_step(window or _open_window(w, v, c.s_primes), c.e3, qr)
+    w2, v2 = _duplication_step(w, v, c.e3, qr, c.s_primes)
+    if step is not None:
+        top = max(abs(w2 + c.e3 * v2), v2)
+        assert step[:2] == (math.log(top), top.bit_length())
+        s, box, moduli, residues = step[2]
+        for x, iv in zip((w2, v2), box):
+            assert iv.lo << s <= x <= iv.hi << s
+        big = math.prod(moduli.values())
+        assert residues == (w2 % big, v2 % big)
+    return step
+
+
 def test_certified_log_declines_or_matches_the_exact_step():
     # Called directly, so the width gate is bypassed and the narrow first
     # steps are checked too.  Above the gate it must also certify.
@@ -144,12 +164,10 @@ def test_certified_log_declines_or_matches_the_exact_step():
             w, v = start.x.numerator - c.e3 * start.x.denominator, start.x.denominator
             for _ in range(canonical_height(c, start, TOL / 3).iterations):
                 wide = max(w.bit_length(), v.bit_length()) > heights._CERTIFY_MIN_BITS
-                log_top = _certified_log(w, v, c.e3, qr, c.s_primes)
+                step = _checked_window_step(c, w, v)
                 w, v = _duplication_step(w, v, c.e3, qr, c.s_primes)
-                if log_top is not None:
-                    assert log_top == math.log(max(abs(w + c.e3 * v), v)), m
-                    certified += 1
-                assert log_top is not None or not wide, m
+                certified += step is not None
+                assert step is not None or not wide, m
                 wide_steps += wide
     # Most declines are the first steps, whose boxes are too coarse.
     assert (certified, wide_steps) == (494, 14)
@@ -166,7 +184,7 @@ def _multiple(c, p, k):
 def test_certified_log_strips_the_bad_primes_exactly(m):
     # The pairing chains reduce by g > 1 only at their coarse first step.
     # The first steps from a (0, t) + b (n1, t) reduce by g > 1 too, at
-    # widths the certificate can pin.
+    # widths the window can pin.
     c = build_curve(m)
     qr = c.q_value * c.r_value
     p1, p2 = point(0, c.t), point(c.n1, c.t)
@@ -177,10 +195,8 @@ def test_certified_log_strips_the_bad_primes_exactly(m):
             if q.is_infinity or q.y == 0:
                 continue
             w, v = q.x.numerator - c.e3 * q.x.denominator, q.x.denominator
-            log_top = _certified_log(w, v, c.e3, qr, c.s_primes)
-            w2, v2 = _duplication_step(w, v, c.e3, qr, c.s_primes)
-            if log_top is not None:
-                assert log_top == math.log(max(abs(w2 + c.e3 * v2), v2))
+            if _checked_window_step(c, w, v) is not None:
+                v2 = _duplication_step(w, v, c.e3, qr, c.s_primes)[1]
                 stripped += _numerators(w, v, c.e3, qr)[1] != v2  # v2 = dv / g
     assert stripped >= 10
 
@@ -189,12 +205,40 @@ def test_certified_log_declines_when_both_residues_vanish():
     # 2^40 | w, v puts 2^160 in nu and dv, past the 2^65 the residues see.
     c = build_curve(6)
     w, v = 2**40 * 12345678901234567890**150, 2**40 * 98765432109876543211**150
-    assert _certified_log(w, v, c.e3, c.q_value * c.r_value, c.s_primes) is None
+    assert _window_step(_open_window(w, v, c.s_primes), c.e3, c.q_value * c.r_value) is None
+
+
+def test_window_step_declines_when_stripping_uses_up_the_precision():
+    # The first step from (0, t) - 3 (n1, t) at m = 12 strips 2^2.  Residues
+    # mod 2^2 cannot tell that valuation from a larger one, and the step
+    # declines; mod 2^3 it certifies, and the next window reads 2 mod 2^1.
+    c = build_curve(12)
+    q = add(c, point(0, c.t), _multiple(c, point(c.n1, c.t), -3))
+    w, v = q.x.numerator - c.e3 * q.x.denominator, q.x.denominator
+    s, box, moduli, _ = _open_window(w, v, c.s_primes)
+    assert _checked_window_step(c, w, v) is not None
+    for bits, certifies in ((2, False), (3, True)):
+        narrowed = {**moduli, 2: 2**bits}
+        big = math.prod(narrowed.values())
+        step = _checked_window_step(c, w, v, (s, box, narrowed, (w % big, v % big)))
+        assert (step is not None) == certifies
+    assert step[2][2][2] == 2
+
+
+def test_window_step_declines_when_the_bit_length_straddles_a_power_of_two():
+    # With e3 = QR = 0 and no bad primes, M = w^4 over the box.  Both ends
+    # round to 2^240, but on [2^60 - 1, 2^60] w^4 crosses 2^240.
+    def step(lo, hi):
+        box = (heights._Interval(lo, hi), heights._Interval(1, 1))
+        return _window_step((0, box, {}, (0, 0)), 0, 0)
+
+    assert step(2**60 + 1, 2**60 + 2)[:2] == (math.log(2**240), 241)
+    assert step(2**60 - 1, 2**60) is None
 
 
 def test_certified_step_skips_one_exact_doubling(c12, monkeypatch):
-    # At m = 12, h(2 (n1, t)) ends in a 176,036-bit step, which the
-    # certificate replaces: 6 iterations from 5 exact doublings.
+    # At m = 12, h(2 (n1, t)) runs 6 steps.  The last three, from 2,751,
+    # 11,003 and 44,009 bits, run on the window: 3 exact doublings.
     calls = []
 
     def counted(*args):
@@ -203,33 +247,45 @@ def test_certified_step_skips_one_exact_doubling(c12, monkeypatch):
 
     monkeypatch.setattr(heights, "_duplication_step", counted)
     est = canonical_height(c12, _pairing_starts(c12)[4], TOL / 3)
-    assert (est.iterations, len(calls)) == (6, 5)
+    assert (est.iterations, len(calls)) == (6, 3)
 
 
 def test_declined_certificate_falls_back_to_the_exact_step(c12, monkeypatch):
-    # Eight bits cannot pin a double, so every step runs exactly and gives
-    # the same estimate.
+    # Eight bits cannot pin a double, so the first window step declines, the
+    # chain runs every step exactly and gives the same estimate.
     verdicts = []
 
     def recorded(*args):
-        verdicts.append(_certified_log(*args))
+        verdicts.append(_window_step(*args))
         return verdicts[-1]
 
     monkeypatch.setattr(heights, "_WINDOW_BITS", 8)
     monkeypatch.setattr(heights, "_CERTIFY_MIN_BITS", 0)
-    monkeypatch.setattr(heights, "_certified_log", recorded)
+    monkeypatch.setattr(heights, "_window_step", recorded)
     est = canonical_height(c12, _pairing_starts(c12)[4], TOL / 3)
-    assert verdicts and set(verdicts) == {None}
+    assert verdicts == [None]
     assert est == HeightEstimate(
         value=14.89485050000572, iterations=6, error_bound=7.116838318665941e-08
     )
 
 
 def test_certified_log_is_cross_checked_by_the_exact_step(c12, monkeypatch):
-    # A certified value that does not end the chain is compared with the
-    # exact step it stood in for.
-    monkeypatch.setattr(heights, "_certified_log", lambda *args: 1e6)
-    with pytest.raises(AssertionError, match="certified 1000000.0 != exact"):
+    # A decline after a window step makes the chain catch up exactly from
+    # the last exact pair, and each float the window gave must match.
+    def second_declines(wrong):
+        verdicts = iter([True, False])
+
+        def step(*args):
+            got = _window_step(*args)
+            return (wrong or got[0], *got[1:]) if next(verdicts) else None
+
+        return step
+
+    monkeypatch.setattr(heights, "_window_step", second_declines(None))
+    assert canonical_height(c12, _pairing_starts(c12)[4], TOL / 3) == HeightEstimate(
+        *TABLE1_HEIGHTS[12][4])
+    monkeypatch.setattr(heights, "_window_step", second_declines(1e6))
+    with pytest.raises(AssertionError, match="window 1000000.0 != exact"):
         canonical_height(c12, _pairing_starts(c12)[4], TOL / 3)
 
 
@@ -390,6 +446,30 @@ def test_one_chain_reads_h_of_p_and_2p_bit_for_bit(ms, caps):
                 assert _doubling_chain(c, p, TOL / 3, 2) == [HeightEstimate(*row),
                                                              HeightEstimate(*row2)]
     assert capped == caps
+
+
+def test_window_chain_matches_the_exact_chain_bit_for_bit(monkeypatch):
+    # Every reading of the chains the pairing runs, bit-cap errors included,
+    # against the same chain with the window never opened.
+    steps = []
+
+    def counted(*args):
+        got = _window_step(*args)
+        steps.append(got is not None)
+        return got
+
+    for m in scan_admissible(2, 3000):
+        c = build_curve(m)
+        p1, p2 = point(0, c.t), point(c.n1, c.t)
+        for p in (p1, p2, add(c, p1, p2)):
+            for tol in (1e-3 / 3, 1e-6, 1e-9):
+                with monkeypatch.context() as patch:
+                    patch.setattr(heights, "_window_step", counted)
+                    got = _chain_outcomes(c, p, tol)
+                with monkeypatch.context() as patch:
+                    patch.setattr(heights, "_CERTIFY_MIN_BITS", math.inf)
+                    assert got == _chain_outcomes(c, p, tol), (m, p, tol)
+    assert (steps.count(True), steps.count(False)) == (290, 0)
 
 
 def test_one_chain_on_torsion_and_identity_reads_zero(c6):
