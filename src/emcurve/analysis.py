@@ -87,14 +87,15 @@ def analysis_curve(m: int, config: EngineConfig, cache=None) -> CurveParams:
 
 
 def height_certificate(
-    curve: CurveParams, config: EngineConfig
+    ctx: DescentContext, config: EngineConfig
 ) -> tuple[PairingMatrix, int]:
-    """Height pairing of (0, t), (n1, t) at config.tol, a report (its
-    HeightBudgetExceeded propagates), and the rank lower bound that their
-    descent images certify exactly."""
+    """Height pairing of (0, t), (n1, t) on ctx's curve at config.tol, a
+    report (its HeightBudgetExceeded propagates), and the rank lower bound
+    that their descent images certify exactly, from ctx."""
+    curve = ctx.curve
     gram = pairing_matrix(curve, (point(0, curve.t), point(curve.n1, curve.t)),
                           config.tol)
-    return gram, DescentContext(curve).rank_lower_bound()
+    return gram, ctx.rank_lower_bound()
 
 
 def run_analysis(
@@ -121,11 +122,12 @@ def run_analysis(
     timings["torsion"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    gram, rank = height_certificate(curve, config)
+    ctx = DescentContext(curve)  # the one context of both certificates
+    gram, rank = height_certificate(ctx, config)
     timings["heights"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    selmer = selmer_group(curve)
+    selmer = selmer_group(ctx)
     timings["selmer"] = time.perf_counter() - t0
 
     return AnalysisRecord(

@@ -31,7 +31,11 @@ damage it walks the lines to name the first damaged one, serving nothing.
 Appends are serialized across threads and processes by an exclusive flock.
 Under it, each append repairs whatever the file ends with after its last
 newline, as it is at that moment: a whole line gets its newline, a damaged
-one is cut off.  Then the new line goes out in one write.
+one is cut off.  Then the new lines go out in one write.  Puts inside a
+batch block wait for its end or for a record: the CLI appends once per
+computed record, its new factorizations then the record, or once per
+selmer, heights or torsion command, on error too.  A killed process loses
+only the lines of the record in progress, which are recomputed identically.
 
 A cache at path None (--no-cache) holds its snapshot in memory only: it
 loads nothing and writes nothing, so each value is still computed once.
@@ -40,6 +44,7 @@ loads nothing and writes nothing, so each value is still computed once.
 from __future__ import annotations
 
 import binascii
+import contextlib
 import fcntl
 import json
 import math
@@ -72,6 +77,8 @@ class ResultCache:
         # A value still held as bytes is a tagged line's, not yet decoded;
         # JSON decodes to no bytes object, so the two never mix up.
         self._data: dict[tuple[str, str], object] = {}
+        self._pending: list[bytes] = []  # lines held for one append
+        self._depth = 0  # how many batch blocks are open
         if path is not None and os.path.exists(path):
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -124,6 +131,29 @@ class ResultCache:
                                  f"is not JSON: {e}") from None
         return value
 
+    @contextlib.contextmanager
+    def batch(self):
+        """Hold the lines put in the block until it ends, however it ends, or
+        until an analysis record is put, the last line of its computation."""
+        self._depth += 1
+        try:
+            yield
+        finally:
+            self._depth -= 1
+            if not self._depth:
+                self._append()
+
+    def _append(self) -> None:
+        """Write the held lines, in order, in one locked append."""
+        if self._pending:
+            lines, self._pending = b"".join(self._pending), []
+            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close
+                os.write(fd, _repair_tail(fd) + lines)
+            finally:
+                os.close(fd)
+
     def _put(self, kind: str, key: str, value) -> None:
         self._data[(kind, key)] = value
         if self.path is None:
@@ -132,12 +162,9 @@ class ResultCache:
         crc = binascii.crc32(text.encode("ascii"))
         line = (f'{{"kind": {json.dumps(kind)}, "key": {json.dumps(key)}, '
                 f'"crc": {crc}, "value": {text}}}\n')
-        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close
-            os.write(fd, _repair_tail(fd) + line.encode("ascii"))
-        finally:
-            os.close(fd)
+        self._pending.append(line.encode("ascii"))
+        if not self._depth:
+            self._append()
 
     def get_factorization(self, n: int) -> list[tuple[int, int]] | None:
         """The cached factors of n; ValueError unless they are (p, e) pairs
@@ -164,6 +191,7 @@ class ResultCache:
 
     def put_analysis(self, m: int, record_key: str, record: dict) -> None:
         self._put("analysis", f"{m}:{record_key}", record)
+        self._append()
 
 
 def _decode(raw: bytes):

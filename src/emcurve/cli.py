@@ -4,7 +4,7 @@ Subcommands: analyze, scan, table1, selmer, heights, torsion.  Each command
 opens the result cache at most once.  analyze, scan and table1 share one
 flow: cached records are served, and the rest run through run_analysis in
 this process or, with --jobs, in workers; whichever process computes a record
-appends it, and the factorizations it made, to the cache.
+appends the factorizations it made, then the record, to the cache at once.
 selmer, heights and torsion build the curve as run_analysis does and run
 only their stage.  Output is a human-readable table by default,
 newline-delimited JSON with --json, or CSV with --csv (analyze and scan
@@ -37,7 +37,7 @@ from .analysis import (
 )
 from .cache import ResultCache, resolve_cache_path
 from .curve import torsion_group
-from .descent import SelmerResult, SquarefreePrecondition, selmer_group
+from .descent import DescentContext, SelmerResult, SquarefreePrecondition, selmer_group
 from .family import scan_admissible
 from .heights import DEFAULT_TOL, HeightBudgetExceeded
 from .localsolve import LocalSolverError
@@ -220,13 +220,15 @@ _SCAN_ERRORS = (FactorizationTimeout, HeightBudgetExceeded, LocalSolverError,
 
 
 def _scan_worker(m, config, cache):
-    """run_analysis through the cache, then the record appended there; a scan
-    error is returned instead of raised, so one failing m does not end a scan."""
+    """run_analysis through the cache, then its new factorizations and the
+    record appended there in one batch; a scan error is returned instead of
+    raised, so one failing m does not end a scan."""
     try:
-        record = run_analysis(m, config, cache=cache)
+        with cache.batch():
+            record = run_analysis(m, config, cache=cache)
+            cache.put_analysis(m, config.record_key, record.__dict__)
     except _SCAN_ERRORS as e:
         return e
-    cache.put_analysis(m, config.record_key, record.__dict__)
     return record
 
 
@@ -282,7 +284,8 @@ def _analyses(ms, args):
         for m, hit in zip(ms, hits):
             outcome = next(fresh) if hit is None else AnalysisRecord(**hit)
             if args.verbose and not isinstance(outcome, Exception):
-                _print_audit(selmer_group(analysis_curve(m, config, cache)))
+                curve = analysis_curve(m, config, cache)
+                _print_audit(selmer_group(DescentContext(curve)))
             yield m, outcome
 
 
@@ -367,13 +370,16 @@ def cmd_table1(args) -> int:
 
 
 def _curve(args):
-    """The curve of --m, built as run_analysis builds it, through the cache."""
+    """The curve of --m, built as run_analysis builds it, through the cache;
+    the factorizations it makes go out in one append."""
     config = EngineConfig(seed=args.seed, rho_budget=args.rho_budget)
-    return analysis_curve(args.m, config, _cache(args))
+    cache = _cache(args)
+    with cache.batch():
+        return analysis_curve(args.m, config, cache)
 
 
 def cmd_selmer(args) -> int:
-    res = selmer_group(_curve(args))
+    res = selmer_group(DescentContext(_curve(args)))
     if args.verbose:
         _print_audit(res)
     if args.json:
@@ -391,7 +397,7 @@ def cmd_selmer(args) -> int:
 
 
 def cmd_heights(args) -> int:
-    gram, rank = height_certificate(_curve(args), _config(args))
+    gram, rank = height_certificate(DescentContext(_curve(args)), _config(args))
     if args.json:
         print(json.dumps({
             "m": args.m,

@@ -226,10 +226,18 @@ class DescentContext:
     @functools.cached_property
     def nonres(self) -> dict[int, int]:
         """Quadratic characters: for each odd bad prime pi, the mask of the
-        generators other than pi that are non-residues mod pi."""
-        return {pi: sum(1 << i for i, g in enumerate(self.gens)
-                        if g != pi and _legendre_prime(g, pi) == -1)
-                for pi in self.gens[2:]}
+        generators other than pi that are non-residues mod pi.  -1 and 2 are
+        read off pi mod 8; a pair of odd generators takes one Legendre symbol,
+        mod the smaller prime, and quadratic reciprocity gives the other."""
+        odd = self.gens[2:]
+        out = {pi: (pi % 4 == 3) | (pi % 8 in (3, 5)) << 1 for pi in odd}
+        for i, p in enumerate(odd):
+            for q in odd[i + 1:]:
+                lo, hi = min(p, q), max(p, q)
+                at_lo = _legendre_prime(hi, lo) == -1
+                out[lo] |= at_lo << self.index[hi]
+                out[hi] |= (at_lo ^ (p % 4 == q % 4 == 3)) << self.index[lo]
+        return out
 
     # -- mask <-> class ------------------------------------------------------
 
@@ -417,7 +425,8 @@ class DescentContext:
         generator on one side: bit j < nbits-1 is b2's generator 0 (the sign)
         or j+1, bit nbits-1+j is b1's generator j+1.  So a form's parity at
         a unit vector is one bit of u or v, and the forms' set bits fill the
-        rows.  The kernel basis spans the indices that pass every form.
+        rows.  The kernel basis spans the indices that pass every form, and
+        the ranks are counted in one walk down the sorted pivots.
         """
         half = self.nbits - 1
         forms = [f for group in groups for f in group]
@@ -431,10 +440,12 @@ class DescentContext:
         # The leading bits of an echelon basis of the rows that fall among
         # the top n bits number the rank of the first n forms.
         pivots, basis = _f2_eliminate(rows)
-        ranks, n = [], len(forms)
+        ranks, n, left = [], len(forms), sorted(pivots)
         for group in groups:
             n -= len(group)
-            ranks.append(sum(p >= n for p in pivots))
+            while left and left[-1] >= n:
+                left.pop()
+            ranks.append(len(pivots) - len(left))
         return ranks, basis
 
     def rank_lower_bound(self) -> int:
@@ -453,6 +464,19 @@ class DescentContext:
             raise AssertionError(f"the images of T1, T2, (0, t), (n1, t) span "
                                  f"dimension {dim}, not 4, for m={self.curve.m}")
         return dim - 2
+
+    def theorem_w(self) -> int:
+        """Count of primes p | m^4-1 whose symbol pattern forces (p-ish, p) in
+        Sel, read from nonres: p = 1 mod 4 needs (p/q_i) = (p/r_j) = 1 for all
+        q_i, r_j; p = 3 mod 4 needs (p/q_i) = (-p/r_j) = 1 instead."""
+        c, nonres, w = self.curve, self.nonres, 0
+        for p in c.p_primes:
+            bit = 1 << self.index[p]
+            at_r = bit | self.sign_bit if p % 4 == 3 else bit
+            if not (any(nonres[q] & bit for q in c.q_primes)
+                    or any((nonres[r] & at_r).bit_count() & 1 for r in c.r_primes)):
+                w += 1
+        return w
 
     def local_places(self) -> tuple[int, ...]:
         """The finite places tested: the bad primes, 2 first, then ascending."""
@@ -505,7 +529,7 @@ def phi_image(curve: CurveParams, pt: RationalPoint) -> DescentPair:
     return DescentPair(b1, b2)
 
 
-def selmer_group(curve: CurveParams) -> SelmerResult:
+def selmer_group(ctx: DescentContext) -> SelmerResult:
     """Full 2-Selmer computation: one F2 kernel on the coset index.
 
     The member cosets are the common kernel of the rule forms, the symbol
@@ -514,7 +538,8 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
     representatives it rejects.  Refuses when m^4-1+4m^2 is not squarefree
     (a hypothesis of the exclusion lemmas), and raises rather than guess
     when a local image cannot be completed.  s2 satisfies |Sel| = 2^(2+s2)
-    where |Sel| counts 4 elements per member coset.
+    where |Sel| counts 4 elements per member coset.  run_analysis shares
+    ctx with the rank certificate, so its tables are built once.
 
     Local solvability at a bad prime ell is membership in a subgroup: the
     space of (b1, b2) has a Q_ell-point iff the pair of classes of b1 and b2
@@ -534,16 +559,17 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
     Asserts what the mathematics gives: every member passes the exclusion
     rules and the symbol conditions and is solvable at the real place (rule
     (i) makes b2 > 0), and the images of rational points span no more than
-    dim E(Q_ell)/2E(Q_ell) at any place.  The pass over the members runs
+    dim E(Q_ell)/2E(Q_ell) at any place.  The walk over the span takes
+    each member's masks and values from two it already has, runs
     exclusion_reason, necessary_failures and real_solvable on each and keeps
     its masks and values only, in ascending (b1, b2) order: the result's
     values, which records read, and its members, built on first read.
     """
+    curve = ctx.curve
     if not curve.r_squarefree:
         raise SquarefreePrecondition(
             f"m^4-1+4m^2 = {curve.r_value} is not squarefree for m={curve.m}"
         )
-    ctx = DescentContext(curve)
     places = ctx.local_places()
     ranks, basis = ctx.kernel(ctx.rule_forms() + [ctx.symbol_forms()]
                               + [ctx.local_forms(ell) for ell in places])
@@ -556,13 +582,15 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
     tallies = {reason: passing[k] - passing[k + 1] for k, reason in enumerate(reasons)}
     counts = {"excluded": sum(tallies.values()) - tallies[symbol_reason],
               "necessary_fail": tallies[symbol_reason], "member": passing[-1]}
-    indices = [0]
+    # The span, each member from its two parents: rep_of_index is linear,
+    # and the value of a product of squarefree classes is a*b / gcd(a, b)^2.
+    rows = [(1, 1, 0, 0)]
     for k in basis:
-        indices += [i ^ k for i in indices]
-    rows = []
-    for idx in indices:
-        b1m, b2m = ctx.rep_of_index(idx)
-        b1, b2 = ctx.value_of_mask(b1m), ctx.value_of_mask(b2m)
+        k1m, k2m = ctx.rep_of_index(k)
+        k1, k2 = ctx.value_of_mask(k1m), ctx.value_of_mask(k2m)
+        rows += [(b1 * k1 // math.gcd(b1, k1) ** 2, b2 * k2 // math.gcd(b2, k2) ** 2,
+                  b1m ^ k1m, b2m ^ k2m) for b1, b2, b1m, b2m in rows]
+    for b1, b2, b1m, b2m in rows:
         reason = (ctx.exclusion_reason(b1m, b2m)
                   or "; ".join(ctx.necessary_failures(b1m, b2m)))
         if reason:
@@ -571,7 +599,6 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
         if not real_solvable(b1, b2).is_solvable:
             raise AssertionError(
                 f"symbol solution ({b1}, {b2}) is not real-solvable for m={curve.m}")
-        rows.append((b1, b2, b1m, b2m))
     rows.sort()
     s2 = len(basis)
     return SelmerResult(
@@ -579,29 +606,13 @@ def selmer_group(curve: CurveParams) -> SelmerResult:
         values=tuple(row[:2] for row in rows),
         size_log2=2 + s2,
         s2=s2,
-        theorem_w=theorem_lower_bound(curve),
+        theorem_w=ctx.theorem_w(),
         corollary_value=corollary_rank(curve),
         status_counts=counts,
         tallies=tallies,
         masks=tuple(row[2:] for row in rows),
         context=ctx,
     )
-
-
-def theorem_lower_bound(curve: CurveParams) -> int:
-    """Count of primes p | m^4-1 whose symbol pattern forces (p-ish, p) in Sel.
-
-    p = 1 mod 4 needs (p/q_i) = (p/r_j) = 1 for all q_i, r_j; p = 3 mod 4
-    needs (p/q_i) = (-p/r_j) = 1 instead.
-    """
-    w = 0
-    for p in curve.p_primes:
-        p_at_r = p if p % 4 == 1 else -p
-        if all(_legendre_prime(p, q) == 1 for q in curve.q_primes) and all(
-            _legendre_prime(p_at_r, r) == 1 for r in curve.r_primes
-        ):
-            w += 1
-    return w
 
 
 def corollary_rank(curve: CurveParams) -> int | None:

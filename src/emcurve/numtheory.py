@@ -205,7 +205,8 @@ def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple
     """x-only P + Q given P - Q = (xd : zd)."""
     u = (xp - zp) * (xq + zq) % n
     v = (xp + zp) * (xq - zq) % n
-    return zd * (u + v) * (u + v) % n, xd * (u - v) * (u - v) % n
+    plus, minus = u + v, u - v
+    return zd * plus * plus % n, xd * minus * minus % n
 
 
 def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
@@ -223,7 +224,8 @@ def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
         p, m = x0 + z0, x0 - z0
         u = (x1 - z1) * p % n
         v = (x1 + z1) * m % n
-        x1, z1 = (u + v) * (u + v) % n, x * (u - v) * (u - v) % n
+        plus, minus = u + v, u - v
+        x1, z1 = plus * plus % n, x * minus * minus % n
         s, d = p * p % n, m * m % n
         t = s - d
         x0, z0 = s * d % n, t * (d + a24 * t) % n

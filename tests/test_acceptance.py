@@ -43,14 +43,14 @@ def curves():
 @pytest.fixture(scope="module")
 def small_selmer(curves):
     t0 = time.perf_counter()
-    results = {m: selmer_group(curves[m]) for m in TABLE_S2}
+    results = {m: selmer_group(DescentContext(curves[m])) for m in TABLE_S2}
     return results, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def selmer_462(curves):
     t0 = time.perf_counter()
-    res = selmer_group(curves[462])
+    res = selmer_group(DescentContext(curves[462]))
     return res, time.perf_counter() - t0
 
 

@@ -1212,6 +1212,60 @@ def test_warm_scan_opens_the_cache_once(tmp_path, capsys, monkeypatch):
     assert opened == [path]
 
 
+def test_a_computed_record_goes_out_in_one_locked_append(tmp_path, capsys, monkeypatch):
+    # analyze --m 6 on a fresh cache appends the factorizations it made, of
+    # m^2+1, A, Q and R, then the record, in that order, under one lock.
+    import emcurve.cache as cache_mod
+
+    locks = []
+    real_flock = cache_mod.fcntl.flock
+
+    def counting_flock(fd, op):
+        locks.append(op)
+        real_flock(fd, op)
+
+    monkeypatch.setattr(cache_mod.fcntl, "flock", counting_flock)
+    path = tmp_path / "cache.jsonl"
+    rc, out, _ = run_cli(capsys, "analyze", "--m", "6", "--json", "--cache-path", str(path))
+    assert rc == 0 and locks == [cache_mod.fcntl.LOCK_EX]
+    lines = [json.loads(line) for line in path.read_bytes().splitlines()]
+    assert [(obj["kind"], obj["key"]) for obj in lines] == [
+        ("factorization", "37"), ("factorization", "1295"),
+        ("factorization", "1151"), ("factorization", "1439"),
+        ("analysis", _M6_RECORD_KEY)]
+    assert json.dumps(lines[-1]["value"], sort_keys=True) + "\n" == out
+
+
+def test_a_failed_command_still_caches_its_factorizations(tmp_path, capsys):
+    # heights --m 12 at --tol 1e-9 exits 3 at the bit cap, after the curve is
+    # built: its four factorizations are in the file, and a second run, served
+    # from them, appends nothing.
+    path = tmp_path / "cap.jsonl"
+    argv = ("heights", "--m", "12", "--tol", "1e-9", "--cache-path", str(path))
+    rc, out, _ = run_cli(capsys, *argv)
+    assert (rc, out) == (3, "")
+    before = path.read_bytes()
+    assert [json.loads(line)["key"] for line in before.splitlines()] == [
+        "145", "20735", "20159", "21311"]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert (rc, out) == (3, "") and path.read_bytes() == before
+
+
+def test_warm_scan_jobs_appends_nothing(tmp_path, capsys):
+    # Each worker appends each of its records with its factorizations; the
+    # warm scan is served all of them and writes nothing.
+    path = tmp_path / "cache.jsonl"
+    argv = ("scan", "--from", "2", "--to", "300", "--json", "--cache-path", str(path),
+            "--jobs", "2")
+    rc, cold, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    before = path.read_bytes()
+    keys = [(obj["kind"], obj["key"]) for obj in map(json.loads, before.splitlines())]
+    assert len(keys) == len(set(keys)) == 85
+    rc, warm, _ = run_cli(capsys, *argv)
+    assert rc == 0 and warm == cold and path.read_bytes() == before
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_torn_last_line_warns_once_per_command(tmp_path, capfd, jobs):
     # capfd, not capsys: it also sees what --jobs workers print.

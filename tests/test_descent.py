@@ -23,7 +23,6 @@ from emcurve.descent import (
     phi_image,
     selmer_group,
     square_class,
-    theorem_lower_bound,
 )
 from emcurve.family import build_curve, scan_admissible
 from emcurve.localsolve import (
@@ -51,6 +50,23 @@ def coset_reps(ctx):
         yield ctx.rep_of_index(idx)
 
 
+def theorem_lower_bound(curve):
+    """Count of primes p | m^4-1 whose symbol pattern forces (p-ish, p) in Sel.
+
+    p = 1 mod 4 needs (p/q_i) = (p/r_j) = 1 for all q_i, r_j; p = 3 mod 4
+    needs (p/q_i) = (-p/r_j) = 1 instead.  The reference for
+    DescentContext.theorem_w, from Legendre symbols taken one by one.
+    """
+    w = 0
+    for p in curve.p_primes:
+        p_at_r = p if p % 4 == 1 else -p
+        if all(_legendre_prime(p, q) == 1 for q in curve.q_primes) and all(
+            _legendre_prime(p_at_r, r) == 1 for r in curve.r_primes
+        ):
+            w += 1
+    return w
+
+
 @pytest.fixture(scope="module")
 def c6():
     return build_curve(6)
@@ -58,7 +74,7 @@ def c6():
 
 @pytest.fixture(scope="module")
 def sel6(c6):
-    return selmer_group(c6)
+    return selmer_group(DescentContext(c6))
 
 
 def test_square_class_examples(c6):
@@ -261,7 +277,7 @@ def test_point_images_are_members(m):
     # phi(E(Q)) lies in Sel_2, so the images of (0, t) and (n1, t) are members.
     ctx = DescentContext(build_curve(m))
     members = {(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
-               for p in selmer_group(ctx.curve).members}
+               for p in selmer_group(ctx).members}
     for image in ctx.point_images:
         assert canonical_rep(ctx, *image) in members
 
@@ -289,6 +305,29 @@ def test_member_witnesses_recorded(sel6):
 def test_theorem_lower_bound_values():
     assert theorem_lower_bound(build_curve(6)) == 3
     assert theorem_lower_bound(build_curve(462)) == 4
+
+
+def test_tables_match_their_references_at_every_admissible_m():
+    # At every admissible m <= 20000: nonres, one Legendre symbol per pair of
+    # odd generators and the rest by reciprocity, against every symbol taken
+    # directly; theorem_w, read from nonres, against theorem_lower_bound;
+    # and each member's values, taken from its parents in the span, against
+    # its masks.  The m where R is not squarefree have no members to check.
+    ms, refused = 0, 0
+    for m in scan_admissible(2, 20000):
+        ctx = DescentContext(build_curve(m))
+        assert ctx.nonres == {pi: sum(1 << i for i, g in enumerate(ctx.gens)
+                                      if g != pi and _legendre_prime(g, pi) == -1)
+                              for pi in ctx.gens[2:]}, m
+        assert ctx.theorem_w() == theorem_lower_bound(ctx.curve), m
+        ms += 1
+        if not ctx.curve.r_squarefree:
+            refused += 1
+            continue
+        res = selmer_group(ctx)
+        assert res.values == tuple((ctx.value_of_mask(b1m), ctx.value_of_mask(b2m))
+                                   for b1m, b2m in res.masks), m
+    assert (ms, refused) == (286, 8)
 
 
 def test_corollary_rank_values():
@@ -322,7 +361,7 @@ def test_theorem_pairs_and_corollary_hold_where_q_and_r_are_squarefree():
             continue
         ms += 1
         ctx = DescentContext(c)
-        sel = selmer_group(c)
+        sel = selmer_group(DescentContext(c))
         members = {canonical_rep(ctx, ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2))
                    for p in sel.members}
         counted = theorem_pairs(c)
@@ -340,7 +379,7 @@ def test_selmer_refuses_non_squarefree_r(c6):
     import dataclasses
     broken = dataclasses.replace(c6, r_squarefree=False)
     with pytest.raises(SquarefreePrecondition):
-        selmer_group(broken)
+        selmer_group(DescentContext(broken))
 
 
 def span(basis):
@@ -375,7 +414,7 @@ def test_exclusion_counts_match_brute_force_tally(m):
     ctx = DescentContext(c)
     tally = Counter(ctx.exclusion_reason(*rep) for rep in coset_reps(ctx))
     survivors = tally.pop(None)
-    counts = dict(itertools.islice(selmer_group(c).tallies.items(), 5))
+    counts = dict(itertools.islice(selmer_group(DescentContext(c)).tallies.items(), 5))
     assert counts == dict(tally)
     assert [r.split()[0] for r in counts] == ["(i)", "(ii)", "(iii)", "(iv)", "(v)"]
     assert sum(counts.values()) + survivors == ctx.coset_count()
@@ -394,7 +433,7 @@ SEED_STATUS_COUNTS = {
 
 @pytest.mark.parametrize("m", sorted(SEED_STATUS_COUNTS))
 def test_status_counts_match_full_scan(m):
-    counts = selmer_group(build_curve(m)).status_counts
+    counts = selmer_group(DescentContext(build_curve(m))).status_counts
     assert (counts["excluded"], counts["necessary_fail"], counts["member"]) == (
         SEED_STATUS_COUNTS[m]
     )
@@ -420,7 +459,7 @@ def test_tallies_are_the_audit_of_the_status_counts(m):
     # s_primes order, zeros included; with the members they count every
     # coset, and status_counts is read from the same numbers.
     c = build_curve(m)
-    res = selmer_group(c)
+    res = selmer_group(DescentContext(c))
     ctx = DescentContext(c)
     rank, rejected = SYMBOL_TALLIES[m]
     labels = ["(i) b2 < 0", "(ii) b2 = 0 mod q_i", "(iii) b1 = 0 mod r_i",
@@ -511,7 +550,7 @@ def test_necessary_failures_match_the_values(m):
 def test_member_values_match_the_member_objects(m):
     # The record and the selmer command read values; --verbose and
     # local_evidence read members, built once from the same masks.
-    res = selmer_group(build_curve(m))
+    res = selmer_group(DescentContext(build_curve(m)))
     assert len(res.values) == 2 ** res.s2
     assert all(a < b for a, b in zip(res.values, res.values[1:]))
     assert res.values == tuple((p.b1.value, p.b2.value) for p in res.members)
@@ -575,7 +614,7 @@ def test_decide_local_runs_once_per_local_class(m, monkeypatch):
 
     monkeypatch.setattr(descent_mod, "decide_local", counted)
     c = build_curve(m)
-    res = selmer_group(c)
+    res = selmer_group(DescentContext(c))
     assert verdicts == []
     for p in res.members:
         assert all(v.is_solvable for v in p.local_evidence.values())
@@ -676,7 +715,7 @@ def test_local_forms_assert_the_codimension(c6, monkeypatch):
     monkeypatch.setattr(descent_mod, "local_image", lambda *args: local_image(*args)[1:])
     with pytest.raises(AssertionError, match="the local image at 2 is cut out by 4 "
                                              "forms, not 3, for m=6"):
-        selmer_group(c6)
+        selmer_group(DescentContext(c6))
 
 
 def test_local_images_reach_full_dimension():
@@ -693,7 +732,7 @@ def test_one_local_image_per_place():
     # The descent and every member's evidence read one image per bad place.
     c = build_curve(462)
     local_image.cache_clear()
-    for pair in selmer_group(c).members:
+    for pair in selmer_group(DescentContext(c)).members:
         assert pair.local_evidence
     assert local_image.cache_info().misses == len(c.s_primes)
 
@@ -710,7 +749,7 @@ def test_selmer_asserts_every_member_passes_the_rules_and_symbols(c6, monkeypatc
     monkeypatch.setattr(DescentContext, "kernel", rules_only)
     with pytest.raises(AssertionError, match=r"symbol solution \(7, 7\) fails .*"
                                              r"\(iv\) b1 != 1 mod 4 for m=6"):
-        selmer_group(c6)
+        selmer_group(DescentContext(c6))
 
 
 # Pairs of local classes made non-members of the local image by the fakes
@@ -734,7 +773,7 @@ def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, unsolvable):
         return real(self, b1m, b2m, ell)
 
     monkeypatch.setattr(DescentContext, "locally_solvable", unsolvable_on_a_class)
-    result = selmer_group(c6)
+    result = selmer_group(DescentContext(c6))
     ctx = DescentContext(c6)
     keys = {(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2)) for p in result.members}
     assert len(keys) == 16 and result.size_log2 == 6
@@ -759,7 +798,7 @@ def test_selmer_asserts_the_local_images_fit(c6, monkeypatch, fresh_local_caches
     # rational points dimension 4 at 2, more than dim E(Q_2)/2E(Q_2) = 3.
     monkeypatch.setattr(localsolve, "_value_class", lambda n, ell: (abs(n), 1))
     with pytest.raises(AssertionError, match="span dimension 4 at 2, more than"):
-        selmer_group(c6)
+        selmer_group(DescentContext(c6))
     monkeypatch.undo()
     # At 7 the rational points span dimension 1 of 2; a search that finds
     # no point of E(Q_7) cannot complete the image and raises.
@@ -768,16 +807,16 @@ def test_selmer_asserts_the_local_images_fit(c6, monkeypatch, fresh_local_caches
     local_image.cache_clear()  # drop the image the real search completed
     with pytest.raises(LocalSolverError,
                        match="local image at 7 reached dimension 1, not 2"):
-        selmer_group(c6)
+        selmer_group(DescentContext(c6))
     monkeypatch.undo()
     monkeypatch.setattr(descent_mod, "real_solvable",
                         lambda b1, b2: LocalVerdict(math.inf, "real_unsolvable"))
     with pytest.raises(AssertionError, match=r"symbol solution \(1, 1\) is not real-solvable"):
-        selmer_group(c6)
+        selmer_group(DescentContext(c6))
 
 
 def test_local_evidence_asserts_agreement_with_the_local_image(c6, monkeypatch):
-    members = selmer_group(c6).members
+    members = selmer_group(DescentContext(c6)).members
     monkeypatch.setattr(DescentContext, "locally_solvable", lambda self, b1m, b2m, ell: False)
     with pytest.raises(AssertionError, match=r"decide_local finds \(1, 1\) solvable at 2, "
                                              "against its local image"):
@@ -796,7 +835,7 @@ WITNESS_DIGESTS = {
 
 @pytest.mark.parametrize("m", sorted(WITNESS_DIGESTS))
 def test_member_witnesses_are_pinned(m):
-    members = selmer_group(build_curve(m)).members
+    members = selmer_group(DescentContext(build_curve(m))).members
     text = repr([(p.key(), p.local_evidence) for p in members])
     assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGESTS[m]
 
@@ -818,14 +857,14 @@ def test_selmer_starts_no_process_pool(c6, sel6, monkeypatch):
         raise AssertionError("the descent must not start a process pool")
 
     monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
-    res = selmer_group(c6)
+    res = selmer_group(DescentContext(c6))
     assert [p.key() for p in res.members] == [p.key() for p in sel6.members]
 
 
 def test_selmer_m312_matches_full_scan():
     # 2^28 cosets, of which 2^13 survive the exclusion rules; the values were
     # produced by scanning every coset.
-    res = selmer_group(build_curve(312))
+    res = selmer_group(DescentContext(build_curve(312)))
     assert res.s2 == 4
     assert res.status_counts == {
         "excluded": 268427264, "necessary_fail": 8176, "member": 16,
