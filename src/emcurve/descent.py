@@ -1,22 +1,22 @@
-"""Square classes, the descent map, lemma filters, and 2-Selmer assembly.
+"""Square classes, the descent's F2 forms, and 2-Selmer assembly.
 
 Candidate pairs live in Q(S,2) x Q(S,2) where Q(S,2) is generated by [-1],
 [2] and the odd bad primes.  The four torsion images span an order-4
 subgroup H; each of the 4^(nbits-1) H-cosets has one representative with
-b1 > 0 and b2 odd, so b1*b2 is never divisible by 4, and the representatives
-are indexed F2-linearly by their 2(nbits-1) free bits (`rep_of_index`).
-Every condition of the descent is an F2 linear form on mask pairs, and so on
-the index bits: the five exclusion rules (`rule_forms`), which leave
-2^(nbits-2) representatives; each quadratic-symbol necessary condition
-(`symbol_forms`); and local solvability at each bad place of curve.s_primes,
-2 and the odd bad primes.  At ell that is membership of the pair's classes
-in Q_ell*/Q_ell*^2 in the local image delta_ell(E(Q_ell)/2E(Q_ell)),
-spanned by images of actual points and built once per (A, Q, R, ell) by
-localsolve.local_image (the proof is in selmer_group).  The image has
-codimension 2 at odd ell and 3 at 2, and is cut out by that many forms
-(`local_forms`).  selmer_group takes the kernel of all these forms at once:
-the members are its span, a subgroup by construction, and the rank after
-each group of forms counts the cosets that group rejects.
+b1 > 0 and b2 odd, so b1*b2 is never divisible by 4.  Every condition of
+the descent is an F2 linear form on mask pairs, that choice of
+representative included (`kernel`): the five exclusion rules
+(`rule_forms`), which leave 2^(nbits-2) representatives; each
+quadratic-symbol necessary condition (`symbol_forms`); and local
+solvability at each bad place of curve.s_primes, 2 and the odd bad primes.
+At ell that is membership of the pair's classes in Q_ell*/Q_ell*^2 in the
+local image delta_ell(E(Q_ell)/2E(Q_ell)), spanned by images of actual
+points and built once per (A, Q, R, ell) by localsolve.local_image (the
+proof is in selmer_group).  The image has codimension 2 at odd ell and 3 at
+2, and is cut out by that many forms (`local_forms`).  selmer_group takes
+the kernel of all these forms at once: the members are its span, a subgroup
+by construction, and the rank after each group of forms counts the cosets
+that group rejects.
 The real place needs no form: rule (i) makes b2 > 0.  An odd prime p
 outside S needs no test, 3 included (3 | m for every admissible m >= 6).
 There b1 and b2 are p-units, and up to sign the six 2x2 minors of the two
@@ -31,10 +31,8 @@ popcount parity.  DescentContext is the interface to those pieces: the
 generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`),
 the symbol conditions (`necessary_failures`), the forms of the local images
 (`local_forms`) and membership in them (`locally_solvable`) act on mask
-pairs; `kernel` solves groups of forms on the coset index, and
-selmer_group re-checks the rules and conditions on every member;
-`rep_of_index` names each coset by its index, so a brute-force reference
-for the kernels can list every one.
+pairs; `kernel` solves groups of forms on mask pairs, and selmer_group
+re-checks the rules and conditions on every member.
 `rank_lower_bound` certifies rank >= 2 from the images of the torsion and of
 the points (0, t) and (n1, t).  `_f2_eliminate` is the one F2 eliminator,
 and localsolve's `_f2_reduce` tests membership in an echelon basis.
@@ -52,12 +50,11 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .curve import RationalPoint, contains
 from .family import CurveParams
 from .localsolve import (
     _f2_reduce, _val_unit, decide_local, local_image, real_solvable,
 )
-from .numtheory import _legendre_prime, factorize
+from .numtheory import _legendre_prime
 
 
 class SquarefreePrecondition(RuntimeError):
@@ -94,22 +91,6 @@ class SquareClass:
 
     def __repr__(self) -> str:
         return f"[{self.value}]"
-
-
-IDENTITY_CLASS = SquareClass(1, ())
-
-
-def square_class(n: int) -> SquareClass:
-    """Squarefree kernel of a nonzero integer as a SquareClass.
-
-    Any support is allowed; DescentContext.mask_of_class raises
-    UnsupportedClass for a class outside a curve's Q(S,2).
-    """
-    if n == 0:
-        raise ValueError("square class of 0 undefined")
-    sign = 1 if n > 0 else -1
-    odd_part = tuple(p for p, e in factorize(abs(n)).factors if e % 2 == 1)
-    return SquareClass(sign, odd_part)
 
 
 @dataclass
@@ -166,7 +147,6 @@ class SelmerResult:
     reject after all five rules, then those each bad place rejects after
     those and the places before it, zeros included."""
 
-    curve: CurveParams
     values: tuple[tuple[int, int], ...]
     size_log2: int
     s2: int
@@ -307,20 +287,6 @@ class DescentContext:
                 return False
         return True
 
-    # -- coset machinery ------------------------------------------------------
-
-    def rep_of_index(self, idx: int) -> tuple[int, int]:
-        """Representative #idx: b1 ranges over subsets of the gens minus the
-        sign (a contiguous shift), b2 over subsets of the gens minus 2."""
-        half = 1 << (self.nbits - 1)
-        a, b = divmod(idx, half)
-        b1m = a << 1
-        b2m = (b & 1) | (b >> 1) << 2
-        return b1m, b2m
-
-    def coset_count(self) -> int:
-        return 1 << (2 * (self.nbits - 1))
-
     # -- pipeline pieces -------------------------------------------------------
 
     def exclusion_reason(self, b1m: int, b2m: int) -> str | None:
@@ -418,34 +384,36 @@ class DescentContext:
 
     def kernel(self, groups) -> tuple[list[int], list[int]]:
         """(rank of groups 0..k for each k, kernel basis) of ordered groups of
-        F2 linear forms (u, v) on the coset index of rep_of_index.
+        F2 linear forms (u, v) on mask pairs, solved over the pairs with
+        b1 > 0 and b2 odd: one per H-coset.
 
-        rep_of_index is F2-linear and index 0 is the identity pair, so each
-        form is linear in the 2(nbits-1) index bits.  Each index bit is one
-        generator on one side: bit j < nbits-1 is b2's generator 0 (the sign)
-        or j+1, bit nbits-1+j is b1's generator j+1.  So a form's parity at
-        a unit vector is one bit of u or v, and the forms' set bits fill the
-        rows.  The kernel basis spans the indices that pass every form, and
-        the ranks are counted in one walk down the sorted pivots.
+        Column j is bit j of u << nbits | v, one generator on one side, so a
+        form's set bits fill the rows.  The coset choice is two more forms,
+        (sign_bit, 0) and (0, two_bit), put first and left out of the ranks.
+        Each basis vector is b1m << nbits | b2m; the basis spans the pairs
+        that pass every form, and the ranks are counted in one walk down the
+        sorted pivots.
         """
-        half = self.nbits - 1
-        forms = [f for group in groups for f in group]
-        rows = [0] * (2 * half)  # per unit vector, its parities, first form on top
+        choice = [(self.sign_bit, 0), (0, self.two_bit)]
+        forms = choice + [f for group in groups for f in group]
+        rows = [0] * (2 * self.nbits)  # per column, its parities, first form on top
         for k, (u, v) in enumerate(reversed(forms)):
-            cols = (u >> 1) << half | (v & 1) | (v >> 2) << 1  # the index bits read
+            cols = u << self.nbits | v
             while cols:
                 low = cols & -cols
                 rows[low.bit_length() - 1] |= 1 << k
                 cols ^= low
         # The leading bits of an echelon basis of the rows that fall among
-        # the top n bits number the rank of the first n forms.
+        # the top n bits number the rank of the first n forms.  The choice
+        # forms are independent, so on the representatives each prefix of
+        # groups has the rank it has after them, less theirs.
         pivots, basis = _f2_eliminate(rows)
-        ranks, n, left = [], len(forms), sorted(pivots)
+        ranks, n, left = [], len(forms) - len(choice), sorted(pivots)
         for group in groups:
             n -= len(group)
             while left and left[-1] >= n:
                 left.pop()
-            ranks.append(len(pivots) - len(left))
+            ranks.append(len(pivots) - len(left) - len(choice))
         return ranks, basis
 
     def rank_lower_bound(self) -> int:
@@ -504,40 +472,16 @@ def _f2_eliminate(vectors: list[int]) -> tuple[list[int], list[int]]:
     return list(basis), kernel
 
 
-def phi_image(curve: CurveParams, pt: RationalPoint) -> DescentPair:
-    """Image of a rational point under the descent map.
-
-    Generic case ([x - e1], [x + e1]); the printed special cases at the
-    2-torsion abscissae x = e1 and x = e2; identity pair at infinity.  The
-    third root e3 falls under the generic formula.
-    """
-    if not contains(curve, pt):
-        raise ValueError(f"{pt} is not on the curve for m={curve.m}")
-    A = curve.a_value
-    if pt.is_infinity:
-        return DescentPair(IDENTITY_CLASS, IDENTITY_CLASS)
-    if pt.x == curve.e1:
-        b1 = square_class(2 * A * curve.q_value)
-        b2 = square_class(2 * A)
-    elif pt.x == curve.e2:
-        b1 = square_class(-2 * A)
-        b2 = square_class(2 * A * curve.r_value)
-    else:
-        # [a/b] = [a*b] for a rational in lowest terms.
-        b1, b2 = (square_class(x.numerator * x.denominator)
-                  for x in (pt.x - curve.e1, pt.x + curve.e1))
-    return DescentPair(b1, b2)
-
-
 def selmer_group(ctx: DescentContext) -> SelmerResult:
-    """Full 2-Selmer computation: one F2 kernel on the coset index.
+    """Full 2-Selmer computation: one F2 kernel on mask pairs.
 
     The member cosets are the common kernel of the rule forms, the symbol
-    forms and each place's local forms, in curve.s_primes order, so a
-    subgroup of 2^s2; the rank after each group counts the coset
-    representatives it rejects.  Refuses when m^4-1+4m^2 is not squarefree
-    (a hypothesis of the exclusion lemmas), and raises rather than guess
-    when a local image cannot be completed.  s2 satisfies |Sel| = 2^(2+s2)
+    forms and each place's local forms, in curve.s_primes order, among the
+    representatives b1 > 0 and b2 odd, so a subgroup of 2^s2; the rank after
+    each group counts the representatives it rejects.  Each basis vector
+    splits at bit nbits into b1's mask and b2's.  Refuses when m^4-1+4m^2 is
+    not squarefree (a hypothesis of the exclusion lemmas), and raises rather
+    than guess when a local image cannot be completed.  s2 satisfies |Sel| = 2^(2+s2)
     where |Sel| counts 4 elements per member coset.  run_analysis shares
     ctx with the rank certificate, so its tables are built once.
 
@@ -578,15 +522,15 @@ def selmer_group(ctx: DescentContext) -> SelmerResult:
                "(iv) v_p(b1*b2) = 1", "(v) b1*b2 = 2 mod 4", symbol_reason,
                *(f"locally unsolvable at {ell}" for ell in places)]
     # passing[k] counts the coset representatives that pass the first k groups.
-    passing = [ctx.coset_count() >> r for r in [0, *ranks]]
+    passing = [1 << 2 * (ctx.nbits - 1) - r for r in [0, *ranks]]
     tallies = {reason: passing[k] - passing[k + 1] for k, reason in enumerate(reasons)}
     counts = {"excluded": sum(tallies.values()) - tallies[symbol_reason],
               "necessary_fail": tallies[symbol_reason], "member": passing[-1]}
-    # The span, each member from its two parents: rep_of_index is linear,
-    # and the value of a product of squarefree classes is a*b / gcd(a, b)^2.
+    # The span, each member from its two parents: masks multiply by XOR, and
+    # the value of a product of squarefree classes is a*b / gcd(a, b)^2.
     rows = [(1, 1, 0, 0)]
     for k in basis:
-        k1m, k2m = ctx.rep_of_index(k)
+        k1m, k2m = k >> ctx.nbits, k & (1 << ctx.nbits) - 1
         k1, k2 = ctx.value_of_mask(k1m), ctx.value_of_mask(k2m)
         rows += [(b1 * k1 // math.gcd(b1, k1) ** 2, b2 * k2 // math.gcd(b2, k2) ** 2,
                   b1m ^ k1m, b2m ^ k2m) for b1, b2, b1m, b2m in rows]
@@ -602,7 +546,6 @@ def selmer_group(ctx: DescentContext) -> SelmerResult:
     rows.sort()
     s2 = len(basis)
     return SelmerResult(
-        curve=curve,
         values=tuple(row[:2] for row in rows),
         size_log2=2 + s2,
         s2=s2,

@@ -11,18 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emcurve.analysis import run_analysis
-from emcurve.curve import INFINITY, add, point, scalar_mul
+from emcurve.curve import INFINITY, add, contains, point, scalar_mul
 from emcurve.descent import (
     DescentContext,
     DescentPair,
-    IDENTITY_CLASS,
     SquareClass,
     SquarefreePrecondition,
     UnsupportedClass,
     corollary_rank,
-    phi_image,
     selmer_group,
-    square_class,
 )
 from emcurve.family import build_curve, scan_admissible
 from emcurve.localsolve import (
@@ -45,9 +42,57 @@ def canonical_rep(ctx, b1m, b2m):
 
 
 def coset_reps(ctx):
-    """All 4^(1 + #odd bad primes) coset representatives, in index order."""
-    for idx in range(ctx.coset_count()):
-        yield ctx.rep_of_index(idx)
+    """All 4^(nbits-1) coset representatives as mask pairs, b1m without the
+    sign bit and b2m without the 2-bit, ascending in b1m, then in b2m."""
+    masks = range(1 << ctx.nbits)
+    return ((b1m, b2m) for b1m in masks if not b1m & ctx.sign_bit
+            for b2m in masks if not b2m & ctx.two_bit)
+
+
+def mask_pair(ctx, k):
+    """The mask pair (b1m, b2m) of a kernel vector k = b1m << nbits | b2m."""
+    return k >> ctx.nbits, k & (1 << ctx.nbits) - 1
+
+
+IDENTITY_CLASS = SquareClass(1, ())
+
+
+def square_class(n):
+    """Squarefree kernel of a nonzero integer as a SquareClass.
+
+    Any support is allowed; DescentContext.mask_of_class raises
+    UnsupportedClass for a class outside a curve's Q(S,2).
+    """
+    if n == 0:
+        raise ValueError("square class of 0 undefined")
+    sign = 1 if n > 0 else -1
+    odd_part = tuple(p for p, e in factorize(abs(n)).factors if e % 2 == 1)
+    return SquareClass(sign, odd_part)
+
+
+def phi_image(curve, pt):
+    """Image of a rational point under the descent map.
+
+    Generic case ([x - e1], [x + e1]); the printed special cases at the
+    2-torsion abscissae x = e1 and x = e2; identity pair at infinity.  The
+    third root e3 falls under the generic formula.
+    """
+    if not contains(curve, pt):
+        raise ValueError(f"{pt} is not on the curve for m={curve.m}")
+    A = curve.a_value
+    if pt.is_infinity:
+        return DescentPair(IDENTITY_CLASS, IDENTITY_CLASS)
+    if pt.x == curve.e1:
+        b1 = square_class(2 * A * curve.q_value)
+        b2 = square_class(2 * A)
+    elif pt.x == curve.e2:
+        b1 = square_class(-2 * A)
+        b2 = square_class(2 * A * curve.r_value)
+    else:
+        # [a/b] = [a*b] for a rational in lowest terms.
+        b1, b2 = (square_class(x.numerator * x.denominator)
+                  for x in (pt.x - curve.e1, pt.x + curve.e1))
+    return DescentPair(b1, b2)
 
 
 def theorem_lower_bound(curve):
@@ -154,7 +199,7 @@ def test_candidate_pairs_cover_cosets_once(c6):
         rep = canonical_rep(ctx, b1m, b2m)
         assert rep == (b1m, b2m)  # reps are already canonical
         seen.add(rep)
-    assert len(seen) == ctx.coset_count()
+    assert len(seen) == 4 ** (ctx.nbits - 1)
     # Multiplying by each torsion image lands back in the same coset.
     h3 = (ctx.h2[0] ^ ctx.h4[0], ctx.h2[1] ^ ctx.h4[1])
     for h in ((0, 0), ctx.h2, h3, ctx.h4):
@@ -391,7 +436,8 @@ def span(basis):
 
 
 def unexcluded(ctx):
-    """The coset indices that pass every exclusion rule, ascending."""
+    """The kernel vectors b1m << nbits | b2m of the coset representatives
+    that pass every exclusion rule, ascending."""
     return span(ctx.kernel(ctx.rule_forms())[1])
 
 
@@ -400,7 +446,7 @@ def test_survivor_reps_are_exactly_the_unexcluded_cosets(m):
     # The kernel of the rule forms, against every coset's rule.
     ctx = DescentContext(build_curve(m))
     ranks, basis = ctx.kernel(ctx.rule_forms())
-    survivors = [ctx.rep_of_index(idx) for idx in span(basis)]
+    survivors = [mask_pair(ctx, k) for k in span(basis)]
     brute = {rep for rep in coset_reps(ctx) if ctx.exclusion_reason(*rep) is None}
     assert len(survivors) == len(set(survivors)) == 1 << (ctx.nbits - 2)
     assert set(survivors) == brute
@@ -417,7 +463,7 @@ def test_exclusion_counts_match_brute_force_tally(m):
     counts = dict(itertools.islice(selmer_group(DescentContext(c)).tallies.items(), 5))
     assert counts == dict(tally)
     assert [r.split()[0] for r in counts] == ["(i)", "(ii)", "(iii)", "(iv)", "(v)"]
-    assert sum(counts.values()) + survivors == ctx.coset_count()
+    assert sum(counts.values()) + survivors == 4 ** (ctx.nbits - 1)
 
 
 # (excluded, necessary_fail, member) as computed by the full coset scan.
@@ -474,7 +520,7 @@ def test_tallies_are_the_audit_of_the_status_counts(m):
     assert res.status_counts == {"excluded": sum(counts) - counts[5],
                                  "necessary_fail": counts[5],
                                  "member": len(res.members)}
-    assert sum(counts) + len(res.members) == ctx.coset_count()
+    assert sum(counts) + len(res.members) == 4 ** (ctx.nbits - 1)
 
 
 @pytest.mark.parametrize("m", [6, 12, 30, 42, 60, 312, 462, 1302])
@@ -484,14 +530,30 @@ def test_symbol_solutions_match_brute_force_scan(m):
     ranks, basis = ctx.kernel(ctx.rule_forms() + [ctx.symbol_forms()])
     rank = ranks[5] - ranks[4]
     solutions = span(basis)
-    brute = [idx for idx in unexcluded(ctx)
-             if not ctx.necessary_failures(*ctx.rep_of_index(idx))]
+    brute = [k for k in unexcluded(ctx)
+             if not ctx.necessary_failures(*mask_pair(ctx, k))]
     assert solutions == brute
     assert len(solutions) == 1 << (ctx.nbits - 2 - rank)
-    # The solutions are a subgroup of the coset index space.
+    # The solutions are a subgroup of the mask pairs.
     found = set(solutions)
     assert 0 in found
     assert all(a ^ b in found for a in solutions for b in solutions)
+
+
+@pytest.mark.parametrize("m", [6, 12, 462, 1950])
+def test_kernel_carries_the_coset_choice(m):
+    # The choice b1 > 0 and b2 odd is two forms of kernel's own: no basis
+    # vector of any prefix of the descent's groups, none included, has b1's
+    # sign bit or b2's 2-bit, and every member is its own representative.
+    ctx = DescentContext(build_curve(m))
+    groups = (ctx.rule_forms() + [ctx.symbol_forms()]
+              + [ctx.local_forms(ell) for ell in ctx.local_places()])
+    assert len(ctx.kernel([])[1]) == 2 * (ctx.nbits - 1)
+    for n in range(len(groups) + 1):
+        for b1m, b2m in (mask_pair(ctx, k) for k in ctx.kernel(groups[:n])[1]):
+            assert not (b1m & ctx.sign_bit or b2m & ctx.two_bit), (m, n, b1m, b2m)
+    masks = selmer_group(ctx).masks
+    assert masks and all(canonical_rep(ctx, *pair) == pair for pair in masks)
 
 
 def value_failures(ctx, b1m, b2m):
@@ -531,15 +593,15 @@ def test_necessary_failures_match_the_values(m):
     # prime divided out.
     ctx = DescentContext(build_curve(m))
     if m in (6, 12):
-        indices = unexcluded(ctx)
+        reps = [mask_pair(ctx, k) for k in unexcluded(ctx)]
     else:
         rng = random.Random(m)
-        indices = [rng.randrange(ctx.coset_count()) for _ in range(4096)]
+        reps = [(rng.getrandbits(ctx.nbits) & ~ctx.sign_bit,
+                 rng.getrandbits(ctx.nbits) & ~ctx.two_bit) for _ in range(4096)]
     seen = set()
-    for idx in indices:
-        rep = ctx.rep_of_index(idx)
+    for rep in reps:
         fails = ctx.necessary_failures(*rep)
-        assert fails == value_failures(ctx, *rep), (m, idx)
+        assert fails == value_failures(ctx, *rep), (m, rep)
         seen.update(re.sub(r"_\d+", "_", f) for f in fails)
     # Each of the five messages is met, but (ii) at m = 6: there every
     # unexcluded representative satisfies it.
@@ -632,8 +694,8 @@ def test_local_verdict_depends_only_on_local_classes(m):
     ctx = DescentContext(c)
     solutions = span(ctx.kernel(ctx.rule_forms() + [ctx.symbol_forms()])[1])
     rejected = sorted(set(unexcluded(ctx)) - set(solutions))
-    pairs = [tuple(map(ctx.value_of_mask, ctx.rep_of_index(idx)))
-             for idx in solutions[:12] + rejected[:12]]
+    pairs = [tuple(map(ctx.value_of_mask, mask_pair(ctx, k)))
+             for k in solutions[:12] + rejected[:12]]
     seen = set()
     for ell in c.s_primes:
         squares = [g for g in map(ctx.value_of_mask, range(2, 1 << ctx.nbits))
@@ -671,7 +733,7 @@ def test_local_image_membership_matches_decide_local(m):
     seen = set()
     for ell in c.s_primes:
         reps = {}
-        for b1m, b2m in map(ctx.rep_of_index, unexcluded(ctx)):
+        for b1m, b2m in (mask_pair(ctx, k) for k in unexcluded(ctx)):
             classes = (mask_local_class(ctx, b1m, ell), mask_local_class(ctx, b2m, ell))
             reps.setdefault(classes, (b1m, b2m))
         for b1m, b2m in reps.values():
