@@ -1,83 +1,21 @@
-"""End-to-end analysis of one parameter and its machine-readable record.
+"""End-to-end analysis of one parameter into its machine-readable record.
 
-The record is built from plain JSON types so that parse(serialize(x)) == x
+AnalysisRecord and EngineConfig live in the package's __init__, so that a
+cache hit reads them without loading the engine; this module re-exports
+them.  The record is built from plain JSON types so that parse(serialize(x)) == x
 holds exactly: arbitrary-precision integers are carried as decimal strings
 and floats rely on repr round-tripping.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
 
-from . import ENGINE_VERSION
+from . import ENGINE_VERSION, AnalysisRecord, EngineConfig
 from .curve import point, torsion_group
 from .descent import DescentContext, selmer_group
 from .family import CurveParams, build_curve
-from .heights import DEFAULT_MAX_BITS, DEFAULT_TOL, PairingMatrix, pairing_matrix
-from .numtheory import DEFAULT_RHO_BUDGET
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    seed: int = 0
-    rho_budget: int = DEFAULT_RHO_BUDGET
-    tol: float = DEFAULT_TOL
-
-    @property
-    def record_key(self) -> str:
-        """The engine version and the settings that can change a record.
-
-        seed and rho_budget are left out: they change how long a
-        factorization takes, or whether it runs out of budget, never its
-        result.  The height bit cap is the fixed DEFAULT_MAX_BITS; it stays
-        in the key so that records cached under it keep their keys.
-        """
-        return f"{ENGINE_VERSION}:tol={self.tol!r}:max_bits={DEFAULT_MAX_BITS}"
-
-
-@dataclass
-class AnalysisRecord:
-    """Everything one parameter produces, in JSON-plain form."""
-
-    m: int
-    engine_version: str
-    admissible: bool
-    admissibility: dict
-    torsion_structure: str
-    torsion_points: list
-    pairing_entries: list
-    pairing_determinant: float
-    independence: int
-    heights_tol: float
-    s2: int
-    size_log2: int
-    theorem_w: int
-    corollary_value: int | None
-    members: list
-    status_counts: dict
-    timings: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-    def csv_row(self) -> list[str]:
-        return [
-            str(self.m),
-            self.torsion_structure,
-            str(self.independence),
-            f"{self.pairing_determinant!r}",
-            str(self.s2),
-            str(self.theorem_w),
-            "" if self.corollary_value is None else str(self.corollary_value),
-            str(len(self.members)),
-        ]
-
-    CSV_HEADER = [
-        "m", "torsion", "rank_lower_bound", "pairing_det",
-        "s2", "theorem_w", "corollary", "member_cosets",
-    ]
+from .heights import PairingMatrix, pairing_matrix
 
 
 def analysis_curve(m: int, config: EngineConfig, cache=None) -> CurveParams:

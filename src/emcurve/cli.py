@@ -15,6 +15,13 @@ the cache or computed.  Each subcommand takes only the flags it reads (see
 build_parser), but for --jobs, which analyze, heights and torsion accept
 and ignore.  Exit codes: 0 success, 1 reference-table mismatch, 2 invalid
 input (an unusable cache path included), 3 resource exhaustion.
+
+A served record needs only the cache and the record side of the package
+(AnalysisRecord, EngineConfig), so this module imports no engine module
+(numtheory, family, curve, heights, localsolve, descent, analysis) at top
+level: each path that computes imports what it calls, once it runs -- a
+miss, the --verbose audit, scan's admissibility sieve, and the selmer,
+heights and torsion commands.  A warm analyze or table1 loads none of it.
 """
 
 from __future__ import annotations
@@ -22,26 +29,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import json
 import math
 import sys
 
-from .analysis import (
-    AnalysisRecord,
-    EngineConfig,
-    analysis_curve,
-    height_certificate,
-    run_analysis,
-)
+from . import DEFAULT_RHO_BUDGET, DEFAULT_TOL, AnalysisRecord, EngineConfig
 from .cache import ResultCache, resolve_cache_path
-from .curve import torsion_group
-from .descent import DescentContext, SelmerResult, SquarefreePrecondition, selmer_group
-from .family import scan_admissible
-from .heights import DEFAULT_TOL, HeightBudgetExceeded
-from .localsolve import LocalSolverError
-from .numtheory import DEFAULT_RHO_BUDGET, FactorizationTimeout
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -171,9 +165,9 @@ def _cache(args) -> ResultCache:
     return ResultCache(None if args.no_cache else resolve_cache_path(args.cache_path))
 
 
-def _print_audit(res: SelmerResult) -> None:
-    """The descent audit of --verbose: the tallies, then each member with its
-    verdicts and witnesses by place."""
+def _print_audit(res) -> None:
+    """The descent audit of --verbose, from a descent.SelmerResult: the
+    tallies, then each member with its verdicts and witnesses by place."""
     for reason, count in res.tallies.items():
         print(f"  {reason}: {count} cosets")
     for pair in res.members:
@@ -215,19 +209,33 @@ def _emit_records(records, args) -> None:
             _print_record_human(r)
 
 
-_SCAN_ERRORS = (FactorizationTimeout, HeightBudgetExceeded, LocalSolverError,
-                SquarefreePrecondition)
+def _engine_errors():
+    """The engine's errors that a scan reports per m and main maps to exit
+    codes: exit 3 for the first three, exit 2 for SquarefreePrecondition.
+
+    Named only in except clauses, which run this only once something is
+    raised; each of them is raised only after its module has loaded.
+    """
+    from .descent import SquarefreePrecondition
+    from .heights import HeightBudgetExceeded
+    from .localsolve import LocalSolverError
+    from .numtheory import FactorizationTimeout
+
+    return (FactorizationTimeout, HeightBudgetExceeded, LocalSolverError,
+            SquarefreePrecondition)
 
 
 def _scan_worker(m, config, cache):
     """run_analysis through the cache, then its new factorizations and the
     record appended there in one batch; a scan error is returned instead of
     raised, so one failing m does not end a scan."""
+    from .analysis import run_analysis
+
     try:
         with cache.batch():
             record = run_analysis(m, config, cache=cache)
             cache.put_analysis(m, config.record_key, record.__dict__)
-    except _SCAN_ERRORS as e:
+    except _engine_errors() as e:
         return e
     return record
 
@@ -245,7 +253,7 @@ def _pool_worker(task):
     return _scan_worker(m, config, _pool_cache)
 
 
-_RECORD_FIELDS = {f.name for f in dataclasses.fields(AnalysisRecord)}
+_RECORD_FIELDS = set(AnalysisRecord.FIELDS)
 
 
 def _analyses(ms, args):
@@ -284,6 +292,9 @@ def _analyses(ms, args):
         for m, hit in zip(ms, hits):
             outcome = next(fresh) if hit is None else AnalysisRecord(**hit)
             if args.verbose and not isinstance(outcome, Exception):
+                from .analysis import analysis_curve
+                from .descent import DescentContext, selmer_group
+
                 curve = analysis_curve(m, config, cache)
                 _print_audit(selmer_group(DescentContext(curve)))
             yield m, outcome
@@ -317,6 +328,8 @@ def cmd_scan(args) -> int:
             print("error: --admissible-only " + ("prints no CSV" if args.csv else
                   "does not read " + ", ".join(unread)), file=sys.stderr)
             return EXIT_INVALID
+    from .family import scan_admissible
+
     lo = max(args.lo, 2)  # a window that ends below 2 is empty
     ms = list(scan_admissible(lo, args.hi, seed=args.seed)) if lo <= args.hi else []
     if args.admissible_only:
@@ -372,6 +385,8 @@ def cmd_table1(args) -> int:
 def _curve(args):
     """The curve of --m, built as run_analysis builds it, through the cache;
     the factorizations it makes go out in one append."""
+    from .analysis import analysis_curve
+
     config = EngineConfig(seed=args.seed, rho_budget=args.rho_budget)
     cache = _cache(args)
     with cache.batch():
@@ -379,6 +394,8 @@ def _curve(args):
 
 
 def cmd_selmer(args) -> int:
+    from .descent import DescentContext, selmer_group
+
     res = selmer_group(DescentContext(_curve(args)))
     if args.verbose:
         _print_audit(res)
@@ -397,6 +414,9 @@ def cmd_selmer(args) -> int:
 
 
 def cmd_heights(args) -> int:
+    from .analysis import height_certificate
+    from .descent import DescentContext
+
     gram, rank = height_certificate(DescentContext(_curve(args)), _config(args))
     if args.json:
         print(json.dumps({
@@ -414,6 +434,8 @@ def cmd_heights(args) -> int:
 
 
 def cmd_torsion(args) -> int:
+    from .curve import torsion_group
+
     tors = torsion_group(_curve(args))
     if args.json:
         print(json.dumps({
@@ -449,14 +471,16 @@ def main(argv: list[str] | None = None) -> int:
             if "tol" in args and not 0 < args.tol < math.inf:  # also true for nan
                 raise ValueError("tol must be finite and positive")
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, SquarefreePrecondition) as e:
+    except (ValueError, OSError) as e:
         # ValueError covers InadmissibleParameter and bad flag values; OSError
         # an unusable cache path.
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except (FactorizationTimeout, HeightBudgetExceeded, LocalSolverError) as e:
+    except _engine_errors() as e:
+        from .descent import SquarefreePrecondition
+
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return EXIT_INVALID if isinstance(e, SquarefreePrecondition) else EXIT_RESOURCE
 
 
 if __name__ == "__main__":

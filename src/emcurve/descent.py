@@ -105,9 +105,6 @@ class DescentPair:
     b2: SquareClass
     context: DescentContext | None = field(default=None, repr=False, compare=False)
 
-    def key(self) -> tuple[int, int]:
-        return (self.b1.value, self.b2.value)
-
     @functools.cached_property
     def local_evidence(self) -> dict:
         """Verdicts by place: inf, then curve.s_primes in order, from

@@ -25,11 +25,10 @@ import functools
 import math
 from dataclasses import dataclass
 
+from . import DEFAULT_MAX_BITS, DEFAULT_TOL
 from .curve import RationalPoint, add, contains
 from .family import CurveParams
 
-DEFAULT_TOL = 1e-3
-DEFAULT_MAX_BITS = 10**6
 # Width max(bits(w), bits(v)) past which the chain steps a window.  Per step
 # at m = 6 (2-core x86, Python 3.11), exact against window: 8 vs 31 us at
 # 490 bits, 45 vs 31 us at 2,000 and 360 vs 31 us at 7,900, where opening

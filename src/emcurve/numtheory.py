@@ -23,6 +23,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import DEFAULT_RHO_BUDGET
+
 # (psi, k): the first k primes admit no strong pseudoprime below psi, the
 # least one to all of them (Jaeschke, Math. Comp. 61, 1993; Sorenson and
 # Webster, Math. Comp. 86, 2017).  The first 8 and the first 10 or 11 primes
@@ -43,7 +45,6 @@ _MR_PSI = (
 # Trial division stops here: rho finds any larger factor below 1e6 in about a
 # thousand iterations, far fewer than the 78,498 primes below 1e6.
 TRIAL_DIVISION_BOUND = 2**10
-DEFAULT_RHO_BUDGET = 10**8
 
 # Rho iterations per composite cofactor before ECM takes over.  Rho's cost
 # grows like sqrt(p) and a curve's does not: 2^12 iterations find most

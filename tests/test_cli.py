@@ -51,12 +51,13 @@ def test_analyze_inadmissible_exit_code(capsys):
 
 def test_analyze_resource_exit_code(capsys, monkeypatch):
     from emcurve.numtheory import FactorizationTimeout
-    import emcurve.cli as cli_mod
+    import emcurve.analysis as analysis_mod
 
     def boom(*a, **k):
         raise FactorizationTimeout(10, [], 10)
 
-    monkeypatch.setattr(cli_mod, "run_analysis", boom)
+    # cli imports run_analysis from analysis when it computes a record.
+    monkeypatch.setattr(analysis_mod, "run_analysis", boom)
     rc, _, err = run_cli(capsys, "analyze", "--m", "6", "--no-cache")
     assert rc == 3
     assert "budget" in err
@@ -956,6 +957,66 @@ def _cli_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(emcurve.__file__).resolve().parents[1])]
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
+_SRC = str(Path(emcurve.__file__).resolve().parents[1])
+# An isolated (-I) child with the checkout's src/ first: it runs argv[2],
+# then prints the names in sys.modules, space-separated, as its last line.
+_MODULES_CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); exec(sys.argv[2]); "
+                  "print(' '.join(sorted(sys.modules)))")
+ENGINE_MODULES = {f"emcurve.{name}" for name in (
+    "numtheory", "family", "curve", "heights", "localsolve", "descent", "analysis")}
+
+
+def _fresh_modules(code):
+    """The modules a fresh isolated interpreter has loaded after running
+    code, and what code printed before them."""
+    proc = subprocess.run([sys.executable, "-I", "-c", _MODULES_CHILD, _SRC, code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *printed, names = proc.stdout.splitlines()
+    return "\n".join(printed), set(names.split())
+
+
+def test_warm_hit_loads_no_engine(tmp_path, capsys):
+    # A site .pth file may preload modules (typing, re, random, ...), so each
+    # child is compared with a bare one, not with a fixed list.
+    warm = str(tmp_path / "warm.jsonl")
+    rc, cold, _ = run_cli(capsys, "analyze", "--m", "6", "--json", "--cache-path", warm)
+    assert rc == 0
+    _, bare = _fresh_modules("pass")
+    _, imported = _fresh_modules("import emcurve.cli")
+    out, served = _fresh_modules(
+        "from emcurve.cli import main; "
+        f"assert main(['analyze', '--m', '6', '--json', '--cache-path', {warm!r}]) == 0")
+    assert out == cold.rstrip("\n")
+    for loaded in (imported - bare, served - bare):
+        assert {"emcurve.cli", "emcurve.cache"} <= loaded
+        assert loaded & (ENGINE_MODULES | {"dataclasses"}) == set()
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    ("analyze --m 8 --no-cache", 2, "",
+     "error: m = 8 is not admissible: m-1, m+1 not twin primes\n"),
+    ("analyze --m 600 --no-cache", 2, "",
+     "error: m^4-1+4m^2 = 129601439999 is not squarefree for m=600\n"),
+    ("heights --m 12 --tol 1e-9 --no-cache", 3, "",
+     "error: height iteration hit the bit cap at N=7 with error bound 1.59e-07\n"),
+    ("analyze --m 10008 --rho-budget 1 --no-cache", 3, "",
+     "error: factorization budget exhausted on cofactor 14149559971571 of "
+     "10032038019843839\n"),
+    ("scan --from 600 --to 600 --json --no-cache", 0, "",
+     "m = 600: failed (m^4-1+4m^2 = 129601439999 is not squarefree for m=600)\n"),
+])
+def test_exit_codes_in_a_fresh_interpreter(argv, code, stdout, stderr):
+    # In-process tests run after others have loaded the engine, so only a
+    # fresh interpreter shows that main maps the engine's errors when cli
+    # itself has imported none of them.
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", "import sys; sys.path.insert(0, sys.argv.pop(1)); "
+         "from emcurve.cli import main; sys.exit(main(sys.argv[1:]))", _SRC,
+         *argv.split()], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
 
 
 def test_cache_concurrent_processes_append_whole_lines(tmp_path):
