@@ -41,8 +41,6 @@ A cache at path None (--no-cache) holds its snapshot in memory only: it
 loads nothing and writes nothing, so each value is still computed once.
 """
 
-from __future__ import annotations
-
 import binascii
 import contextlib
 import fcntl

@@ -21,14 +21,12 @@ A served record needs only the cache and the record side of the package
 (numtheory, family, curve, heights, localsolve, descent, analysis) at top
 level: each path that computes imports what it calls, once it runs -- a
 miss, the --verbose audit, scan's admissibility sieve, and the selmer,
-heights and torsion commands.  A warm analyze or table1 loads none of it.
+heights and torsion commands.  A warm analyze or table1 loads none of it,
+nor csv, which only --csv output imports.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -176,7 +174,7 @@ def _print_audit(res) -> None:
             pair.local_evidence.items(), key=lambda kv: (kv[0] is math.inf, kv[0])
         ):
             w = verdict.witness
-            extra = "" if w is None else f" witness x={w.x}"
+            extra = "" if w is None else f" witness x={w}"
             print(f"      place {place}: {verdict.outcome}{extra}")
 
 
@@ -197,7 +195,10 @@ def _print_record_human(r: AnalysisRecord) -> None:
 
 def _emit_records(records, args) -> None:
     """Print records as they arrive; the CSV header goes before the first."""
-    writer = csv.writer(sys.stdout)
+    if args.csv:
+        import csv
+
+        writer = csv.writer(sys.stdout)
     for i, r in enumerate(records):
         if args.json:
             print(r.to_json())

@@ -108,8 +108,8 @@ class DescentPair:
     @functools.cached_property
     def local_evidence(self) -> dict:
         """Verdicts by place: inf, then curve.s_primes in order, from
-        decide_local; a solvable finite one carries its witness, a point of
-        E(Q_ell) in exactly this pair's classes.  Empty without a context.
+        decide_local; a solvable finite one carries its witness, the x of a
+        point of E(Q_ell) in this pair's classes.  Empty without a context.
 
         decide_local and selmer_group read the one local image,
         localsolve.local_image; decide_local places the pair in it by the

@@ -22,8 +22,10 @@ span reaches the full order.  It is built once per (A, Q, R, ell) and kept.
 A pair in the span is the image of a product of those points, so it is
 solvable; a pair outside the full span is unsolvable.  decide_local and the
 descent answer by that membership, and decide_local certifies a solvable
-verdict by the first point of the same search whose classes are exactly the
-pair's.
+verdict by the abscissa x of the first point of the same search whose
+classes are exactly the pair's.  Its three quotients (x-A)/b1, (x+A)/b2 and
+(x-4m^2)/(b1b2) are checked to be Q_ell-squares, so their square roots and
+W = 1 are a Q_ell-point of the space.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .numtheory import _legendre_prime, sqrt_mod_prime_power
+from .numtheory import _legendre_prime
 
 REAL_PLACE = math.inf
 
@@ -44,22 +46,11 @@ class LocalSolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Witness:
-    """A Q_ell-point of the space: x, the abscissa of a point of E(Q_ell) in
-    the pair's classes, and the primitive quadruple (Z1, Z2, Z3, W), a
-    Q_ell-multiple of (sqrt((x-A)/b1), sqrt((x+A)/b2), sqrt((x-4m^2)/(b1b2)), 1),
-    reduced mod ell^modulus_exp."""
-
-    x: Fraction
-    modulus_exp: int
-    quadruple: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
 class LocalVerdict:
     place: int | float
     outcome: str  # solvable | unsolvable | real_solvable | real_unsolvable
-    witness: Witness | None = None
+    # x of a point of E(Q_ell) in exactly the pair's classes.
+    witness: Fraction | None = None
 
     @property
     def is_solvable(self) -> bool:
@@ -79,8 +70,7 @@ def _val_unit(n: int, ell: int) -> tuple[int, int]:
 
 def kstar(b1: int, b2: int, a_value: int, q_value: int, r_value: int, ell: int) -> int:
     """k* = 2 v_ell(2 b1 b2 A Q R) + 3, the depth scale of a digit-by-digit
-    search at ell (the test oracle runs to k* + 6), and the precision of
-    decide_local's witnesses."""
+    search at ell (the test oracle runs to k* + 6)."""
     return 2 * _val_unit(2 * b1 * b2 * a_value * q_value * r_value, ell)[0] + 3
 
 
@@ -204,11 +194,12 @@ def decide_local(
     ell must be prime and is not re-checked here: the descent passes the
     bad primes s_primes, from complete factorizations.  The verdict is
     membership of the pair's classes in the local image (module docstring).
-    A solvable verdict carries, unless want_witness is False, the witness of
-    the first point of the search in exactly the pair's classes, to
-    precision kstar; a search that ends before it has met every class of
-    the image raises LocalSolverError.  The image and those first points
-    are kept per (A, Q, R, ell).
+    A solvable verdict carries, unless want_witness is False, the abscissa x
+    of the first point of the search in exactly the pair's classes; its
+    three quotients (x-A)/b1, (x+A)/b2 and (x-4m^2)/(b1b2) are checked to be
+    Q_ell-squares, else LocalSolverError names a decision bug.  A search that
+    ends before it has met every class of the image raises LocalSolverError.
+    The image and those first points are kept per (A, Q, R, ell).
     """
     vec = _pair_bits(_value_class(b1, ell), _value_class(b2, ell), ell)
     if _f2_reduce(local_image(a_value, q_value, r_value, ell), vec):
@@ -216,29 +207,15 @@ def decide_local(
     witness = None
     if want_witness:
         e3 = a_value - q_value
-        n = kstar(b1, b2, a_value, q_value, r_value, ell)
         t, den = _first_points(a_value, e3, ell)[vec]
-        mod = ell**n
-        roots = [_sqrt_ratio(num, den * b, ell, n) for num, b in (
-            (t - a_value * den, b1), (t + a_value * den, b2), (t - e3 * den, b1 * b2))]
-        # Scale by ell^s, s >= 0 the least making every coordinate integral,
-        # so the quadruple is primitive.
-        s = max(0, -min(h for h, _ in roots))
-        quadruple = tuple(r * ell**(h + s) % mod for h, r in roots) + (ell**s % mod,)
-        witness = Witness(x=Fraction(t, den), modulus_exp=n, quadruple=quadruple)
+        for num, b in ((t - a_value * den, b1), (t + a_value * den, b2),
+                       (t - e3 * den, b1 * b2)):
+            # num/(den b) is a square iff num den b is.
+            if _value_class(num * den * b, ell) != (0, 1):
+                raise LocalSolverError(f"{num}/{den * b} is not a square in Q_{ell}; "
+                                       "decision bug")
+        witness = Fraction(t, den)
     return LocalVerdict(place=ell, outcome="solvable", witness=witness)
-
-
-def _sqrt_ratio(num: int, den: int, ell: int, n: int) -> tuple[int, int]:
-    """(h, r) with num/den = ell^(2h) u and r^2 = u mod ell^n, for a
-    Q_ell-square num/den of nonzero integers."""
-    vn, un = _val_unit(num, ell)
-    vd, ud = _val_unit(den, ell)
-    mod = ell**n
-    root = sqrt_mod_prime_power(un * pow(ud, -1, mod) % mod, ell, n)
-    if root is None or (vn - vd) % 2:
-        raise LocalSolverError(f"{num}/{den} is not a square in Q_{ell}; decision bug")
-    return (vn - vd) // 2, root
 
 
 def real_solvable(b1: int, b2: int) -> LocalVerdict:

@@ -10,9 +10,6 @@ most factors below 1e7, then ECM (Lenstra's elliptic curve method on
 Montgomery curves, stage 2 with prime pairing): one curve at B1 = 450 for
 the 8- to 10-digit factors, then the main schedule from B1 = 2000, all
 under one work budget.
-Square roots modulo p^k are Hensel-lifted from Tonelli-Shanks by the
-Newton iteration for the inverse square root, which needs no modular
-inverse beyond one mod p.
 """
 
 from __future__ import annotations
@@ -492,91 +489,3 @@ def _legendre_prime(a: int, p: int) -> int:
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
 
-
-def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """Tonelli-Shanks square root of a modulo an odd prime p.
-
-    Returns the smaller of the two roots, 0 when p | a, None when a is a
-    non-residue.  p must be an odd prime and is not re-checked, as in
-    _legendre_prime.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    half = (p - 1) // 2
-    if pow(a, half, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Tonelli-Shanks for p = 1 mod 4.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, half, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, x = 0, t
-        while x != 1:
-            x = x * x % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return min(r, p - r)
-
-
-def sqrt_mod_prime_power(a: int, p: int, k: int) -> int | None:
-    """A root of x^2 = a (mod p^k) for a a unit mod p, via Hensel lifting.
-
-    For odd p requires (a/p) = 1; for p = 2 requires a = 1 (mod 8) and k >= 3
-    (the cases k < 3 are handled directly).  Returns None when no root exists.
-    p must be prime and is not re-checked: callers pass primes from a
-    completed factorization.
-
-    For odd p the returned root is the unique lift of _sqrt_mod_prime(a, p).
-    It is found as a * y, where y = a^(-1/2) is lifted by the division-free
-    Newton iteration y <- y (3 - a y^2) / 2, which doubles the precision per
-    step without the modular inverse a direct lift of x^2 - a needs.
-    """
-    if k < 1:
-        raise ValueError("k >= 1 required")
-    if p == 2:
-        a %= 1 << k
-        if a % 2 == 0:
-            raise ValueError("unit expected")
-        if k == 1:
-            return 1
-        if k == 2:
-            return 1 if a % 4 == 1 else None
-        if a % 8 != 1:
-            return None
-        # Lift bit by bit: if r^2 = a mod 2^j then r or r + 2^(j-1) works mod 2^(j+1).
-        r = 1
-        for j in range(3, k):
-            if (r * r - a) % (1 << (j + 1)) != 0:
-                r += 1 << (j - 1)
-        return r % (1 << k)
-    r = _sqrt_mod_prime(a, p)
-    if r is None:
-        return None
-    if r == 0:
-        raise ValueError("unit expected")
-    target = p**k
-    y = pow(r, -1, p)
-    pk = p
-    while pk < target:
-        # a y^2 = 1 mod pk gives a y'^2 = 1 mod pk^2, capped at p^k; halving
-        # mod the odd pk is a shift, after adding pk to an odd value.
-        pk = min(pk * pk, target)
-        v = y * (3 - a * y * y % pk) % pk
-        y = v >> 1 if v % 2 == 0 else (v + pk) >> 1
-    return a * y % target

@@ -1,6 +1,7 @@
 import binascii
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -246,6 +247,23 @@ def test_verbose_counts_rules_and_details_survivors(capsys):
     assert "  necessary_fail (symbol system of F2 rank 1): 16 cosets" in lines
     assert sum(" -> " in line for line in lines) == 16
     assert "necessary_fail [" not in out
+
+
+# sha256 of `selmer --m M --verbose --no-cache` stdout, which prints no
+# timings: the tallies, the members and each verdict with its witness x.
+VERBOSE_DIGESTS = {
+    6: "c35894dd72800d50d1439b87f08f5ce681946337199e9d0b0f9fb5f0c7e0c0c0",
+    42: "d06b9586dcf7fcbf558942dcef3e5f00e8c267da8453aecf1e4e3980770000b8",
+    462: "ac3cc2dd1201ce11d1c9f3593db50b817134ea94616f89952082c067f1cffbbc",
+    1950: "8d5c39a47f9420e0fb1c2a49779b61f468577f5b8f6fa66f617c82c02b097254",
+}
+
+
+@pytest.mark.parametrize("m", sorted(VERBOSE_DIGESTS))
+def test_selmer_verbose_output_is_pinned(capsys, m):
+    rc, out, _ = run_cli(capsys, "selmer", "--m", str(m), "--verbose", "--no-cache")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERBOSE_DIGESTS[m]
 
 
 @pytest.mark.parametrize("argv", [
@@ -992,7 +1010,7 @@ def test_warm_hit_loads_no_engine(tmp_path, capsys):
     assert out == cold.rstrip("\n")
     for loaded in (imported - bare, served - bare):
         assert {"emcurve.cli", "emcurve.cache"} <= loaded
-        assert loaded & (ENGINE_MODULES | {"dataclasses"}) == set()
+        assert loaded & (ENGINE_MODULES | {"dataclasses", "csv"}) == set()
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [

@@ -890,20 +890,23 @@ def test_local_evidence_asserts_agreement_with_the_local_image(c6, monkeypatch):
         members[0].local_evidence
 
 
-# sha256 of repr([(key, local_evidence)]) over the members: the verdicts at
-# every place and each witness, the first point of the local-image search in
-# the member's classes with its quadruple mod ell^k*, pinned byte for byte.
+# sha256 of repr([(key, [(place, outcome, x)])]) over the members: the
+# verdict at every place and each witness x, the first point of the
+# local-image search in the member's classes (None at the real place),
+# pinned byte for byte.
 WITNESS_DIGESTS = {
-    6: "f6c4d2380623a3e7f2208188ff0f57f159b17a504fe6e35693d4c615474bc26e",
-    42: "5efd1f5f0e541e5741d4ad4ffa6e6bf13d07842fe748dbedaa77c80453742a1f",
-    462: "093b4b2381d2b98cb77d90c14b3e5b3ee643ef15add90b1563e6900418471e11",
+    6: "a980e6922d872648b708ecf885907b0cbbb17d798badc001aee72e0ff5ea2f74",
+    42: "0ba8caee950f0af2daf25e4e622c03a4a879d8ce2469f5c5fa65176ede4093d4",
+    462: "c1478ff57ea4b25f825267deda116ed20f6caf7123852fa143fac13050bffd2d",
 }
 
 
 @pytest.mark.parametrize("m", sorted(WITNESS_DIGESTS))
 def test_member_witnesses_are_pinned(m):
     members = selmer_group(DescentContext(build_curve(m))).members
-    text = repr([(pair_key(p), p.local_evidence) for p in members])
+    text = repr([(pair_key(p), [(place, verdict.outcome, verdict.witness)
+                                for place, verdict in p.local_evidence.items()])
+                 for p in members])
     assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGESTS[m]
 
 

@@ -30,9 +30,8 @@ def valuation(x: Fraction, ell: int) -> int:
     return _val_unit(x.numerator, ell)[0] - _val_unit(x.denominator, ell)[0]
 
 
-def squares(w, b1, b2, a, q):
+def squares(x, b1, b2, a, q):
     """z1^2, z2^2, z3^2 of the witness point: (x-A)/b1, (x+A)/b2, (x-4m^2)/(b1b2)."""
-    x = w.x
     return (x - a) / b1, (x + a) / b2, (x - (a - q)) / (b1 * b2)
 
 
@@ -41,15 +40,9 @@ def affine_valuations(w, b1, b2, a, q, ell):
     return tuple(valuation(z2, ell) // 2 for z2 in squares(w, b1, b2, a, q))
 
 
-def check_witness(w, b1, b2, a, q, r, ell):
-    """The witness is a primitive solution of both quadrics mod ell^N, N = k*,
-    and its z1^2, z2^2 and z3^2 are Q_ell-squares."""
-    assert w.modulus_exp == kstar(b1, b2, a, q, r, ell)
-    mod = ell**w.modulus_exp
-    z1, z2, z3, ww = w.quadruple
-    assert any(z % ell for z in w.quadruple), "quadruple must be primitive"
-    assert (b1 * z1 * z1 - b2 * z2 * z2 + 2 * a * ww * ww) % mod == 0
-    assert (b1 * z1 * z1 - b1 * b2 * z3 * z3 + q * ww * ww) % mod == 0
+def check_witness(w, b1, b2, a, q, ell):
+    """The witness x has z1^2, z2^2 and z3^2 Q_ell-squares, so their roots and
+    W = 1 solve both quadrics exactly."""
     unit_mod = 8 if ell == 2 else ell
     for square in squares(w, b1, b2, a, q):
         assert valuation(square, ell) % 2 == 0
@@ -93,8 +86,6 @@ def test_p_adic_witness_negative_valuation_pattern():
     assert v3 == -1
     assert v1 >= 0
     assert v2 >= 0
-    # In the primitive quadruple that is a unit Z3 and W = 5.
-    assert w.quadruple[2] % 5 and w.quadruple[3] == 5
 
 
 def test_witness_certificates_check_out():
@@ -102,7 +93,7 @@ def test_witness_certificates_check_out():
     for b1, b2, ell in kinds:
         v = decide_local(b1, b2, A6, B6, C6, ell)
         assert v.witness is not None
-        check_witness(v.witness, b1, b2, A6, B6, C6, ell)
+        check_witness(v.witness, b1, b2, A6, B6, ell)
 
 
 def test_valuation_pattern_of_witnesses_lemma():
@@ -178,7 +169,7 @@ def test_huge_prime_corollary_witnesses():
     for ell in (2, 3, 5, q, r):
         v = decide_local(-q, 1, a, b, c, ell)
         assert v.is_solvable, ell
-        check_witness(v.witness, -q, 1, a, b, c, ell)
+        check_witness(v.witness, -q, 1, a, b, ell)
     assert not decide_local(1, q, a, b, c, q, want_witness=False).is_solvable
 
 
@@ -215,7 +206,7 @@ def bad_places():
 def test_every_element_of_the_local_image_has_a_witness():
     # At every bad place of each admissible m <= 2000, and for m = 6 at every
     # prime below 50, each class pair of the local image is hit exactly by
-    # some point of the search, and its quadruple solves both quadrics.
+    # some point of the search, whose quotients are Q_ell-squares.
     places = 0
     for c, ell in bad_places():
         basis = localsolve.local_image(c.a_value, c.q_value, c.r_value, ell)
@@ -223,7 +214,7 @@ def test_every_element_of_the_local_image_has_a_witness():
         for b1, b2 in image_pairs(basis, ell):
             v = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell)
             assert v.is_solvable, (c.m, ell, b1, b2)
-            check_witness(v.witness, b1, b2, c.a_value, c.q_value, c.r_value, ell)
+            check_witness(v.witness, b1, b2, c.a_value, c.q_value, ell)
         places += 1
     assert places > 500
 
@@ -241,4 +232,22 @@ def test_starved_search_raises_instead_of_a_solvable_verdict(monkeypatch, fresh_
     monkeypatch.setattr(localsolve, "_points", starved)
     assert decide_local(1, 1, A6, B6, C6, 13, want_witness=False).is_solvable
     with pytest.raises(LocalSolverError, match="the point search at 13 met 3 of the 4 classes"):
+        decide_local(1, 1, A6, B6, C6, 13)
+
+
+def test_witness_in_another_class_raises(fresh_local_caches, monkeypatch):
+    # The first point of the class of (1, 1) replaced by one of another class:
+    # the verdict, read from the image, is still solvable, and the check of
+    # the witness's quotients refuses the point.  monkeypatch comes second so
+    # that it restores _first_points before the caches are cleared.
+    real = localsolve._first_points
+
+    def misfiled(a_value, e3, ell):
+        first = dict(real(a_value, e3, ell))
+        first[0] = first[max(first)]
+        return first
+
+    monkeypatch.setattr(localsolve, "_first_points", misfiled)
+    assert decide_local(1, 1, A6, B6, C6, 13, want_witness=False).is_solvable
+    with pytest.raises(LocalSolverError, match="decision bug"):
         decide_local(1, 1, A6, B6, C6, 13)

@@ -15,8 +15,6 @@ from emcurve.numtheory import (
     factorize,
     is_prime,
     _legendre_prime,
-    _sqrt_mod_prime,
-    sqrt_mod_prime_power,
     _ECM_BABY,
     _ECM_D,
     _ECM_FIRST,
@@ -377,44 +375,6 @@ def test_legendre_examples(a, p, expected):
 @settings(max_examples=200, deadline=None)
 def test_legendre_multiplicative(a, b, p):
     assert _legendre_prime(a * b, p) == _legendre_prime(a, p) * _legendre_prime(b, p)
-
-
-def test_sqrt_mod_examples():
-    assert _sqrt_mod_prime(4, 7) in (2, 5)
-    assert _sqrt_mod_prime(2, 7) in (3, 4)
-    assert _sqrt_mod_prime(3, 7) is None
-    assert _sqrt_mod_prime(0, 13) == 0
-
-
-@given(st.integers(min_value=1, max_value=10**6), st.sampled_from(ODD_PRIMES))
-@settings(max_examples=200, deadline=None)
-def test_sqrt_mod_squares_back(a, p):
-    r = _sqrt_mod_prime(a, p)
-    if _legendre_prime(a, p) == -1:
-        assert r is None
-    else:
-        assert r is not None and r * r % p == a % p
-
-
-@pytest.mark.parametrize("a,p,k", [(2, 7, 6), (5, 11, 4), (17, 2, 9), (41, 2, 12)])
-def test_sqrt_mod_prime_power(a, p, k):
-    r = sqrt_mod_prime_power(a, p, k)
-    assert r is not None and (r * r - a) % p**k == 0
-
-
-# 45557487359 and 45559194911 are q and r of m = 462.
-@pytest.mark.parametrize("p", [3, 7, 42689, 45557487359, 45559194911])
-def test_sqrt_mod_prime_power_every_precision(p):
-    residues = [a for a in range(2, 200)
-                if _legendre_prime(a, p) == 1 and math.isqrt(a) ** 2 != a][:3]
-    assert residues
-    for a in residues:
-        for k in range(1, 61):
-            r = sqrt_mod_prime_power(a, p, k)
-            assert r is not None and 0 <= r < p**k
-            assert (r * r - a) % p**k == 0
-            # The lift of the mod-p root, not the other root.
-            assert r % p == _sqrt_mod_prime(a, p)
 
 
 @pytest.mark.parametrize("x,p,v", [
