@@ -97,13 +97,14 @@ class SquareClass:
 class DescentPair:
     """A pair ([b1], [b2]) of square classes, with its local evidence.
 
-    context is set on the members selmer_group returns, and their
-    local_evidence is computed from it on first read.
+    context and the pair's masks in it are set on the members selmer_group
+    returns, and their local_evidence is computed from them on first read.
     """
 
     b1: SquareClass
     b2: SquareClass
     context: DescentContext | None = field(default=None, repr=False, compare=False)
+    masks: tuple[int, int] | None = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def local_evidence(self) -> dict:
@@ -121,7 +122,7 @@ class DescentPair:
             return {}
         ctx, b1, b2 = self.context, self.b1.value, self.b2.value
         c = ctx.curve
-        b1m, b2m = ctx.mask_of_class(self.b1), ctx.mask_of_class(self.b2)
+        b1m, b2m = self.masks
         evidence = {math.inf: real_solvable(b1, b2)}
         for ell in c.s_primes:
             verdict = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell)
@@ -157,7 +158,8 @@ class SelmerResult:
     @functools.cached_property
     def members(self) -> tuple[DescentPair, ...]:
         ctx = self.context
-        return tuple(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m), context=ctx)
+        return tuple(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m),
+                                 context=ctx, masks=(b1m, b2m))
                      for b1m, b2m in self.masks)
 
 

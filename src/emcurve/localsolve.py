@@ -68,12 +68,6 @@ def _val_unit(n: int, ell: int) -> tuple[int, int]:
     return v, n
 
 
-def kstar(b1: int, b2: int, a_value: int, q_value: int, r_value: int, ell: int) -> int:
-    """k* = 2 v_ell(2 b1 b2 A Q R) + 3, the depth scale of a digit-by-digit
-    search at ell (the test oracle runs to k* + 6)."""
-    return 2 * _val_unit(2 * b1 * b2 * a_value * q_value * r_value, ell)[0] + 3
-
-
 def _value_class(n: int, ell: int) -> tuple[int, int]:
     """The class of a nonzero integer in Q_ell*/Q_ell*^2: (v_ell mod 2,
     Legendre symbol of the unit part) at odd ell, (v_2 mod 2, unit mod 8) at 2."""

@@ -23,6 +23,12 @@ def _valuation_unit(n: int, ell: int) -> tuple[int, int]:
     return v, n
 
 
+def kstar(b1: int, b2: int, a_value: int, q_value: int, r_value: int, ell: int) -> int:
+    """k* = 2 v_ell(2 b1 b2 A Q R) + 3, the depth scale of the digit search
+    at ell (the suites run oracle_local_solvable to k* + 6)."""
+    return 2 * _valuation_unit(2 * b1 * b2 * a_value * q_value * r_value, ell)[0] + 3
+
+
 def oracle_local_solvable(b1: int, b2: int, a_value: int, q_value: int,
                           ell: int, kmax: int) -> bool:
     if ell == 2:

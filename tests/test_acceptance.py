@@ -19,8 +19,8 @@ from emcurve.descent import (
 )
 from emcurve.family import build_curve, scan_admissible
 from emcurve.heights import canonical_height, independence_rank, pairing_matrix
-from emcurve.localsolve import decide_local, kstar, real_solvable
-from oracle import oracle_local_solvable
+from emcurve.localsolve import decide_local, real_solvable
+from oracle import kstar, oracle_local_solvable
 from test_descent import canonical_rep, coset_reps, phi_image
 
 TOL = 1e-3

@@ -24,10 +24,10 @@ from emcurve.descent import (
 from emcurve.family import build_curve, scan_admissible
 from emcurve.localsolve import (
     LocalSolverError, LocalVerdict, _f2_reduce, _pair_bits, _val_unit, decide_local,
-    kstar, local_image, real_solvable,
+    local_image, real_solvable,
 )
 from emcurve.numtheory import _legendre_prime, factorize
-from oracle import oracle_local_solvable
+from oracle import kstar, oracle_local_solvable
 
 
 def canonical_rep(ctx, b1m, b2m):
@@ -623,6 +623,9 @@ def test_member_values_match_the_member_objects(m):
     assert res.values == tuple((p.b1.value, p.b2.value) for p in res.members)
     assert res.members is res.members
     assert all(p.context is res.context for p in res.members)
+    assert tuple(p.masks for p in res.members) == res.masks == tuple(
+        (res.context.mask_of_class(p.b1), res.context.mask_of_class(p.b2))
+        for p in res.members)
     assert run_analysis(m).members == [[str(a), str(b)] for a, b in res.values]
 
 

@@ -11,11 +11,10 @@ from emcurve.localsolve import (
     _point_bits,
     _val_unit,
     decide_local,
-    kstar,
     real_solvable,
 )
 
-from oracle import oracle_local_solvable
+from oracle import kstar, oracle_local_solvable
 
 
 def curve_constants(m):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import subprocess
@@ -28,6 +29,8 @@ from emcurve.numtheory import (
     _ecm_stage2_span,
     _pollard_rho_brent,
     _stage1_multiplier,
+    _xadd,
+    _xdbl,
 )
 from emcurve.localsolve import _val_unit
 
@@ -143,6 +146,57 @@ def test_rho_never_reports_more_than_its_budget(n, seed):
     factor, used = _pollard_rho_brent(n, random.Random(seed), 100)
     assert used <= 100
     assert factor is None or (1 < factor < n and n % factor == 0)
+
+
+def reference_rho(n, rng, budget):
+    """_pollard_rho_brent with one product and one reduction per step."""
+    if n % 2 == 0:
+        return 2, 0
+    y = rng.randrange(1, n)
+    c = rng.randrange(1, n)
+    m = 128
+    g, r, q = 1, 1, 1
+    used = 0
+    x = ys = y
+    while g == 1:
+        if used + r > budget:
+            return None, budget
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(m, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            used += min(m, r - k)
+            g = math.gcd(q, n)
+            k += m
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            if used == budget:
+                return None, budget
+            ys = (ys * ys + c) % n
+            g = math.gcd(x - ys, n)
+            used += 1
+    if g == n:
+        return None, used
+    return g, used
+
+
+# Budgets that end inside the first blocks, at a block's leftover steps, at
+# the slice and past it; 1031 * 1033 backtracks from a block whose gcd is n.
+@pytest.mark.parametrize("budget", [1, 2, 3, 5, 7, 100, 4096, 2**15])
+@pytest.mark.parametrize("n", [1031 * 1033, 65537**2, 1000003 * 1000033,
+                               10000019 * 10000079, 172528145104789 * 2042757393218353249])
+def test_rho_matches_the_one_product_reference(n, budget):
+    for seed in range(4):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert _pollard_rho_brent(n, rng, budget) == reference_rho(n, ref, budget)
+        assert rng.getstate() == ref.getstate()
 
 
 SEMIPRIME_20_DIGIT = (10**19 + 51) * (10**20 + 39)
@@ -264,6 +318,74 @@ def test_affine_x_returns_factor_of_a_nonunit_z():
     assert _affine_x([(5, 7), (3, 11 * p), (2, 9)], p * q) == (None, p)
     # Every Z shares a prime with n, but not the same one: still a proper factor.
     assert _affine_x([(5, p), (3, q)], p * q)[1] in (p, q)
+
+
+def reference_ecm_curve(n, sigma, b1):
+    """_ecm_curve with the odd-multiple baby table and one stage-2 product
+    per reduction.  Returns (gcd, stage): stage 1 if the curve ended before
+    stage 2 ran."""
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    den = 16 * pow(u, 3, n) * v % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g, 1
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    x, z = numtheory._ladder(_stage1_multiplier(b1), pow(u * pow(v, -1, n), 3, n), a24, n)
+    g = math.gcd(z, n)
+    if g != 1:
+        return g, 1
+    x2, z2 = _xdbl(x, z, a24, n)
+    odd = [(x, z), _xadd(x2, z2, x, z, x, z, n)]
+    while len(odd) <= _ECM_D // 4:
+        odd.append(_xadd(*odd[-1], x2, z2, *odd[-2], n))
+    span = _ecm_stage2_span(b1)
+    xd, zd = _xadd(*odd[-1], *odd[-2], x2, z2, n)
+    giant = [(xd, zd), _xdbl(xd, zd, a24, n)]
+    while len(giant) < span[-1]:
+        giant.append(_xadd(*giant[-1], xd, zd, *giant[-2], n))
+    xs, g = _affine_x([odd[j // 2] for j in _ECM_BABY] + giant[span.start - 1 :], n)
+    if g != 1:
+        return g, 2
+    baby, giant_xs = xs[: len(_ECM_BABY)], xs[len(_ECM_BABY) :]
+    acc = 1
+    for xk, ks in zip(giant_xs, _ecm_pairs(b1)):
+        for i in ks:
+            acc = acc * (xk - baby[i]) % n
+    return math.gcd(acc, n), 2
+
+
+# The 25-bit factor of this semiprime is found in stage 1 on some curves and
+# only in stage 2 on others, at both B1.
+SEMIPRIME_25_BIT = (2**25 - 39) * 1000000000000000003
+
+
+@pytest.mark.parametrize("b1", [450, 2000])
+@pytest.mark.parametrize("n", [Q_COFACTOR_1E10, SEMIPRIME_25_BIT])
+def test_ecm_curve_matches_the_odd_multiple_reference(n, b1, monkeypatch):
+    # Stage 1 is the same ladder on both sides: each curve runs it once.
+    monkeypatch.setattr(numtheory, "_ladder", functools.lru_cache(maxsize=1)(numtheory._ladder))
+    rng = random.Random(f"ecm-reference:{b1}:{n}")
+    found = set()
+    for _ in range(200):
+        sigma = rng.randrange(6, n - 1)
+        g, stage = reference_ecm_curve(n, sigma, b1)
+        assert _ecm_curve(n, sigma, b1) == g, sigma
+        if 1 < g < n:
+            found.add(stage)
+    if n == SEMIPRIME_25_BIT:
+        assert found == {1, 2}
+
+
+def test_ecm_curve_may_take_the_other_factor_on_a_degenerate_curve():
+    # Q has order 9 mod p and 61 mod q: each prime divides some Z, in both
+    # tables, so both return the first Z's proper gcd.  The odd-multiple
+    # table's x-only additions of 2Q meet 9Q = 0 as a difference and vanish
+    # mod p from 13Q on; the two chains prime to 6 never hold a multiple of
+    # 3, so their first such Z is 61Q's, which vanishes mod q.
+    p, q, sigma = 1048583, 2097169, 1415034716230
+    assert reference_ecm_curve(p * q, sigma, 450) == (p, 2)
+    assert _ecm_curve(p * q, sigma, 450) == q
 
 
 # Factors in (1e11, 1e13), beyond the reach of the rho slice: ECM finds them.
