@@ -56,8 +56,7 @@ _RHO_SLICE = 1 << 12
 # main schedule draws the same sigma whether or not it ran.  The last stage
 # of _ECM_SCHEDULE runs until the budget is spent.  Stage 2 reaches
 # B2 = _ECM_B2_FACTOR * B1 in giant steps of D, against baby steps j < D/2
-# coprime to D: at B1 = 2000, 96 baby and 238 giant steps.  Every baby j is
-# prime to 6, so _ecm_curve builds jQ only for j = 1, 5 (mod 6).
+# coprime to D: at B1 = 2000, 96 baby and 238 giant steps.
 _ECM_FIRST = ((450, 1),)
 _ECM_SCHEDULE = ((2_000, 25), (11_000, 90), (50_000, None))
 _ECM_B2_FACTOR = 100
@@ -347,11 +346,10 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     l*Q = 0 (mod p) makes x(kDQ) - x(jQ) vanish mod p, so the product runs
     over the pairs (k, j) of _ecm_pairs, on the baby steps jQ and the giant
     steps kDQ, all brought to Z = 1 by one _affine_x.  A Z that is not a
-    unit mod n ends the curve with its gcd.  The baby steps come from two
-    chains of differential additions of 6Q, about 140 additions where the
-    odd multiples up to (D/2 + 1) Q took 210; on a curve where Q has a small
-    order mod two primes of n, the first Z that is not a unit may then
-    vanish mod the other prime, so a different proper factor comes back.
+    unit mod n ends the curve with its gcd.  Which Z vanish mod a prime p
+    depends on the addition chain once Q has a small order mod p: when
+    that holds for two primes of n, another chain may return the other
+    proper factor.
     """
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
@@ -386,7 +384,6 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     if g != 1:
         return g
     baby, giant_xs = xs[: len(_ECM_BABY)], xs[len(_ECM_BABY) :]
-    # Two products per reduction, and a last single one for an odd count.
     acc = 1
     for xk, ks in zip(giant_xs, _ecm_pairs(b1)):
         for i, j in zip(ks[::2], ks[1::2]):
