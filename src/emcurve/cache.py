@@ -5,7 +5,9 @@ One JSON object per line, keyed by integer value for factorizations and by
 another engine version, height tolerance or bit cap is never served, nor
 is a factorization whose product is not its key.  Later lines win on
 duplicate keys, so the file can simply be appended to.  Readers see a dict
-snapshot loaded at construction.
+snapshot loaded at construction, keyed by each line's slot: its bytes from
+the kind's first byte to the key's last, K", "key": "KEY, which get and
+_put build from (kind, key) alike.
 
 Each line is {"kind": K, "key": KEY, "crc": C, "value": V} as json.dumps
 prints it, C the crc32 of V's bytes; caches written before the checksum
@@ -24,9 +26,12 @@ a warning on stderr.
 Loading serves every line before the last newline from one pass of _LINE
 over the whole buffer and one comparison of every C with its V; Python
 code runs per line only to decode the V of a line without C, and a blank
-line needs nothing.  _judge, the same checks one line at a time, reads
-the tail after the last newline and decides what an append cuts off; on
-damage it walks the lines to name the first damaged one, serving nothing.
+line needs nothing.  The snapshot maps the slot and V bytes that the one
+split returns, so a load keeps no object per line beyond those, and
+builds none but the ints the crc comparison drops as it goes.  _judge,
+the same checks one line at a time, reads the tail after the last newline
+and decides what an append cuts off; on damage it walks the lines to name
+the first damaged one, serving nothing.
 
 Appends are serialized across threads and processes by an exclusive flock.
 Under it, each append repairs whatever the file ends with after its last
@@ -57,10 +62,17 @@ CACHE_PATH_ENV = "EM_CACHE_PATH"
 
 # A line as _put writes it, with or without the crc.  Kind and key are
 # JSON strings without escapes (printable ASCII but the quote and the
-# backslash), so their bytes are their text.  A CRC-32 prints in at most
-# ten digits.  Anchored to line ends, it also finds every line of a buffer.
-_LINE = re.compile(rb'^\{"kind": "([ !#-\[\]-~]*)", "key": "([ !#-\[\]-~]*)", '
+# backslash), so their bytes are their text; the first group is the line's
+# slot, from the kind's first byte to the key's last.  A CRC-32 prints in
+# at most ten digits.  Anchored to line ends, it also finds every line of
+# a buffer.
+_LINE = re.compile(rb'^\{"kind": "([ !#-\[\]-~]*", "key": "[ !#-\[\]-~]*)", '
                    rb'(?:"crc": ([0-9]{1,10}), )?"value": (.*)\}$', re.M)
+
+
+def _slot(kind: str, key: str) -> bytes:
+    """The snapshot's key: a line's bytes from the kind's first to the key's last."""
+    return f'{kind}", "key": "{key}'.encode("ascii")
 
 
 def resolve_cache_path(explicit: str | None = None) -> str:
@@ -74,45 +86,47 @@ class ResultCache:
         self.path = path
         # A value still held as bytes is a tagged line's, not yet decoded;
         # JSON decodes to no bytes object, so the two never mix up.
-        self._data: dict[tuple[str, str], object] = {}
+        self._data: dict[bytes, object] = {}  # _slot(kind, key) -> value
         self._pending: list[bytes] = []  # lines held for one append
         self._depth = 0  # how many batch blocks are open
-        if path is not None and os.path.exists(path):
+        if path is None:
+            return
+        try:
             with open(path, "rb") as fh:
                 data = fh.read()
-            end = data.rfind(b"\n") + 1  # the tail after it is judged alone
-            # split gives one flat list, no tuple per line: the text before
-            # the first match, then per match its four groups and the text
-            # after it.  A match is a whole line, so any line that is not
-            # lies in those texts; a blank line leaves two newlines there.
-            parts = _LINE.split(memoryview(data)[:end])
-            kinds, keys, crcs, values = parts[1::5], parts[2::5], parts[3::5], parts[4::5]
-            whole = not b"".join(parts[::5]).strip(b"\n")
-            tagged, tagged_crcs = compress(values, crcs), filter(None, crcs)
-            if None in crcs:  # C is None on a line without one: V is decoded here
-                try:
-                    for i in compress(range(len(crcs)), map(operator.not_, crcs)):
-                        values[i] = _decode(values[i])
-                except ValueError:
-                    whole = False
-            # A tagged line's V is still bytes when compress reaches it.
-            if not (whole and all(map(operator.eq, map(binascii.crc32, tagged),
-                                      map(int, tagged_crcs)))):
-                try:  # judged one by one, the first damaged line names itself
-                    for line in data[:end].split(b"\n"):
-                        _judge(line)
-                except ValueError as e:
-                    raise ValueError(f"cache {path}: {e}") from None
-            # Kind and key are ASCII, so UTF-8 decodes them as _judge does.
-            self._data.update(zip(zip(map(bytes.decode, kinds), map(bytes.decode, keys)),
-                                  values))
+        except FileNotFoundError:  # not written yet, or removed: nothing to serve
+            return
+        end = data.rfind(b"\n") + 1  # the tail after it is judged alone
+        # split gives one flat list, no tuple per line: the text before the
+        # first match, then per match its three groups and the text after
+        # it.  A match is a whole line, so any line that is not lies in
+        # those texts; a blank line leaves two newlines there.
+        parts = _LINE.split(memoryview(data)[:end])
+        slots, crcs, values = parts[1::4], parts[2::4], parts[3::4]
+        whole = not b"".join(parts[::4]).strip(b"\n")
+        tagged, tagged_crcs = compress(values, crcs), filter(None, crcs)
+        if None in crcs:  # C is None on a line without one: V is decoded here
             try:
-                self._data.update(filter(None, [_judge(data[end:])]))
+                for i in compress(range(len(crcs)), map(operator.not_, crcs)):
+                    values[i] = _decode(values[i])
             except ValueError:
-                # An interrupted append leaves its line without the newline;
-                # only there is damage skipped, anywhere else it raises.
-                print(f"warning: skipping torn last line of cache {path}",
-                      file=sys.stderr)
+                whole = False
+        # A tagged line's V is still bytes when compress reaches it.
+        if not (whole and all(map(operator.eq, map(binascii.crc32, tagged),
+                                  map(int, tagged_crcs)))):
+            try:  # judged one by one, the first damaged line names itself
+                for line in data[:end].split(b"\n"):
+                    _judge(line)
+            except ValueError as e:
+                raise ValueError(f"cache {path}: {e}") from None
+        self._data.update(zip(slots, values))
+        try:
+            self._data.update(filter(None, [_judge(data[end:])]))
+        except ValueError:
+            # An interrupted append leaves its line without the newline;
+            # only there is damage skipped, anywhere else it raises.
+            print(f"warning: skipping torn last line of cache {path}",
+                  file=sys.stderr)
 
     def get(self, kind: str, key: str):
         """The value stored under (kind, key), or None.
@@ -120,10 +134,11 @@ class ResultCache:
         A tagged line's value is decoded here the first time it is read,
         and kept decoded.
         """
-        value = self._data.get((kind, key))
+        slot = _slot(kind, key)
+        value = self._data.get(slot)
         if type(value) is bytes:
             try:
-                value = self._data[(kind, key)] = _decode(value)
+                value = self._data[slot] = _decode(value)
             except ValueError as e:
                 raise ValueError(f"cache {self.path}: the value at key {key} "
                                  f"is not JSON: {e}") from None
@@ -153,14 +168,13 @@ class ResultCache:
                 os.close(fd)
 
     def _put(self, kind: str, key: str, value) -> None:
-        self._data[(kind, key)] = value
+        slot = _slot(kind, key)
+        self._data[slot] = value
         if self.path is None:
             return
-        text = json.dumps(value)
-        crc = binascii.crc32(text.encode("ascii"))
-        line = (f'{{"kind": {json.dumps(kind)}, "key": {json.dumps(key)}, '
-                f'"crc": {crc}, "value": {text}}}\n')
-        self._pending.append(line.encode("ascii"))
+        text = json.dumps(value).encode("ascii")
+        self._pending.append(b'{"kind": "%s", "crc": %d, "value": %s}\n'
+                             % (slot, binascii.crc32(text), text))
         if not self._depth:
             self._append()
 
@@ -197,8 +211,8 @@ def _decode(raw: bytes):
     return json.loads(raw.decode("ascii"))
 
 
-def _judge(line: bytes) -> tuple[tuple[str, str], object] | None:
-    """((kind, key), value) of one cache line, None if empty, ValueError if
+def _judge(line: bytes) -> tuple[bytes, object] | None:
+    """(slot, value) of one cache line, None if empty, ValueError if
     damaged.  A tagged line keeps its value as bytes; one without a crc has
     it decoded here."""
     if not line:
@@ -206,7 +220,7 @@ def _judge(line: bytes) -> tuple[tuple[str, str], object] | None:
     parts = _LINE.fullmatch(line)
     if parts is None:
         raise ValueError(f"cache line is not one the cache writes: {line[:80]!r}")
-    kind, key, crc, value = parts.groups()
+    slot, crc, value = parts.groups()
     if crc is None:
         try:
             value = _decode(value)
@@ -215,7 +229,7 @@ def _judge(line: bytes) -> tuple[tuple[str, str], object] | None:
                 f"cache line holds a value that is not JSON: {line[:80]!r}") from None
     elif binascii.crc32(value) != int(crc):
         raise ValueError(f"cache line fails its checksum: {line[:80]!r}")
-    return (kind.decode("ascii"), key.decode("ascii")), value
+    return slot, value
 
 
 def _repair_tail(fd: int) -> bytes:

@@ -603,10 +603,14 @@ def test_cache_one_pass_load_matches_the_per_line_judge(specs, ends_whole):
         cache, err = _load_cache(path)
     assert err == warning
     assert cache._data == expected
-    for kind, key in expected:
-        value = expected[kind, key]
-        assert cache.get(kind, key) == (json.loads(value) if type(value) is bytes
-                                        else value)
+    # The snapshot is keyed by each line's bytes from kind to key; a key
+    # whose every line was blank or torn off is a miss.
+    slots = {b'analysis", "key": "%s' % key.encode(): key for key, *_ in specs}
+    assert set(expected) <= set(slots)
+    for slot, key in slots.items():
+        value = expected.get(slot)
+        assert cache.get("analysis", key) == (json.loads(value) if type(value) is bytes
+                                               else value)
 
 
 def test_cache_line_without_crc_holding_no_json_names_itself(tmp_path):
@@ -1138,10 +1142,49 @@ def test_factorization_cache_used(tmp_path):
     cache = ResultCache(str(tmp_path / "f.jsonl"))
     f1 = factorize(3111695, cache=cache)
     # Poison the cache to prove the second call reads it.
-    cache._data[("factorization", "3111695")] = [["3111695", 1]]
+    cache.put_factorization(3111695, [(3111695, 1)])
     f2 = factorize(3111695, cache=cache)
     assert f2.factors == ((3111695, 1),)
     assert f1.factors == ((5, 1), (41, 1), (43, 1), (353, 1))
+
+
+def test_cache_file_removed_before_it_opens_loads_empty(tmp_path, monkeypatch):
+    # Another process may remove the file just before the cache opens it:
+    # the snapshot is then empty.  Any other error opening it still raises.
+    import emcurve.cache as cache_mod
+
+    cache_file = tmp_path / "cache.jsonl"
+    ResultCache(str(cache_file)).put_factorization(6, [(2, 1), (3, 1)])
+
+    def fail_with(error):
+        def fail(*args, **kwargs):
+            raise error(str(cache_file))
+        return fail
+
+    monkeypatch.setattr(cache_mod, "open", fail_with(FileNotFoundError), raising=False)
+    cache = ResultCache(str(cache_file))
+    assert cache._data == {} and cache.get_factorization(6) is None
+    monkeypatch.setattr(cache_mod, "open", fail_with(PermissionError))
+    with pytest.raises(PermissionError):
+        ResultCache(str(cache_file))
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("factorization", "6"),
+    ("factorization", str(10**39 + 7)),  # 40 digits
+    *[("analysis", f"6:{EngineConfig(tol=tol).record_key}") for tol in (1e-3, 1e-9, 0.25)],
+])
+def test_cache_writes_each_key_as_json_dumps_prints_it(tmp_path, kind, key):
+    # The keys the CLI writes: a line is the bytes json.dumps gives, and a
+    # fresh cache serves its value under the same (kind, key).
+    value = [["7", 1]] if kind == "factorization" else {"m": 6, "s2": 4}
+    path = str(tmp_path / "cache.jsonl")
+    ResultCache(path)._put(kind, key, value)
+    text = json.dumps(value)
+    line = (f'{{"kind": {json.dumps(kind)}, "key": {json.dumps(key)}, '
+            f'"crc": {binascii.crc32(text.encode())}, "value": {text}}}\n')
+    assert Path(path).read_bytes() == line.encode("ascii")
+    assert ResultCache(path).get(kind, key) == value
 
 
 def test_table1_json(capsys):
