@@ -13,10 +13,11 @@ At ell that is membership of the pair's classes in Q_ell*/Q_ell*^2 in the
 local image delta_ell(E(Q_ell)/2E(Q_ell)), spanned by images of actual
 points and built once per (A, Q, R, ell) by localsolve.local_image (the
 proof is in selmer_group).  The image has codimension 2 at odd ell and 3 at
-2, and is cut out by that many forms (`local_forms`).  selmer_group takes
-the kernel of all these forms at once: the members are its span, a subgroup
-by construction, and the rank after each group of forms counts the cosets
-that group rejects.
+2, and is cut out by that many forms (`local_forms`): sums of the pair's
+local coordinates, which localsolve._image_forms derives once per basis of
+the image.  selmer_group takes the kernel of all these forms at once: the
+members are its span, a subgroup by construction, and the rank after each
+group of forms counts the cosets that group rejects.
 The real place needs no form: rule (i) makes b2 > 0.  An odd prime p
 outside S needs no test, 3 included (3 | m for every admissible m >= 6).
 There b1 and b2 are p-units, and up to sign the six 2x2 minors of the two
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 
 from .family import CurveParams
 from .localsolve import (
-    _f2_reduce, _val_unit, decide_local, local_image, real_solvable,
+    _image_forms, _val_unit, decide_local, local_image, real_solvable,
 )
 from .numtheory import _legendre_prime
 
@@ -249,11 +250,11 @@ class DescentContext:
 
         The coordinates of localsolve._pair_bits are such forms: v_ell mod 2
         and the non-residue bit of each side at odd ell, v_2 mod 2 and the
-        two characters of the unit mod 8 at 2.  Reduction by the echelon
-        basis of localsolve.local_image is F2-linear, so each bit of the
-        reduced vector is a sum of coordinates, one form; the nonzero ones
-        number the codimension of the image, 2 of 4 at odd ell and 3 of 6 at
-        2.  Kept per place for the life of the context.
+        two characters of the unit mod 8 at 2.  localsolve._image_forms
+        gives, once per echelon basis of localsolve.local_image, the sums of
+        coordinates that cut the image out, as many as its codimension, 2 of
+        4 at odd ell and 3 of 6 at 2; here coordinate i becomes its side's
+        coords[i].  Kept per place for the life of the context.
         """
         forms = self._forms.get(ell)
         if forms is None:
@@ -263,18 +264,20 @@ class DescentContext:
                 coords = (self.two_bit, self.mod4_mask, self.mod8_mask)
             else:
                 coords = (1 << self.index[ell], self.nonres[ell])
-            rows: dict[int, tuple[int, int]] = {}  # reduced bit -> form
-            for i, (u, v) in enumerate([(u, 0) for u in coords] + [(0, v) for v in coords]):
-                reduced = _f2_reduce(basis, 1 << i)
-                for bit in range(reduced.bit_length()):
-                    if reduced >> bit & 1:
-                        ru, rv = rows.get(bit, (0, 0))
-                        rows[bit] = (ru ^ u, rv ^ v)
-            if len(rows) != len(coords):
+
+            def over(mask):  # the sum of the coordinates set in mask
+                out = 0
+                for i, g in enumerate(coords):
+                    if mask >> i & 1:
+                        out ^= g
+                return out
+
+            forms = tuple((over(u), over(v)) for u, v in _image_forms(basis, len(coords)))
+            if len(forms) != len(coords):
                 raise AssertionError(
-                    f"the local image at {ell} is cut out by {len(rows)} forms, "
+                    f"the local image at {ell} is cut out by {len(forms)} forms, "
                     f"not {len(coords)}, for m={c.m}")
-            forms = self._forms[ell] = tuple(rows.values())
+            self._forms[ell] = forms
         return forms
 
     def locally_solvable(self, b1m: int, b2m: int, ell: int) -> bool:

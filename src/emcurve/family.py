@@ -8,8 +8,8 @@ it is even, m-1 and m+1 are both prime, and m^2+1 is squarefree.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
 from .numtheory import Factorization, factorize, is_prime
 

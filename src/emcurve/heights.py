@@ -13,7 +13,9 @@ bounds on the pair's top bits and its residues mod the bad primes, from which
 _window_step certifies both bit for bit, or declines and the chain doubles
 exactly from its last exact pair.  The chain of 2P is P's chain one step on,
 so one chain per point gives both h-hat(P) and h-hat(2P), and the pairing of
-two points takes three chains.
+two points takes three chains.  The pairing keeps its points' chains by
+position, and a chain builds an estimate only at the step where a reader
+stops or meets the cap.
 
 The pairing is a report: DescentContext.rank_lower_bound certifies rank >= 2
 exactly, and independence_rank is a numerical cross-check.
@@ -21,7 +23,6 @@ exactly, and independence_rank is a numerical cross-check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -195,7 +196,8 @@ def _doubling_chain(
     error it raises, from P's one chain.  The chain of 2^s P is P's from step
     s on, so its estimates and gaps are P's times 4^s, exactly in binary
     floating point, and reader s stops where that chain alone would, so the
-    readers end in order.
+    readers end in order.  A reader's HeightEstimate is built only at the
+    step where it stops or meets the cap.
 
     Once the operands pass _CERTIFY_MIN_BITS the chain steps a window
     (_window_step) and keeps the last exact pair.  At the first decline it
@@ -237,13 +239,12 @@ def _doubling_chain(
             if out[s] is not None:
                 continue
             gap = 4.0**s * abs(est - est_prev)
-            reading = HeightEstimate(4.0**s * est, iterations=n - s, error_bound=gap)
             # The gap sequence is not monotone (early coincidental plateaus
             # occur), so demand two consecutive sub-tolerance gaps.
-            if gap < tol and gaps[s] < tol:
-                out[s] = reading
-            elif capped:
-                out[s] = HeightBudgetExceeded(reading)
+            stops = gap < tol and gaps[s] < tol
+            if stops or capped:
+                reading = HeightEstimate(4.0**s * est, iterations=n - s, error_bound=gap)
+                out[s] = reading if stops else HeightBudgetExceeded(reading)
             gaps[s] = gap
         est_prev = est
     return out
@@ -280,26 +281,26 @@ def pairing_matrix(
 
     Every height is taken at tol/3, by one doubling chain per point, which
     gives h-hat(P) and, one step on, h-hat(2P), and one per pair of points
-    for h-hat(P+Q): two points take three chains.  A bit-cap error raises in
-    the order the entries read the heights, h-hat(2P) before h-hat(P) on
-    the diagonal.
+    for h-hat(P+Q): two points take three chains.  The points' chains are
+    kept by position, each run when an entry first reads it.  A bit-cap
+    error raises in the order the entries read the heights, h-hat(2P)
+    before h-hat(P) on the diagonal.
     """
     pts = tuple(pts)
     k = len(pts)
+    chains: list = [None] * k  # by position, each run on first read
 
-    @functools.cache
-    def chain(p: RationalPoint) -> list[HeightEstimate | HeightBudgetExceeded]:
-        return _doubling_chain(c, p, tol / 3.0, 2)
-
-    def height(p: RationalPoint, doubled: bool = False) -> float:
-        return _estimate(chain(p)[doubled]).value
+    def height(i: int, doubled: bool = False) -> float:
+        if chains[i] is None:
+            chains[i] = _doubling_chain(c, pts[i], tol / 3.0, 2)
+        return _estimate(chains[i][doubled]).value
 
     entries = [[0.0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            hsum = (height(pts[i], doubled=True) if i == j
+            hsum = (height(i, doubled=True) if i == j
                     else canonical_height(c, add(c, pts[i], pts[j]), tol / 3.0).value)
-            entries[i][j] = entries[j][i] = hsum - height(pts[i]) - height(pts[j])
+            entries[i][j] = entries[j][i] = hsum - height(i) - height(j)
     rows = tuple(tuple(r) for r in entries)
     return PairingMatrix(points=pts, entries=rows, determinant=_det(rows))
 

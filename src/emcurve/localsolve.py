@@ -26,15 +26,20 @@ verdict by the abscissa x of the first point of the same search whose
 classes are exactly the pair's.  Its three quotients (x-A)/b1, (x+A)/b2 and
 (x-4m^2)/(b1b2) are checked to be Q_ell-squares, so their square roots and
 W = 1 are a Q_ell-point of the space.
+
+The F2 forms that cut the image out of the pair's coordinates depend only
+on its basis, and few bases recur across curves and places, so _image_forms
+derives them once per basis.  real_solvable returns one of two shared
+verdicts.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .numtheory import _legendre_prime
 
@@ -158,6 +163,28 @@ def local_image(a_value: int, q_value: int, r_value: int, ell: int) -> tuple[int
     return tuple(basis)
 
 
+@functools.cache
+def _image_forms(basis: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
+    """The F2 forms (u, v) on the coordinates of _pair_bits vectors, k of
+    each class, that cut out the span of an echelon basis: a vector x lies
+    in it iff every (x & u) ^ (x >> k & v) has even popcount.
+
+    Reduction by the basis is F2-linear, so each bit of the reduced vector is
+    a sum of coordinates, one form; they come in the order their bits first
+    appear as coordinate 0, 1, ..., 2k - 1 is reduced.  Kept per (basis, k):
+    there are 70 bases of local_image's shape at k = 2 and 11,160 at k = 3.
+    """
+    rows: dict[int, tuple[int, int]] = {}  # reduced bit -> form
+    for i in range(2 * k):
+        u, v = (1 << i, 0) if i < k else (0, 1 << i - k)
+        reduced = _f2_reduce(basis, 1 << i)
+        for bit in range(reduced.bit_length()):
+            if reduced >> bit & 1:
+                ru, rv = rows.get(bit, (0, 0))
+                rows[bit] = (ru ^ u, rv ^ v)
+    return tuple(rows.values())
+
+
 @functools.lru_cache(maxsize=1024)
 def _first_points(a_value: int, e3: int, ell: int) -> dict[int, tuple[int, int]]:
     """The first point (t, den) of _points in each class of the local image,
@@ -212,13 +239,16 @@ def decide_local(
     return LocalVerdict(place=ell, outcome="solvable", witness=witness)
 
 
+_REAL_SOLVABLE = LocalVerdict(place=REAL_PLACE, outcome="real_solvable")
+_REAL_UNSOLVABLE = LocalVerdict(place=REAL_PLACE, outcome="real_unsolvable")
+
+
 def real_solvable(b1: int, b2: int) -> LocalVerdict:
     """Solvability over the reals: possible iff b2 > 0.
 
     For b2 > 0 and b1 > 0 take z1 large; for b1 < 0 the window
     q/|b1| <= z1^2 <= 2A/|b1| is nonempty since q < 2A.  For b2 < 0 both
     sign choices of b1 force a positive quantity to equal a negative one.
+    The verdict is one of two shared frozen objects.
     """
-    if b2 > 0:
-        return LocalVerdict(place=REAL_PLACE, outcome="real_solvable")
-    return LocalVerdict(place=REAL_PLACE, outcome="real_unsolvable")
+    return _REAL_SOLVABLE if b2 > 0 else _REAL_UNSOLVABLE

@@ -778,6 +778,43 @@ def test_local_forms_match_the_reduction_by_the_local_image(m):
                 b1m, b2m, ell)
 
 
+def reduction_forms(ctx, ell):
+    """The local forms at ell built straight from the local image: each
+    side's coordinate forms reduced by the echelon basis, one form per bit
+    of the reduced vectors, in the order the bits first appear."""
+    c = ctx.curve
+    basis = local_image(c.a_value, c.q_value, c.r_value, ell)
+    if ell == 2:
+        coords = (ctx.two_bit, ctx.mod4_mask, ctx.mod8_mask)
+    else:
+        coords = (1 << ctx.index[ell], ctx.nonres[ell])
+    rows = {}
+    for i, (u, v) in enumerate([(u, 0) for u in coords] + [(0, v) for v in coords]):
+        reduced = _f2_reduce(basis, 1 << i)
+        for bit in range(reduced.bit_length()):
+            if reduced >> bit & 1:
+                ru, rv = rows.get(bit, (0, 0))
+                rows[bit] = (ru ^ u, rv ^ v)
+    return tuple(rows.values())
+
+
+def test_local_forms_equal_the_reduction_forms_at_every_place():
+    # Tuple for tuple and in order, so kernel bases, tallies and member
+    # order are those of the direct reduction; and every basis has the
+    # shape the forms are derived for, distinct leading bits in decreasing
+    # order.
+    places = 0
+    for m in scan_admissible(2, 3000):
+        c = build_curve(m)
+        ctx = DescentContext(c)
+        for ell in c.s_primes:
+            basis = local_image(c.a_value, c.q_value, c.r_value, ell)
+            assert all(_f2_reduce(basis[:i], b) == b for i, b in enumerate(basis))
+            assert ctx.local_forms(ell) == reduction_forms(ctx, ell), (m, ell)
+            places += 1
+    assert places == 697
+
+
 def test_local_forms_assert_the_codimension(c6, monkeypatch):
     import emcurve.descent as descent_mod
 

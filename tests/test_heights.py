@@ -515,3 +515,40 @@ def test_capped_pairing_raises_the_first_capped_height(m, which, tol, cap, monke
     with pytest.raises(HeightBudgetExceeded) as exc:
         pairing_matrix(c, pts, tol)
     assert exc.value.estimate == want
+
+
+def _counted_chains(monkeypatch):
+    """The (point, readers) of every _doubling_chain call, in order."""
+    calls, real = [], heights._doubling_chain
+
+    def counting(c, p, tol, readers):
+        calls.append((p, readers))
+        return real(c, p, tol, readers)
+
+    monkeypatch.setattr(heights, "_doubling_chain", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", [6, 462])
+def test_pairing_runs_each_chain_once_on_first_read(m, monkeypatch):
+    # Each point's chain runs when an entry first reads it, and once: P1 on
+    # the first diagonal, then P1 + P2, then P2; each sum takes a chain of its
+    # own, P1 + P3 included although P3 = P1 + P2 has one.
+    c = build_curve(m)
+    p1, p2 = point(0, c.t), point(c.n1, c.t)
+    p3 = add(c, p1, p2)
+    calls = _counted_chains(monkeypatch)
+    pairing_matrix(c, (p1, p2), TOL)
+    assert calls == [(p1, 2), (p3, 1), (p2, 2)]
+    calls.clear()
+    pairing_matrix(c, (p1, p2, p3), TOL)
+    assert [readers for _, readers in calls] == [2, 1, 2, 1, 2, 1]
+    assert [p for p, _ in calls] == [p1, p3, p2, add(c, p1, p3), p3, add(c, p2, p3)]
+
+
+def test_capped_pairing_stops_at_the_first_chain(c6, monkeypatch):
+    monkeypatch.setattr(heights, "DEFAULT_MAX_BITS", 2000)
+    calls = _counted_chains(monkeypatch)
+    with pytest.raises(HeightBudgetExceeded):
+        pairing_matrix(c6, (point(0, c6.t), point(c6.n1, c6.t)), 1e-12)
+    assert [readers for _, readers in calls] == [2]

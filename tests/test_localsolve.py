@@ -8,6 +8,8 @@ import emcurve.localsolve as localsolve
 from emcurve.family import build_curve, scan_admissible
 from emcurve.localsolve import (
     LocalSolverError,
+    _f2_reduce,
+    _image_forms,
     _point_bits,
     _val_unit,
     decide_local,
@@ -122,6 +124,41 @@ def test_real_place():
     assert real_solvable(-5, 7).outcome == "real_solvable"
     assert real_solvable(1, -1).outcome == "real_unsolvable"
     assert real_solvable(-1151, 5).is_solvable
+
+
+def test_real_place_returns_one_of_two_shared_verdicts():
+    assert real_solvable(1, 1) is real_solvable(-1151, 5)
+    assert real_solvable(1, -1) is real_solvable(-5, -7)
+
+
+def echelon_bases(k, top=None):
+    """Every basis of local_image's shape: k vectors of 2k bits with
+    distinct leading bits, in decreasing order, each leading bit below top."""
+    if k == 0:
+        yield ()
+        return
+    for lead in range(k - 1, 2 * k if top is None else top):
+        for low in range(1 << lead):
+            for rest in echelon_bases(k - 1, lead):
+                yield (1 << lead | low, *rest)
+
+
+@pytest.mark.parametrize("k, count", [(2, 70), (3, 11160)])
+def test_image_forms_cut_out_the_span_of_every_basis(k, count):
+    # k forms for each basis, and a vector pairs evenly with all of them iff
+    # it is a sum of basis vectors.
+    bases = list(echelon_bases(k))
+    assert len(bases) == len(set(bases)) == count
+    for basis in bases:
+        assert all(_f2_reduce(basis[:i], b) == b for i, b in enumerate(basis))
+        forms = _image_forms(basis, k)
+        assert len(forms) == k, basis
+        span = {0}
+        for b in basis:
+            span |= {x ^ b for x in span}
+        for x in range(1 << 2 * k):
+            even = not any(((x & u) ^ (x >> k & v)).bit_count() & 1 for u, v in forms)
+            assert even == (x in span), (basis, x)
 
 
 def test_oracle_agreement_small_primes_random_pairs():

@@ -2,6 +2,7 @@
 imports, apart from its own, ships with the interpreter."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +42,15 @@ def test_src_imports_no_name_it_never_uses():
     unused = {path.name: names for path in sorted(SRC.glob("*.py"))
               if (names := unused_imports(path))}
     assert unused == {}
+
+
+def test_engine_import_leaves_typing_out():
+    # A cold command pays for every module the engine imports; the engine's
+    # annotations take Iterator and Sequence from collections.abc, so typing
+    # stays unloaded.  -I -S: no environment, no site packages, src first on
+    # the path.
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+            "import emcurve.analysis; print('typing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
