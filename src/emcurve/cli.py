@@ -32,7 +32,7 @@ import json
 import math
 import sys
 
-from . import DEFAULT_RHO_BUDGET, DEFAULT_TOL, AnalysisRecord, EngineConfig
+from . import _RECORD_FIELDS, DEFAULT_RHO_BUDGET, DEFAULT_TOL, AnalysisRecord, EngineConfig
 from .cache import ResultCache, resolve_cache_path
 
 EXIT_OK = 0
@@ -254,17 +254,14 @@ def _pool_worker(task):
     return _scan_worker(m, config, _pool_cache)
 
 
-_RECORD_FIELDS = set(AnalysisRecord.FIELDS)
-
-
 def _analyses(ms, args):
     """(m, AnalysisRecord | scan error) for each m, in the order given.
 
     Opens the command's one cache and serves its hits in place.  The misses
-    run through _scan_worker, in --jobs worker processes when there are two
-    or more of them and --verbose is off, else in this process.  Each worker
-    gets a copy of the cache, so the file is read once per command, and
-    appends its own factorizations and records under the cache's lock.
+    run through _scan_worker, in min(--jobs, misses) worker processes (fork
+    starts them all at once) when there are two or more misses and --verbose
+    is off, else in this process.  Each worker gets a copy of the cache, so
+    the file is read once per command, and appends under the cache's lock.
     Either way the results stream in order.  With --verbose each record,
     served or computed, is preceded by the descent audit of its curve, built
     here through the cache (so it stays out of the record's timings); a scan
@@ -285,7 +282,7 @@ def _analyses(ms, args):
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=args.jobs, initializer=_init_pool_worker,
+                max_workers=min(args.jobs, len(misses)), initializer=_init_pool_worker,
                 initargs=(cache,)))
             fresh = pool.map(_pool_worker, [(m, config) for m in misses])
         else:

@@ -1,4 +1,4 @@
-"""Exact group law on the curve over Q, reduction mod good primes, torsion.
+"""Exact addition on the curve over Q, reduction mod good primes, torsion.
 
 Points carry exact Fraction coordinates; equality is structural on reduced
 fractions.  No floating point anywhere: the descent and torsion arguments
@@ -63,12 +63,6 @@ def contains(c: CurveParams, p: RationalPoint) -> bool:
     return s * s * d**3 == t * t * (((n + a * d) * n + b * d * d) * n + cc * d**3)
 
 
-def negate(p: RationalPoint) -> RationalPoint:
-    if p.is_infinity:
-        return p
-    return RationalPoint(p.x, -p.y)
-
-
 def add(c: CurveParams, p: RationalPoint, q: RationalPoint) -> RationalPoint:
     """Chord-tangent addition.  Errors if either input is off the curve."""
     for r in (p, q):
@@ -89,19 +83,6 @@ def add(c: CurveParams, p: RationalPoint, q: RationalPoint) -> RationalPoint:
     x3 = slope * slope - a2 - p.x - q.x
     y3 = slope * (p.x - x3) - p.y
     return RationalPoint(x3, y3)
-
-
-def scalar_mul(c: CurveParams, k: int, p: RationalPoint) -> RationalPoint:
-    if k < 0:
-        return scalar_mul(c, -k, negate(p))
-    out = INFINITY
-    acc = p
-    while k:
-        if k & 1:
-            out = add(c, out, acc)
-        acc = add(c, acc, acc)
-        k >>= 1
-    return out
 
 
 @dataclass(frozen=True)

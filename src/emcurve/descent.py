@@ -200,8 +200,6 @@ class DescentContext:
         # Images of (0, t) and (n1, t): ([-A], [A]) and ([2(m^2+1)], [2(m^2+1)]).
         b = self.two_bit | odd_mask(curve.m**2 + 1, curve.p_primes)
         self.point_images = ((self.sign_bit | self.p_mask, self.p_mask), (b, b))
-        # Per-instance, so that no cache outlives the context.
-        self._forms: dict[int, tuple[tuple[int, int], ...]] = {}
 
     @functools.cached_property
     def nonres(self) -> dict[int, int]:
@@ -254,30 +252,27 @@ class DescentContext:
         gives, once per echelon basis of localsolve.local_image, the sums of
         coordinates that cut the image out, as many as its codimension, 2 of
         4 at odd ell and 3 of 6 at 2; here coordinate i becomes its side's
-        coords[i].  Kept per place for the life of the context.
+        coords[i].
         """
-        forms = self._forms.get(ell)
-        if forms is None:
-            c = self.curve
-            basis = local_image(c.a_value, c.q_value, c.r_value, ell)
-            if ell == 2:
-                coords = (self.two_bit, self.mod4_mask, self.mod8_mask)
-            else:
-                coords = (1 << self.index[ell], self.nonres[ell])
+        c = self.curve
+        basis = local_image(c.a_value, c.q_value, c.r_value, ell)
+        if ell == 2:
+            coords = (self.two_bit, self.mod4_mask, self.mod8_mask)
+        else:
+            coords = (1 << self.index[ell], self.nonres[ell])
 
-            def over(mask):  # the sum of the coordinates set in mask
-                out = 0
-                for i, g in enumerate(coords):
-                    if mask >> i & 1:
-                        out ^= g
-                return out
+        def over(mask):  # the sum of the coordinates set in mask
+            out = 0
+            for i, g in enumerate(coords):
+                if mask >> i & 1:
+                    out ^= g
+            return out
 
-            forms = tuple((over(u), over(v)) for u, v in _image_forms(basis, len(coords)))
-            if len(forms) != len(coords):
-                raise AssertionError(
-                    f"the local image at {ell} is cut out by {len(forms)} forms, "
-                    f"not {len(coords)}, for m={c.m}")
-            self._forms[ell] = forms
+        forms = tuple((over(u), over(v)) for u, v in _image_forms(basis, len(coords)))
+        if len(forms) != len(coords):
+            raise AssertionError(
+                f"the local image at {ell} is cut out by {len(forms)} forms, "
+                f"not {len(coords)}, for m={c.m}")
         return forms
 
     def locally_solvable(self, b1m: int, b2m: int, ell: int) -> bool:

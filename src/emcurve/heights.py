@@ -1,4 +1,4 @@
-"""Naive and canonical heights, the height pairing, and its numerical rank.
+"""Naive and canonical heights and the height pairing.
 
 The canonical height is computed straight from its defining doubling limit,
 h-hat(P) = (1/2) lim H(2^N P) / 4^N, with exact integer arithmetic, doubling
@@ -18,7 +18,7 @@ position, and a chain builds an estimate only at the step where a reader
 stops or meets the cap.
 
 The pairing is a report: DescentContext.rank_lower_bound certifies rank >= 2
-exactly, and independence_rank is a numerical cross-check.
+exactly; tests/reference.py holds the pairing's numerical rank, a cross-check.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class HeightEstimate:
 
 @dataclass(frozen=True)
 class PairingMatrix:
-    points: tuple[RationalPoint, ...]
     entries: tuple[tuple[float, ...], ...]
     determinant: float
 
@@ -302,7 +301,7 @@ def pairing_matrix(
                     else canonical_height(c, add(c, pts[i], pts[j]), tol / 3.0).value)
             entries[i][j] = entries[j][i] = hsum - height(i) - height(j)
     rows = tuple(tuple(r) for r in entries)
-    return PairingMatrix(points=pts, entries=rows, determinant=_det(rows))
+    return PairingMatrix(entries=rows, determinant=_det(rows))
 
 
 def _pivots(rows: tuple[tuple[float, ...], ...]) -> tuple[list[float], int]:
@@ -330,20 +329,3 @@ def _det(rows: tuple[tuple[float, ...], ...]) -> float:
     """The pivots' product in order, signed by the swaps; +0.0 on a zero column."""
     pivots, swaps = _pivots(rows)
     return math.prod(pivots, start=(-1.0) ** swaps) if len(pivots) == len(rows) else 0.0
-
-
-def independence_rank(
-    c: CurveParams,
-    pts: list[RationalPoint] | tuple[RationalPoint, ...],
-    tol: float = DEFAULT_TOL,
-) -> int:
-    """Numerical rank of the pairing matrix of pts, computed at tol.
-
-    The pivots of the elimination behind the determinant (_pivots, partial
-    pivoting) that exceed 50*tol in absolute value.  Positive-semidefiniteness
-    of the pairing makes this a lower bound on the number of independent
-    points, up to the height error; the exact certificate is descent's
-    rank_lower_bound.
-    """
-    pivots, _ = _pivots(pairing_matrix(c, pts, tol).entries)
-    return sum(abs(p) > 50.0 * tol for p in pivots)

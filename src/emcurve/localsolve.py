@@ -36,14 +36,11 @@ verdicts.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .numtheory import _legendre_prime
-
-REAL_PLACE = math.inf
 
 
 class LocalSolverError(RuntimeError):
@@ -52,7 +49,8 @@ class LocalSolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LocalVerdict:
-    place: int | float
+    """A pair's solvability at one place, the key local_evidence files it under."""
+
     outcome: str  # solvable | unsolvable | real_solvable | real_unsolvable
     # x of a point of E(Q_ell) in exactly the pair's classes.
     witness: Fraction | None = None
@@ -224,7 +222,7 @@ def decide_local(
     """
     vec = _pair_bits(_value_class(b1, ell), _value_class(b2, ell), ell)
     if _f2_reduce(local_image(a_value, q_value, r_value, ell), vec):
-        return LocalVerdict(place=ell, outcome="unsolvable")
+        return LocalVerdict(outcome="unsolvable")
     witness = None
     if want_witness:
         e3 = a_value - q_value
@@ -236,11 +234,11 @@ def decide_local(
                 raise LocalSolverError(f"{num}/{den * b} is not a square in Q_{ell}; "
                                        "decision bug")
         witness = Fraction(t, den)
-    return LocalVerdict(place=ell, outcome="solvable", witness=witness)
+    return LocalVerdict(outcome="solvable", witness=witness)
 
 
-_REAL_SOLVABLE = LocalVerdict(place=REAL_PLACE, outcome="real_solvable")
-_REAL_UNSOLVABLE = LocalVerdict(place=REAL_PLACE, outcome="real_unsolvable")
+_REAL_SOLVABLE = LocalVerdict(outcome="real_solvable")
+_REAL_UNSOLVABLE = LocalVerdict(outcome="real_unsolvable")
 
 
 def real_solvable(b1: int, b2: int) -> LocalVerdict:

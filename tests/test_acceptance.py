@@ -12,16 +12,18 @@ import time
 
 import pytest
 
-from emcurve.curve import INFINITY, add, negate, point, scalar_mul, torsion_group
+from emcurve.curve import INFINITY, add, point, torsion_group
 from emcurve.descent import (
     DescentContext,
     selmer_group,
 )
 from emcurve.family import build_curve, scan_admissible
-from emcurve.heights import canonical_height, independence_rank, pairing_matrix
+from emcurve.heights import canonical_height, pairing_matrix
 from emcurve.localsolve import decide_local, real_solvable
 from oracle import kstar, oracle_local_solvable
-from test_descent import canonical_rep, coset_reps, phi_image
+from reference import (
+    canonical_rep, coset_reps, independence_rank, negate, phi_image, scalar_mul,
+)
 
 TOL = 1e-3
 TABLE_S2 = {6: 4, 12: 3, 30: 3, 42: 4, 60: 4}

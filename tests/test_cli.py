@@ -1427,6 +1427,39 @@ def test_warm_scan_jobs_starts_no_pool(tmp_path, capsys, monkeypatch):
     assert rc == 0 and warm == cold and pools == [2]
 
 
+def test_scan_jobs_starts_no_more_workers_than_misses(capsys, monkeypatch):
+    # Under fork a ProcessPoolExecutor starts all max_workers at the first
+    # submit, so --jobs 64 over four misses must ask for four.  The stand-in
+    # keeps max_workers, runs the initializer and maps in this process.
+    import concurrent.futures
+    import emcurve.cli as cli_mod
+
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            workers.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    argv = ("scan", "--from", "2", "--to", "40", "--json", "--no-cache")
+    rc, serial, _ = run_cli(capsys, *argv)
+    assert rc == 0 and len(serial.splitlines()) == 4
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli_mod, "_pool_cache", None)  # the initializer sets it
+    rc, pooled, _ = run_cli(capsys, *argv, "--jobs", "64")
+    assert rc == 0 and workers == [4]
+    assert strip_timings(pooled) == strip_timings(serial)
+
+
 def test_scan_jobs_reports_budget_failures_like_serial(capsys):
     # Every m here exhausts a budget of one step; the errors that workers
     # send back must unpickle, so the scan reports each m and goes on.

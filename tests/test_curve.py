@@ -13,13 +13,12 @@ from emcurve.curve import (
     add,
     contains,
     count_points_mod,
-    negate,
     point,
     reduce_mod,
-    scalar_mul,
     torsion_group,
 )
 from emcurve.family import build_curve, scan_admissible
+from reference import negate, scalar_mul
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emcurve.analysis import run_analysis
-from emcurve.curve import INFINITY, add, contains, point, scalar_mul
+from emcurve.curve import INFINITY, add, point
 from emcurve.descent import (
     DescentContext,
     DescentPair,
-    SquareClass,
     SquarefreePrecondition,
     UnsupportedClass,
     corollary_rank,
@@ -28,25 +27,7 @@ from emcurve.localsolve import (
 )
 from emcurve.numtheory import _legendre_prime, factorize
 from oracle import kstar, oracle_local_solvable
-
-
-def canonical_rep(ctx, b1m, b2m):
-    """The H-coset representative with b1 > 0 and b2 odd."""
-    if b2m & ctx.two_bit:
-        b1m ^= ctx.h2[0]
-        b2m ^= ctx.h2[1]
-    if b1m & ctx.sign_bit:
-        b1m ^= ctx.h4[0]
-        b2m ^= ctx.h4[1]
-    return b1m, b2m
-
-
-def coset_reps(ctx):
-    """All 4^(nbits-1) coset representatives as mask pairs, b1m without the
-    sign bit and b2m without the 2-bit, ascending in b1m, then in b2m."""
-    masks = range(1 << ctx.nbits)
-    return ((b1m, b2m) for b1m in masks if not b1m & ctx.sign_bit
-            for b2m in masks if not b2m & ctx.two_bit)
+from reference import IDENTITY_CLASS, canonical_rep, coset_reps, phi_image, square_class
 
 
 def mask_pair(ctx, k):
@@ -54,50 +35,9 @@ def mask_pair(ctx, k):
     return k >> ctx.nbits, k & (1 << ctx.nbits) - 1
 
 
-IDENTITY_CLASS = SquareClass(1, ())
-
-
 def pair_key(pair):
     """A DescentPair's (b1, b2) as ints, the order of SelmerResult.values."""
     return (pair.b1.value, pair.b2.value)
-
-
-def square_class(n):
-    """Squarefree kernel of a nonzero integer as a SquareClass.
-
-    Any support is allowed; DescentContext.mask_of_class raises
-    UnsupportedClass for a class outside a curve's Q(S,2).
-    """
-    if n == 0:
-        raise ValueError("square class of 0 undefined")
-    sign = 1 if n > 0 else -1
-    odd_part = tuple(p for p, e in factorize(abs(n)).factors if e % 2 == 1)
-    return SquareClass(sign, odd_part)
-
-
-def phi_image(curve, pt):
-    """Image of a rational point under the descent map.
-
-    Generic case ([x - e1], [x + e1]); the printed special cases at the
-    2-torsion abscissae x = e1 and x = e2; identity pair at infinity.  The
-    third root e3 falls under the generic formula.
-    """
-    if not contains(curve, pt):
-        raise ValueError(f"{pt} is not on the curve for m={curve.m}")
-    A = curve.a_value
-    if pt.is_infinity:
-        return DescentPair(IDENTITY_CLASS, IDENTITY_CLASS)
-    if pt.x == curve.e1:
-        b1 = square_class(2 * A * curve.q_value)
-        b2 = square_class(2 * A)
-    elif pt.x == curve.e2:
-        b1 = square_class(-2 * A)
-        b2 = square_class(2 * A * curve.r_value)
-    else:
-        # [a/b] = [a*b] for a rational in lowest terms.
-        b1, b2 = (square_class(x.numerator * x.denominator)
-                  for x in (pt.x - curve.e1, pt.x + curve.e1))
-    return DescentPair(b1, b2)
 
 
 def theorem_lower_bound(curve):
@@ -917,7 +857,7 @@ def test_selmer_asserts_the_local_images_fit(c6, monkeypatch, fresh_local_caches
         selmer_group(DescentContext(c6))
     monkeypatch.undo()
     monkeypatch.setattr(descent_mod, "real_solvable",
-                        lambda b1, b2: LocalVerdict(math.inf, "real_unsolvable"))
+                        lambda b1, b2: LocalVerdict("real_unsolvable"))
     with pytest.raises(AssertionError, match=r"symbol solution \(1, 1\) is not real-solvable"):
         selmer_group(DescentContext(c6))
 
