@@ -11,10 +11,11 @@ newline-delimited JSON with --json, or CSV with --csv (analyze and scan
 only); --verbose adds the descent audit trail to the default output, so
 --json, --csv and --verbose exclude each other.  The audit is read from the
 Selmer result of each record's curve, whether the record was served from
-the cache or computed.  Each subcommand takes only the flags it reads (see
-build_parser), but for --jobs, which analyze, heights and torsion accept
-and ignore.  Exit codes: 0 success, 1 reference-table mismatch, 2 invalid
-input (an unusable cache path included), 3 resource exhaustion.
+the cache or computed, and certifies each place once.  Each subcommand
+takes only the flags it reads (see build_parser), but for --jobs, which
+analyze, heights and torsion accept and ignore.  Exit codes: 0 success (a
+reader that closes stdout early included), 1 reference-table mismatch, 2
+invalid input (an unusable cache path included), 3 resource exhaustion.
 
 A served record needs only the cache and the record side of the package
 (AnalysisRecord, EngineConfig), so this module imports no engine module
@@ -30,6 +31,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 from . import _RECORD_FIELDS, DEFAULT_RHO_BUDGET, DEFAULT_TOL, AnalysisRecord, EngineConfig
@@ -67,7 +69,8 @@ _FLAGS = {
     "--verbose": dict(action="store_true", default=False,
                       help="print the descent's counts per exclusion rule, for "
                            "the symbol conditions and per bad place, then each "
-                           "Selmer member with its verdicts and witnesses"),
+                           "place with the points that span its local image, "
+                           "then each Selmer member"),
     "--jobs": dict(type=int, default=1,
                    help="parallel workers across the parameters of scan and "
                         "table1 (no effect on analyze, heights and torsion)"),
@@ -165,17 +168,20 @@ def _cache(args) -> ResultCache:
 
 def _print_audit(res) -> None:
     """The descent audit of --verbose, from a descent.SelmerResult: the
-    tallies, then each member with its verdicts and witnesses by place."""
+    tallies; each place's certificate, once for all members: the points
+    whose images span its local image, and rule (i) at the real place; then
+    each member."""
+    from .localsolve import local_image
+
     for reason, count in res.tallies.items():
         print(f"  {reason}: {count} cosets")
+    c = res.context.curve
+    for ell in res.context.local_places():
+        names = local_image(c.a_value, c.q_value, c.r_value, ell)[1]
+        print(f"  place {ell}: solvable on the image spanned by {', '.join(names)}")
+    print("  place inf: solvable, b2 > 0 by rule (i)")
     for pair in res.members:
         print(f"  ({pair.b1.value}, {pair.b2.value}) -> member")
-        for place, verdict in sorted(
-            pair.local_evidence.items(), key=lambda kv: (kv[0] is math.inf, kv[0])
-        ):
-            w = verdict.witness
-            extra = "" if w is None else f" witness x={w}"
-            print(f"      place {place}: {verdict.outcome}{extra}")
 
 
 def _print_record_human(r: AnalysisRecord) -> None:
@@ -468,7 +474,14 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("--rho-budget must not be negative")
             if "tol" in args and not 0 < args.tol < math.inf:  # also true for nan
                 raise ValueError("tol must be finite and positive")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, as head does once it has its lines: not
+        # an error.  What is still buffered goes to os.devnull at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, OSError) as e:
         # ValueError covers InadmissibleParameter and bad flag values; OSError
         # an unusable cache path.

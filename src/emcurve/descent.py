@@ -30,19 +30,17 @@ Internally classes are bitmasks over the generator list, and a quadratic
 character is the mask of the generators it sends to -1, so a symbol is a
 popcount parity.  DescentContext is the interface to those pieces: the
 generators of Q(S,2) (`gens`), the exclusion rules (`exclusion_reason`),
-the symbol conditions (`necessary_failures`), the forms of the local images
-(`local_forms`) and membership in them (`locally_solvable`) act on mask
-pairs; `kernel` solves groups of forms on mask pairs, and selmer_group
-re-checks the rules and conditions on every member.
+the symbol conditions (`necessary_failures`) and the forms of the local
+images (`local_forms`) act on mask pairs; `kernel` solves groups of forms on
+mask pairs, and selmer_group re-checks the rules and conditions on every
+member.
 `rank_lower_bound` certifies rank >= 2 from the images of the torsion and of
 the points (0, t) and (n1, t).  `_f2_eliminate` is the one F2 eliminator,
 and localsolve's `_f2_reduce` tests membership in an echelon basis.
 selmer_group is the one descent entry point.  Its result carries the
 members' values, and the audit as data: `tallies`, the cosets each rule,
 the symbol conditions and each bad place reject.  The member objects are
-built when first read, and the witnesses of a member, points of E(Q_ell) in
-the pair's classes, are found by decide_local when its `local_evidence` is
-first read.
+built when first read.
 """
 
 from __future__ import annotations
@@ -52,9 +50,7 @@ import math
 from dataclasses import dataclass, field
 
 from .family import CurveParams
-from .localsolve import (
-    _image_forms, _val_unit, decide_local, local_image, real_solvable,
-)
+from .localsolve import _image_forms, _val_unit, local_image, real_solvable
 from .numtheory import _legendre_prime
 
 
@@ -96,55 +92,22 @@ class SquareClass:
 
 @dataclass
 class DescentPair:
-    """A pair ([b1], [b2]) of square classes, with its local evidence.
-
-    context and the pair's masks in it are set on the members selmer_group
-    returns, and their local_evidence is computed from them on first read.
-    """
+    """A pair ([b1], [b2]) of square classes."""
 
     b1: SquareClass
     b2: SquareClass
-    context: DescentContext | None = field(default=None, repr=False, compare=False)
-    masks: tuple[int, int] | None = field(default=None, repr=False, compare=False)
-
-    @functools.cached_property
-    def local_evidence(self) -> dict:
-        """Verdicts by place: inf, then curve.s_primes in order, from
-        decide_local; a solvable finite one carries its witness, the x of a
-        point of E(Q_ell) in this pair's classes.  Empty without a context.
-
-        decide_local and selmer_group read the one local image,
-        localsolve.local_image; decide_local places the pair in it by the
-        classes of its values, the context by the image's linear forms on
-        its masks.  Each verdict is asserted to agree with the context's, so
-        a member's evidence is solvable at every place.
-        """
-        if self.context is None:
-            return {}
-        ctx, b1, b2 = self.context, self.b1.value, self.b2.value
-        c = ctx.curve
-        b1m, b2m = self.masks
-        evidence = {math.inf: real_solvable(b1, b2)}
-        for ell in c.s_primes:
-            verdict = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell)
-            if verdict.is_solvable != ctx.locally_solvable(b1m, b2m, ell):
-                raise AssertionError(
-                    f"decide_local finds ({b1}, {b2}) {verdict.outcome} at {ell}, "
-                    f"against its local image, for m={c.m}")
-            evidence[ell] = verdict
-        return evidence
 
 
 @dataclass(frozen=True)
 class SelmerResult:
     """The descent's result.  values holds each member coset's representative
     (b1, b2) as ints, ascending; records and the selmer command read these.
-    members holds the same pairs as DescentPair objects with their context
-    set, in the same order; they are built from masks and context on first
-    read, once.  tallies is the audit, in order: the coset representatives
-    each exclusion rule (i)-(v) rejects first, those the symbol conditions
-    reject after all five rules, then those each bad place rejects after
-    those and the places before it, zeros included."""
+    members holds the same pairs as DescentPair objects, in the same order;
+    they are built from masks and context on first read, once.  tallies is
+    the audit, in order: the coset representatives each exclusion rule
+    (i)-(v) rejects first, those the symbol conditions reject after all five
+    rules, then those each bad place rejects after those and the places
+    before it, zeros included."""
 
     values: tuple[tuple[int, int], ...]
     size_log2: int
@@ -159,8 +122,7 @@ class SelmerResult:
     @functools.cached_property
     def members(self) -> tuple[DescentPair, ...]:
         ctx = self.context
-        return tuple(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m),
-                                 context=ctx, masks=(b1m, b2m))
+        return tuple(DescentPair(ctx.class_of_mask(b1m), ctx.class_of_mask(b2m))
                      for b1m, b2m in self.masks)
 
 
@@ -255,7 +217,7 @@ class DescentContext:
         coords[i].
         """
         c = self.curve
-        basis = local_image(c.a_value, c.q_value, c.r_value, ell)
+        basis = local_image(c.a_value, c.q_value, c.r_value, ell)[0]
         if ell == 2:
             coords = (self.two_bit, self.mod4_mask, self.mod8_mask)
         else:
@@ -274,15 +236,6 @@ class DescentContext:
                 f"the local image at {ell} is cut out by {len(forms)} forms, "
                 f"not {len(coords)}, for m={c.m}")
         return forms
-
-    def locally_solvable(self, b1m: int, b2m: int, ell: int) -> bool:
-        """Whether the pair's space has a Q_ell-point, ell a bad prime: whether
-        its local classes lie in localsolve.local_image (proof in
-        selmer_group), decided by the image's local_forms."""
-        for u, v in self.local_forms(ell):
-            if ((b1m & u) ^ (b2m & v)).bit_count() & 1:
-                return False
-        return True
 
     # -- pipeline pieces -------------------------------------------------------
 
@@ -492,10 +445,8 @@ def selmer_group(ctx: DescentContext) -> SelmerResult:
     it is built once per (A, Q, R, ell).  So a pair whose local vector lies
     in the span is the image of a product of those points and is solvable;
     and since the span is the whole image, a pair outside it is unsolvable.
-    A pair's witnesses, the first points of the same search in its classes,
-    are found by decide_local when its `local_evidence` is read, which
-    asserts that the verdicts from the classes of the pair's values agree
-    with the context's, from its masks.
+    The names of the points that span each image are --verbose's
+    certificate of that place, printed once for all members.
 
     Asserts what the mathematics gives: every member passes the exclusion
     rules and the symbol conditions and is solvable at the real place (rule

@@ -18,14 +18,12 @@ rational.
 local_image, the one builder of that image, spans it by images of actual
 points: the four rational points x = A, x = 4m^2, (0, t) and (n1, t), then
 points of E(Q_ell) from one short x-search (_points), and raises unless the
-span reaches the full order.  It is built once per (A, Q, R, ell) and kept.
-A pair in the span is the image of a product of those points, so it is
-solvable; a pair outside the full span is unsolvable.  decide_local and the
-descent answer by that membership, and decide_local certifies a solvable
-verdict by the abscissa x of the first point of the same search whose
-classes are exactly the pair's.  Its three quotients (x-A)/b1, (x+A)/b2 and
-(x-4m^2)/(b1b2) are checked to be Q_ell-squares, so their square roots and
-W = 1 are a Q_ell-point of the space.
+span reaches the full order.  It is built once per (A, Q, R, ell) and kept,
+with the names of the points that entered the span.  A pair in the span is
+the image of a product of those points, so it is solvable; a pair outside
+the full span is unsolvable.  The descent answers by that membership, and
+--verbose prints those names as each place's certificate: each named search
+point x has f(x) a nonzero Q_ell-square, so it is a point of E(Q_ell).
 
 The F2 forms that cut the image out of the pair's coordinates depend only
 on its basis, and few bases recur across curves and places, so _image_forms
@@ -49,11 +47,9 @@ class LocalSolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LocalVerdict:
-    """A pair's solvability at one place, the key local_evidence files it under."""
+    """A pair's solvability at one place."""
 
     outcome: str  # solvable | unsolvable | real_solvable | real_unsolvable
-    # x of a point of E(Q_ell) in exactly the pair's classes.
-    witness: Fraction | None = None
 
     @property
     def is_solvable(self) -> bool:
@@ -114,51 +110,54 @@ def _points(a_value: int, e3: int, ell: int) -> Iterator[tuple[int, int]]:
                         yield t, den
 
 
-def _point_bits(t: int, den: int, a_value: int, ell: int) -> int:
-    """The F2 vector of delta_ell(x) for x = t/den: ([x-A], [x+A])."""
-    return _pair_bits(_value_class((t - a_value * den) * den, ell),
-                      _value_class((t + a_value * den) * den, ell), ell)
-
-
 @functools.lru_cache(maxsize=1024)
-def local_image(a_value: int, q_value: int, r_value: int, ell: int) -> tuple[int, ...]:
-    """F2 basis of delta_ell(E(Q_ell)/2E(Q_ell)) for E: y^2 = (x-A)(x+A)(x-e3),
-    e3 = A - Q = 4m^2, pairs encoded by _pair_bits, in echelon form by
-    decreasing leading bit.  Kept per (A, Q, R, ell).
+def local_image(a_value: int, q_value: int,
+                r_value: int, ell: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """(basis, names): an F2 basis of delta_ell(E(Q_ell)/2E(Q_ell)) for
+    E: y^2 = (x-A)(x+A)(x-e3), e3 = A - Q = 4m^2, pairs encoded by
+    _pair_bits, in echelon form by decreasing leading bit; and the names of
+    the points whose images entered the span, in the order they did.  Kept
+    per (A, Q, R, ell).
 
-    It starts from the images of the rational points x = A, x = 4m^2, (0, t)
-    and (n1, t): (2AQ, 2A), (-Q, R), (-A, A) and (2(m^2+1), 2(m^2+1)), whose
-    span must not exceed the image's dimension, 2 at odd ell and 3 at 2
-    (AssertionError).  If it falls short, the points of _points add their
-    classes until it is reached; a search that ends short raises
-    LocalSolverError.
+    It starts from the images of the rational points T1 = (A, 0),
+    T2 = (4m^2, 0), P1 = (0, t) and P2 = (n1, t): (2AQ, 2A), (-Q, R), (-A, A)
+    and (2(m^2+1), 2(m^2+1)), whose span must not exceed the image's
+    dimension, 2 at odd ell and 3 at 2 (AssertionError).  If it falls short,
+    the points of _points add their classes until it is reached, each named
+    "x=" and its abscissa; a search that ends short raises LocalSolverError.
     """
     full = 3 if ell == 2 else 2
     basis: list[int] = []
+    names: list[str] = []
 
-    def add(vec):
+    def add(name, b1, b2):  # a point whose image is ([b1], [b2])
+        vec = _pair_bits(_value_class(b1, ell), _value_class(b2, ell), ell)
         vec = _f2_reduce(basis, vec)
         if vec:
             basis.append(vec)
             basis.sort(reverse=True)
+            names.append(name)
 
     a2, e3 = 2 * a_value, a_value - q_value
     b = e3 // 2 + 2  # 2(m^2 + 1)
-    for b1, b2 in ((a2 * q_value, a2), (-q_value, r_value), (-a_value, a_value), (b, b)):
-        add(_pair_bits(_value_class(b1, ell), _value_class(b2, ell), ell))
+    for name, b1, b2 in (("T1", a2 * q_value, a2), ("T2", -q_value, r_value),
+                         ("P1", -a_value, a_value), ("P2", b, b)):
+        add(name, b1, b2)
     if len(basis) > full:
         raise AssertionError(
             f"the images of rational points span dimension {len(basis)} at {ell}, "
             f"more than dim E(Q_{ell})/2E(Q_{ell}) = {full}")
     if len(basis) < full:
         for t, den in _points(a_value, e3, ell):
-            add(_point_bits(t, den, a_value, ell))
+            # [x -+ A] = [(t -+ A den) den] for x = t/den.
+            add(f"x={Fraction(t, den)}", (t - a_value * den) * den,
+                (t + a_value * den) * den)
             if len(basis) == full:
                 break
         else:
             raise LocalSolverError(f"the local image at {ell} reached dimension "
                                    f"{len(basis)}, not {full}, in the point search")
-    return tuple(basis)
+    return tuple(basis), tuple(names)
 
 
 @functools.cache
@@ -181,60 +180,6 @@ def _image_forms(basis: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
                 ru, rv = rows.get(bit, (0, 0))
                 rows[bit] = (ru ^ u, rv ^ v)
     return tuple(rows.values())
-
-
-@functools.lru_cache(maxsize=1024)
-def _first_points(a_value: int, e3: int, ell: int) -> dict[int, tuple[int, int]]:
-    """The first point (t, den) of _points in each class of the local image,
-    by F2 vector; a search that ends before it has met all 2^dim classes
-    raises LocalSolverError."""
-    size = 8 if ell == 2 else 4
-    first: dict[int, tuple[int, int]] = {}
-    for t, den in _points(a_value, e3, ell):
-        first.setdefault(_point_bits(t, den, a_value, ell), (t, den))
-        if len(first) == size:
-            return first
-    raise LocalSolverError(f"the point search at {ell} met {len(first)} of the "
-                           f"{size} classes of the local image")
-
-
-def decide_local(
-    b1: int,
-    b2: int,
-    a_value: int,
-    q_value: int,
-    r_value: int,
-    ell: int,
-    *,
-    want_witness: bool = True,
-) -> LocalVerdict:
-    """Q_ell solvability of the pair's homogeneous space, with certificate.
-
-    ell must be prime and is not re-checked here: the descent passes the
-    bad primes s_primes, from complete factorizations.  The verdict is
-    membership of the pair's classes in the local image (module docstring).
-    A solvable verdict carries, unless want_witness is False, the abscissa x
-    of the first point of the search in exactly the pair's classes; its
-    three quotients (x-A)/b1, (x+A)/b2 and (x-4m^2)/(b1b2) are checked to be
-    Q_ell-squares, else LocalSolverError names a decision bug.  A search that
-    ends before it has met every class of the image raises LocalSolverError.
-    The image and those first points are kept per (A, Q, R, ell).
-    """
-    vec = _pair_bits(_value_class(b1, ell), _value_class(b2, ell), ell)
-    if _f2_reduce(local_image(a_value, q_value, r_value, ell), vec):
-        return LocalVerdict(outcome="unsolvable")
-    witness = None
-    if want_witness:
-        e3 = a_value - q_value
-        t, den = _first_points(a_value, e3, ell)[vec]
-        for num, b in ((t - a_value * den, b1), (t + a_value * den, b2),
-                       (t - e3 * den, b1 * b2)):
-            # num/(den b) is a square iff num den b is.
-            if _value_class(num * den * b, ell) != (0, 1):
-                raise LocalSolverError(f"{num}/{den * b} is not a square in Q_{ell}; "
-                                       "decision bug")
-        witness = Fraction(t, den)
-    return LocalVerdict(outcome="solvable", witness=witness)
 
 
 _REAL_SOLVABLE = LocalVerdict(outcome="real_solvable")

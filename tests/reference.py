@@ -2,8 +2,9 @@
 
 No command calls them, so they live here rather than in src/: the rest of
 the group law (negation and scalar multiples), the numerical rank of the
-height pairing, and the descent's square classes, coset representatives
-and descent map on points, each computed the direct way.
+height pairing, the descent's square classes, coset representatives and
+descent map on points, each computed the direct way, and the local verdict
+of one pair at one place, from its values and from its masks.
 """
 
 from emcurve import DEFAULT_TOL
@@ -11,6 +12,9 @@ from emcurve.curve import INFINITY, RationalPoint, add, contains
 from emcurve.descent import DescentPair, SquareClass
 from emcurve.family import CurveParams
 from emcurve.heights import _pivots, pairing_matrix
+from emcurve.localsolve import (
+    LocalVerdict, _f2_reduce, _pair_bits, _value_class, local_image,
+)
 from emcurve.numtheory import factorize
 
 
@@ -108,3 +112,21 @@ def phi_image(curve, pt):
         b1, b2 = (square_class(x.numerator * x.denominator)
                   for x in (pt.x - curve.e1, pt.x + curve.e1))
     return DescentPair(b1, b2)
+
+
+def decide_local(b1, b2, a_value, q_value, r_value, ell, *, want_witness=True):
+    """Q_ell solvability of the pair's homogeneous space, ell a bad prime:
+    whether the classes of b1 and b2 lie in localsolve.local_image.
+    want_witness is accepted and ignored; no verdict carries a point."""
+    vec = _pair_bits(_value_class(b1, ell), _value_class(b2, ell), ell)
+    basis = local_image(a_value, q_value, r_value, ell)[0]
+    return LocalVerdict(outcome="unsolvable" if _f2_reduce(basis, vec) else "solvable")
+
+
+def locally_solvable(ctx, b1m, b2m, ell):
+    """The same verdict from the pair's masks, by the context's local_forms
+    at ell."""
+    for u, v in ctx.local_forms(ell):
+        if ((b1m & u) ^ (b2m & v)).bit_count() & 1:
+            return False
+    return True

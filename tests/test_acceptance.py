@@ -19,10 +19,11 @@ from emcurve.descent import (
 )
 from emcurve.family import build_curve, scan_admissible
 from emcurve.heights import canonical_height, pairing_matrix
-from emcurve.localsolve import decide_local, real_solvable
+from emcurve.localsolve import real_solvable
 from oracle import kstar, oracle_local_solvable
 from reference import (
-    canonical_rep, coset_reps, independence_rank, negate, phi_image, scalar_mul,
+    canonical_rep, coset_reps, decide_local, independence_rank, negate, phi_image,
+    scalar_mul,
 )
 
 TOL = 1e-3

@@ -1,10 +1,10 @@
 """The benchmark's own smoke check, run as a test.
 
 perfbench/layertrace.py wraps names of the program by attribute: the
-DescentContext.exclusion_reason and necessary_failures methods, the
-ResultCache get/put methods, and the `ell` argument of decide_local, read
-by position.  Renaming or deleting one of them breaks the benchmark; this
-test makes that a test failure too.
+DescentContext.exclusion_reason and necessary_failures methods and the
+ResultCache get/put methods.  Renaming or deleting one of them breaks the
+benchmark; this test makes that a test failure too.  Its decide_local hook
+and counters find no such function in emcurve.localsolve, so they read 0.
 """
 
 import subprocess

@@ -250,12 +250,13 @@ def test_verbose_counts_rules_and_details_survivors(capsys):
 
 
 # sha256 of `selmer --m M --verbose --no-cache` stdout, which prints no
-# timings: the tallies, the members and each verdict with its witness x.
+# timings: the tallies, the points that span each place's local image, and
+# the members.
 VERBOSE_DIGESTS = {
-    6: "c35894dd72800d50d1439b87f08f5ce681946337199e9d0b0f9fb5f0c7e0c0c0",
-    42: "d06b9586dcf7fcbf558942dcef3e5f00e8c267da8453aecf1e4e3980770000b8",
-    462: "ac3cc2dd1201ce11d1c9f3593db50b817134ea94616f89952082c067f1cffbbc",
-    1950: "8d5c39a47f9420e0fb1c2a49779b61f468577f5b8f6fa66f617c82c02b097254",
+    6: "9f1ca62a12538970f8d03089ee025f277611204f81b37f5fc9e3753e2a5d390b",
+    42: "1423009a86d7cb62c08f0ee967a4391bcf56a26d034de50199660ead01b10084",
+    462: "4552cba292d5abfed005a7097ad65156e1ddb17d044c502050fa8c0206bf26d9",
+    1950: "eaea79be88dac5c201a6f50b95b90646e547bb37b0dcacde60ddd8d783db60cf",
 }
 
 
@@ -264,6 +265,30 @@ def test_selmer_verbose_output_is_pinned(capsys, m):
     rc, out, _ = run_cli(capsys, "selmer", "--m", str(m), "--verbose", "--no-cache")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERBOSE_DIGESTS[m]
+
+
+def test_verbose_audit_certifies_each_place_once(capsys):
+    # The tallies, one line per bad place in s_primes order and one for the
+    # real place, then the members in the order selmer --json lists them.
+    rc, out, _ = run_cli(capsys, "selmer", "--m", "462", "--verbose", "--no-cache")
+    assert rc == 0
+    lines = out.splitlines()
+    audit = lines[:lines.index("m = 462: s2 = 5, w = 4, corollary = 5")]
+    rc, js, _ = run_cli(capsys, "selmer", "--m", "462", "--json", "--no-cache")
+    members = json.loads(js)["members"]
+    places = (2, 5, 461, 463, 42689, 45557487359, 45559194911)
+    assert len(audit) == 13 + len(places) + 1 + len(members) == 53
+    assert all(line.endswith(" cosets") for line in audit[:13])
+    assert [line.split(":")[0] for line in audit[13:21]] == [
+        f"  place {place}" for place in (*places, "inf")]
+    assert audit[16] == "  place 463: solvable on the image spanned by T1, x=45558341134"
+    assert audit[20] == "  place inf: solvable, b2 > 0 by rule (i)"
+    assert audit[21:] == [f"  ({b1}, {b2}) -> member" for b1, b2 in members]
+    assert not any("witness" in line for line in audit)
+    rc, out, _ = run_cli(capsys, "selmer", "--m", "1950", "--verbose", "--no-cache")
+    assert rc == 0
+    assert "  place 1951: solvable on the image spanned by T1, x=14459006249997" in (
+        out.splitlines())
 
 
 @pytest.mark.parametrize("argv", [
@@ -1039,6 +1064,22 @@ def test_exit_codes_in_a_fresh_interpreter(argv, code, stdout, stderr):
          "from emcurve.cli import main; sys.exit(main(sys.argv[1:]))", _SRC,
          *argv.split()], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # A reader that stops after one line, as head -1 does: the next write
+    # meets a closed pipe, and the command still exits 0 with an empty
+    # stderr.  The range leaves out m = 600, which writes its failed line
+    # there.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "emcurve.cli", "scan", "--from", "601", "--to", "2000",
+         "--json", "--no-cache"],
+        env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert json.loads(proc.stdout.readline())["m"] == 642
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_cache_concurrent_processes_append_whole_lines(tmp_path):

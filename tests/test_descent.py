@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import json
 import math
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emcurve.analysis import run_analysis
+from emcurve.cli import _print_audit
 from emcurve.curve import INFINITY, add, point
 from emcurve.descent import (
     DescentContext,
@@ -22,12 +22,15 @@ from emcurve.descent import (
 )
 from emcurve.family import build_curve, scan_admissible
 from emcurve.localsolve import (
-    LocalSolverError, LocalVerdict, _f2_reduce, _pair_bits, _val_unit, decide_local,
-    local_image, real_solvable,
+    LocalSolverError, LocalVerdict, _f2_reduce, _pair_bits, _val_unit, local_image,
+    real_solvable,
 )
 from emcurve.numtheory import _legendre_prime, factorize
 from oracle import kstar, oracle_local_solvable
-from reference import IDENTITY_CLASS, canonical_rep, coset_reps, phi_image, square_class
+from reference import (
+    IDENTITY_CLASS, canonical_rep, coset_reps, decide_local, locally_solvable, phi_image,
+    square_class,
+)
 
 
 def mask_pair(ctx, k):
@@ -218,9 +221,9 @@ def test_real_solvable(c6, sel6):
     assert real(pair(1, 1)).is_solvable
     assert not real(pair(1, -1)).is_solvable
     assert real(pair(-1151, 5)).is_solvable
-    # The descent records this verdict at the real place of every member.
+    # Every member is solvable at the real place.
     for p in sel6.members:
-        assert p.local_evidence[math.inf] == real(p)
+        assert real(p).is_solvable
 
 
 def test_difference_identity_per_curve():
@@ -281,15 +284,6 @@ def test_selmer_members_closed_under_multiplication(c6, sel6):
     for a in keys:
         for b in keys:
             assert canonical_rep(ctx, a[0] ^ b[0], a[1] ^ b[1]) in keys
-
-
-def test_member_witnesses_recorded(sel6):
-    for p in sel6.members:
-        assert math.inf in p.local_evidence
-        for place, verdict in p.local_evidence.items():
-            assert verdict.is_solvable
-            if place != math.inf:
-                assert verdict.witness is not None
 
 
 def test_theorem_lower_bound_values():
@@ -555,15 +549,14 @@ def test_necessary_failures_match_the_values(m):
 
 @pytest.mark.parametrize("m", [6, 12, 30, 42, 60, 462, 228, 1950])
 def test_member_values_match_the_member_objects(m):
-    # The record and the selmer command read values; --verbose and
-    # local_evidence read members, built once from the same masks.
+    # The record and the selmer command read values; --verbose reads
+    # members, built once from the same masks.
     res = selmer_group(DescentContext(build_curve(m)))
     assert len(res.values) == 2 ** res.s2
     assert all(a < b for a, b in zip(res.values, res.values[1:]))
     assert res.values == tuple((p.b1.value, p.b2.value) for p in res.members)
     assert res.members is res.members
-    assert all(p.context is res.context for p in res.members)
-    assert tuple(p.masks for p in res.members) == res.masks == tuple(
+    assert res.masks == tuple(
         (res.context.mask_of_class(p.b1), res.context.mask_of_class(p.b2))
         for p in res.members)
     assert run_analysis(m).members == [[str(a), str(b)] for a, b in res.values]
@@ -608,30 +601,6 @@ def test_local_class_of_masks_matches_the_values(m):
                     == local_class(ctx.value_of_mask(mask), ell))
 
 
-@pytest.mark.parametrize("m", [6, 12, 30, 42, 60, 462])
-def test_decide_local_runs_once_per_local_class(m, monkeypatch):
-    # The descent decides each place by membership in the local image and
-    # makes no local solve; decide_local runs only when a pair's evidence
-    # is read, once per finite place of a member.
-    import emcurve.descent as descent_mod
-
-    verdicts = []
-    real = descent_mod.decide_local
-
-    def counted(*args, **kwargs):
-        verdicts.append(real(*args, **kwargs))
-        return verdicts[-1]
-
-    monkeypatch.setattr(descent_mod, "decide_local", counted)
-    c = build_curve(m)
-    res = selmer_group(DescentContext(c))
-    assert verdicts == []
-    for p in res.members:
-        assert all(v.is_solvable for v in p.local_evidence.values())
-    assert len(verdicts) == len(res.members) * len(c.s_primes)
-    assert all(v.is_solvable for v in verdicts)
-
-
 @pytest.mark.parametrize("m", [6, 42, 462])
 def test_local_verdict_depends_only_on_local_classes(m):
     # (b1 g, b2 h) with g, h products of generators that are squares in
@@ -651,8 +620,7 @@ def test_local_verdict_depends_only_on_local_classes(m):
         assert squares
 
         def verdict(b1, b2):
-            return decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell,
-                                want_witness=False).is_solvable
+            return decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell).is_solvable
 
         for b1, b2 in pairs:
             expected = verdict(b1, b2)
@@ -686,9 +654,9 @@ def test_local_image_membership_matches_decide_local(m):
             reps.setdefault(classes, (b1m, b2m))
         for b1m, b2m in reps.values():
             b1, b2 = ctx.value_of_mask(b1m), ctx.value_of_mask(b2m)
-            expected = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell,
-                                    want_witness=False).is_solvable
-            assert ctx.locally_solvable(b1m, b2m, ell) == expected, (b1, b2, ell)
+            verdict = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell)
+            expected = verdict.is_solvable
+            assert locally_solvable(ctx, b1m, b2m, ell) == expected, (b1, b2, ell)
             seen.add(expected)
             if ell < 40:
                 ks = kstar(b1, b2, c.a_value, c.q_value, c.r_value, ell)
@@ -710,11 +678,11 @@ def test_local_forms_match_the_reduction_by_the_local_image(m):
     pairs += [(rng.getrandbits(ctx.nbits), rng.getrandbits(ctx.nbits)) for _ in range(200)]
     for ell in c.s_primes:
         assert len(ctx.local_forms(ell)) == (3 if ell == 2 else 2)
-        basis = local_image(c.a_value, c.q_value, c.r_value, ell)
+        basis = local_image(c.a_value, c.q_value, c.r_value, ell)[0]
         for b1m, b2m in pairs:
             classes = (mask_local_class(ctx, b1m, ell), mask_local_class(ctx, b2m, ell))
             vec = _pair_bits(*classes, ell)
-            assert ctx.locally_solvable(b1m, b2m, ell) == (not _f2_reduce(basis, vec)), (
+            assert locally_solvable(ctx, b1m, b2m, ell) == (not _f2_reduce(basis, vec)), (
                 b1m, b2m, ell)
 
 
@@ -723,7 +691,7 @@ def reduction_forms(ctx, ell):
     side's coordinate forms reduced by the echelon basis, one form per bit
     of the reduced vectors, in the order the bits first appear."""
     c = ctx.curve
-    basis = local_image(c.a_value, c.q_value, c.r_value, ell)
+    basis = local_image(c.a_value, c.q_value, c.r_value, ell)[0]
     if ell == 2:
         coords = (ctx.two_bit, ctx.mod4_mask, ctx.mod8_mask)
     else:
@@ -748,7 +716,7 @@ def test_local_forms_equal_the_reduction_forms_at_every_place():
         c = build_curve(m)
         ctx = DescentContext(c)
         for ell in c.s_primes:
-            basis = local_image(c.a_value, c.q_value, c.r_value, ell)
+            basis = local_image(c.a_value, c.q_value, c.r_value, ell)[0]
             assert all(_f2_reduce(basis[:i], b) == b for i, b in enumerate(basis))
             assert ctx.local_forms(ell) == reduction_forms(ctx, ell), (m, ell)
             places += 1
@@ -759,7 +727,8 @@ def test_local_forms_assert_the_codimension(c6, monkeypatch):
     import emcurve.descent as descent_mod
 
     # A basis one short of the image leaves one form too many.
-    monkeypatch.setattr(descent_mod, "local_image", lambda *args: local_image(*args)[1:])
+    monkeypatch.setattr(descent_mod, "local_image",
+                        lambda *args: tuple(part[1:] for part in local_image(*args)))
     with pytest.raises(AssertionError, match="the local image at 2 is cut out by 4 "
                                              "forms, not 3, for m=6"):
         selmer_group(DescentContext(c6))
@@ -771,16 +740,16 @@ def test_local_images_reach_full_dimension():
     for m in scan_admissible(2, 2000):
         c = build_curve(m)
         for ell in c.s_primes:
-            basis = local_image(c.a_value, c.q_value, c.r_value, ell)
+            basis = local_image(c.a_value, c.q_value, c.r_value, ell)[0]
             assert len(basis) == (3 if ell == 2 else 2), (m, ell)
 
 
-def test_one_local_image_per_place():
-    # The descent and every member's evidence read one image per bad place.
+def test_one_local_image_per_place(capsys):
+    # The descent and the --verbose audit read one image per bad place.
     c = build_curve(462)
     local_image.cache_clear()
-    for pair in selmer_group(DescentContext(c)).members:
-        assert pair.local_evidence
+    _print_audit(selmer_group(DescentContext(c)))
+    assert capsys.readouterr().out.count(" place ") == len(c.s_primes) + 1
     assert local_image.cache_info().misses == len(c.s_primes)
 
 
@@ -809,17 +778,16 @@ def test_selmer_asserts_every_member_passes_the_rules_and_symbols(c6, monkeypatc
 ], ids=["eight-not-closed", "twelve"])
 def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, unsolvable):
     # The members are the kernel of the local forms, so a per-pair verdict
-    # that rejects a set of classes that is not a subgroup leaves them all
-    # 16; reading the evidence of each member it rejects asserts.
-    real = DescentContext.locally_solvable
-
+    # on the context that rejects a set of classes that is not a subgroup
+    # leaves them all 16: the descent reads no such verdict.
     def unsolvable_on_a_class(self, b1m, b2m, ell):
         if unsolvable.get(ell) == (mask_local_class(self, b1m, ell),
                                   mask_local_class(self, b2m, ell)):
             return False
-        return real(self, b1m, b2m, ell)
+        return locally_solvable(self, b1m, b2m, ell)
 
-    monkeypatch.setattr(DescentContext, "locally_solvable", unsolvable_on_a_class)
+    monkeypatch.setattr(DescentContext, "locally_solvable", unsolvable_on_a_class,
+                        raising=False)
     result = selmer_group(DescentContext(c6))
     ctx = DescentContext(c6)
     keys = {(ctx.mask_of_class(p.b1), ctx.mask_of_class(p.b2)) for p in result.members}
@@ -827,14 +795,6 @@ def test_selmer_asserts_the_members_are_a_subgroup(c6, monkeypatch, unsolvable):
     assert (0, 0) in keys
     assert all(canonical_rep(ctx, a1 ^ b1, a2 ^ b2) in keys
                for a1, a2 in keys for b1, b2 in keys)
-    rejected = 0
-    for pair in result.members:
-        try:
-            pair.local_evidence
-        except AssertionError as exc:
-            assert "against its local image, for m=6" in str(exc)
-            rejected += 1
-    assert rejected == 16 - (8 if 37 in unsolvable else 12)
 
 
 def test_selmer_asserts_the_local_images_fit(c6, monkeypatch, fresh_local_caches):
@@ -849,7 +809,7 @@ def test_selmer_asserts_the_local_images_fit(c6, monkeypatch, fresh_local_caches
     monkeypatch.undo()
     # At 7 the rational points span dimension 1 of 2; a search that finds
     # no point of E(Q_7) cannot complete the image and raises.
-    assert len(local_image(c6.a_value, c6.q_value, c6.r_value, 7)) == 2
+    assert len(local_image(c6.a_value, c6.q_value, c6.r_value, 7)[0]) == 2
     monkeypatch.setattr(localsolve, "_points", lambda a_value, e3, ell: iter(()))
     local_image.cache_clear()  # drop the image the real search completed
     with pytest.raises(LocalSolverError,
@@ -860,34 +820,6 @@ def test_selmer_asserts_the_local_images_fit(c6, monkeypatch, fresh_local_caches
                         lambda b1, b2: LocalVerdict("real_unsolvable"))
     with pytest.raises(AssertionError, match=r"symbol solution \(1, 1\) is not real-solvable"):
         selmer_group(DescentContext(c6))
-
-
-def test_local_evidence_asserts_agreement_with_the_local_image(c6, monkeypatch):
-    members = selmer_group(DescentContext(c6)).members
-    monkeypatch.setattr(DescentContext, "locally_solvable", lambda self, b1m, b2m, ell: False)
-    with pytest.raises(AssertionError, match=r"decide_local finds \(1, 1\) solvable at 2, "
-                                             "against its local image"):
-        members[0].local_evidence
-
-
-# sha256 of repr([(key, [(place, outcome, x)])]) over the members: the
-# verdict at every place and each witness x, the first point of the
-# local-image search in the member's classes (None at the real place),
-# pinned byte for byte.
-WITNESS_DIGESTS = {
-    6: "a980e6922d872648b708ecf885907b0cbbb17d798badc001aee72e0ff5ea2f74",
-    42: "0ba8caee950f0af2daf25e4e622c03a4a879d8ce2469f5c5fa65176ede4093d4",
-    462: "c1478ff57ea4b25f825267deda116ed20f6caf7123852fa143fac13050bffd2d",
-}
-
-
-@pytest.mark.parametrize("m", sorted(WITNESS_DIGESTS))
-def test_member_witnesses_are_pinned(m):
-    members = selmer_group(DescentContext(build_curve(m))).members
-    text = repr([(pair_key(p), [(place, verdict.outcome, verdict.witness)
-                                for place, verdict in p.local_evidence.items()])
-                 for p in members])
-    assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGESTS[m]
 
 
 @pytest.mark.parametrize("m", [4, 6, 462])

@@ -1,22 +1,20 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-import emcurve.localsolve as localsolve
-from emcurve.family import build_curve, scan_admissible
+from emcurve.family import build_curve
 from emcurve.localsolve import (
-    LocalSolverError,
     _f2_reduce,
     _image_forms,
-    _point_bits,
-    _val_unit,
-    decide_local,
+    _pair_bits,
+    _value_class,
+    local_image,
     real_solvable,
 )
 
 from oracle import kstar, oracle_local_solvable
+from reference import decide_local
 
 
 def curve_constants(m):
@@ -25,31 +23,6 @@ def curve_constants(m):
 
 
 A6, B6, C6 = 1295, 1151, 1439
-
-
-def valuation(x: Fraction, ell: int) -> int:
-    return _val_unit(x.numerator, ell)[0] - _val_unit(x.denominator, ell)[0]
-
-
-def squares(x, b1, b2, a, q):
-    """z1^2, z2^2, z3^2 of the witness point: (x-A)/b1, (x+A)/b2, (x-4m^2)/(b1b2)."""
-    return (x - a) / b1, (x + a) / b2, (x - (a - q)) / (b1 * b2)
-
-
-def affine_valuations(w, b1, b2, a, q, ell):
-    """(v(z1), v(z2), v(z3)) of the witness point."""
-    return tuple(valuation(z2, ell) // 2 for z2 in squares(w, b1, b2, a, q))
-
-
-def check_witness(w, b1, b2, a, q, ell):
-    """The witness x has z1^2, z2^2 and z3^2 Q_ell-squares, so their roots and
-    W = 1 solve both quadrics exactly."""
-    unit_mod = 8 if ell == 2 else ell
-    for square in squares(w, b1, b2, a, q):
-        assert valuation(square, ell) % 2 == 0
-        unit = square / Fraction(ell) ** valuation(square, ell)
-        unit = unit.numerator * pow(unit.denominator, -1, unit_mod) % unit_mod
-        assert unit == 1 if ell == 2 else pow(unit, (ell - 1) // 2, ell) == 1
 
 
 def test_kstar_examples():
@@ -63,60 +36,16 @@ def test_kstar_examples():
 
 def test_identity_pair_solvable_everywhere():
     for ell in (2, 3, 5, 7, 37, 1151, 1439):
-        v = decide_local(1, 1, A6, B6, C6, ell)
-        assert v.is_solvable
-        assert v.witness is not None
+        assert decide_local(1, 1, A6, B6, C6, ell).is_solvable
 
 
 def test_known_verdicts_from_exclusion_patterns():
     # b2 = 0 mod q kills Q_q; b1 = 0 mod r kills Q_r.
-    assert not decide_local(1, 1151, A6, B6, C6, 1151, want_witness=False).is_solvable
-    assert not decide_local(1439, 1, A6, B6, C6, 1439, want_witness=False).is_solvable
+    assert not decide_local(1, 1151, A6, B6, C6, 1151).is_solvable
+    assert not decide_local(1439, 1, A6, B6, C6, 1439).is_solvable
     # (5, 5) is a member pair: solvable at the interesting places.
     for ell in (2, 3, 5, 1151, 1439):
-        assert decide_local(5, 5, A6, B6, C6, ell, want_witness=False).is_solvable
-
-
-def test_p_adic_witness_negative_valuation_pattern():
-    # For the (p, p) member pair at ell = p the solution has v(z3) = -1 and
-    # integral z1, z2: exactly the shape used to certify membership.
-    v = decide_local(5, 5, A6, B6, C6, 5)
-    w = v.witness
-    assert w is not None
-    v1, v2, v3 = affine_valuations(w, 5, 5, A6, B6, 5)
-    assert v3 == -1
-    assert v1 >= 0
-    assert v2 >= 0
-
-
-def test_witness_certificates_check_out():
-    kinds = [(5, 5, 5), (5, 5, 2), (1, 1, 3), (7 * 1151, 7, 1151), (5, 5, 1439)]
-    for b1, b2, ell in kinds:
-        v = decide_local(b1, b2, A6, B6, C6, ell)
-        assert v.witness is not None
-        check_witness(v.witness, b1, b2, A6, B6, ell)
-
-
-def test_valuation_pattern_of_witnesses_lemma():
-    # At odd places, negative valuations of z1 and z2 come in equal pairs.
-    random.seed(4)
-    gens = [-1, 2, 5, 7, 37, 1151, 1439]
-    for _ in range(150):
-        b1 = b2 = 1
-        for g in gens:
-            if random.random() < 0.4:
-                b1 *= g
-            if random.random() < 0.4:
-                b2 *= g
-        for ell in (3, 5, 7, 37, 1151):
-            v = decide_local(b1, b2, A6, B6, C6, ell)
-            w = v.witness
-            if w is None:
-                continue
-            v1, v2, _ = affine_valuations(w, b1, b2, A6, B6, ell)
-            assert (v1 < 0) == (v2 < 0)
-            if v1 < 0:
-                assert v1 == v2
+        assert decide_local(5, 5, A6, B6, C6, ell).is_solvable
 
 
 def test_real_place():
@@ -173,7 +102,7 @@ def test_oracle_agreement_small_primes_random_pairs():
                 b2 *= g
         for ell in (2, 3, 5, 7, 11, 13):
             ks = kstar(b1, b2, A6, B6, C6, ell)
-            mine = decide_local(b1, b2, A6, B6, C6, ell, want_witness=False)
+            mine = decide_local(b1, b2, A6, B6, C6, ell)
             naive = oracle_local_solvable(b1, b2, A6, B6, ell, ks + 6)
             assert mine.is_solvable == naive, (b1, b2, ell)
 
@@ -192,7 +121,7 @@ def test_structured_path_matches_digit_loop_midsize():
                 b2 *= g
         for ell in (1061, 211):
             ks = kstar(b1, b2, a, b, c, ell)
-            mine = decide_local(b1, b2, a, b, c, ell, want_witness=False)
+            mine = decide_local(b1, b2, a, b, c, ell)
             naive = oracle_local_solvable(b1, b2, a, b, ell, ks + 6)
             assert mine.is_solvable == naive, (b1, b2, ell)
 
@@ -200,90 +129,52 @@ def test_structured_path_matches_digit_loop_midsize():
 def test_huge_prime_corollary_witnesses():
     a, b, c = curve_constants(462)
     q, r = b, c
-    # (-q, 1) is a Selmer member; the witness at ell = q mirrors the
-    # u2^2 = 8m^2 construction.
+    # (-q, 1) is a Selmer member, so solvable at every place.
     for ell in (2, 3, 5, q, r):
-        v = decide_local(-q, 1, a, b, c, ell)
-        assert v.is_solvable, ell
-        check_witness(v.witness, -q, 1, a, b, ell)
-    assert not decide_local(1, q, a, b, c, q, want_witness=False).is_solvable
+        assert decide_local(-q, 1, a, b, c, ell).is_solvable, ell
+    assert not decide_local(1, q, a, b, c, q).is_solvable
 
 
-def image_pairs(basis, ell):
-    """An integer pair (b1, b2) in each class pair of the span of basis."""
-    width = 3 if ell == 2 else 2
-    if ell > 2:
-        nonres = next(n for n in range(2, ell) if pow(n, (ell - 1) // 2, ell) == ell - 1)
-
-    def rep(bits):  # inverse of localsolve._pair_bits on one class
-        if ell == 2:
-            unit = 2 * (bits >> 1) + 1
-        else:
-            unit = nonres if bits >> 1 else 1
-        return ell ** (bits & 1) * unit
-
-    for combo in itertools.product((0, 1), repeat=len(basis)):
-        vec = 0
-        for bit, b in zip(combo, basis):
-            vec ^= b * bit
-        yield rep(vec & ((1 << width) - 1)), rep(vec >> width)
 
 
-def bad_places():
-    for m in scan_admissible(2, 2000):
-        c = build_curve(m)
-        for ell in c.s_primes:
-            yield c, ell
-    c6 = build_curve(6)
-    for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        yield c6, ell
+def named_abscissa(name, c):
+    """The abscissa of a point that local_image names: T1 = (A, 0),
+    T2 = (4m^2, 0), P1 = (0, t), P2 = (n1, t), or a search point x=..."""
+    fixed = {"T1": c.e1, "T2": c.e3, "P1": 0, "P2": c.n1}
+    return Fraction(fixed[name] if name in fixed else name.removeprefix("x="))
 
 
-def test_every_element_of_the_local_image_has_a_witness():
-    # At every bad place of each admissible m <= 2000, and for m = 6 at every
-    # prime below 50, each class pair of the local image is hit exactly by
-    # some point of the search, whose quotients are Q_ell-squares.
-    places = 0
-    for c, ell in bad_places():
-        basis = localsolve.local_image(c.a_value, c.q_value, c.r_value, ell)
-        assert len(basis) == (3 if ell == 2 else 2)
-        for b1, b2 in image_pairs(basis, ell):
-            v = decide_local(b1, b2, c.a_value, c.q_value, c.r_value, ell)
-            assert v.is_solvable, (c.m, ell, b1, b2)
-            check_witness(v.witness, b1, b2, c.a_value, c.q_value, ell)
-        places += 1
-    assert places > 500
+def descent_bits(x, c, ell):
+    """delta_ell of the point at x in _pair_bits form: ([x - A], [x + A]),
+    with [x - A] read as [(x + A)(x - 4m^2)] at x = A."""
+    a = c.a_value
+    first = (x + a) * (x - c.e3) if x == a else x - a
+
+    def cls(r):  # [a/b] = [a b]
+        return _value_class(r.numerator * r.denominator, ell)
+
+    return _pair_bits(cls(first), cls(x + a), ell)
 
 
-def test_starved_search_raises_instead_of_a_solvable_verdict(monkeypatch, fresh_local_caches):
-    # A stream that still completes the image at 13 but has no point in the
-    # class of (1, 1): the verdict is solvable, and the witness search raises
-    # rather than return a verdict without a certificate.
-    real = localsolve._points
-
-    def starved(a_value, e3, ell):
-        return (p for p in itertools.islice(real(a_value, e3, ell), 2000)
-                if _point_bits(*p, a_value, ell) != 0)
-
-    monkeypatch.setattr(localsolve, "_points", starved)
-    assert decide_local(1, 1, A6, B6, C6, 13, want_witness=False).is_solvable
-    with pytest.raises(LocalSolverError, match="the point search at 13 met 3 of the 4 classes"):
-        decide_local(1, 1, A6, B6, C6, 13)
-
-
-def test_witness_in_another_class_raises(fresh_local_caches, monkeypatch):
-    # The first point of the class of (1, 1) replaced by one of another class:
-    # the verdict, read from the image, is still solvable, and the check of
-    # the witness's quotients refuses the point.  monkeypatch comes second so
-    # that it restores _first_points before the caches are cleared.
-    real = localsolve._first_points
-
-    def misfiled(a_value, e3, ell):
-        first = dict(real(a_value, e3, ell))
-        first[0] = first[max(first)]
-        return first
-
-    monkeypatch.setattr(localsolve, "_first_points", misfiled)
-    assert decide_local(1, 1, A6, B6, C6, 13, want_witness=False).is_solvable
-    with pytest.raises(LocalSolverError, match="decision bug"):
-        decide_local(1, 1, A6, B6, C6, 13)
+@pytest.mark.parametrize("m", [6, 42, 228, 462, 1950])
+def test_spanning_points_certify_each_image(m):
+    # At every bad place, the points local_image names are as many as the
+    # image's dimension; each search point x has f(x) a nonzero Q_ell-square,
+    # so it is a point of E(Q_ell); and the images of the named points lie
+    # in the span of the basis and span it.
+    c = build_curve(m)
+    for ell in c.s_primes:
+        basis, names = local_image(c.a_value, c.q_value, c.r_value, ell)
+        assert len(names) == (3 if ell == 2 else 2), (m, ell, names)
+        span = {0}
+        for name in names:
+            x = named_abscissa(name, c)
+            if name.startswith("x="):
+                fx = (x - c.a_value) * (x + c.a_value) * (x - c.e3)
+                assert fx, (m, ell, name)
+                assert _value_class(fx.numerator * fx.denominator, ell) == (0, 1), (
+                    m, ell, name)
+            vec = descent_bits(x, c, ell)
+            assert _f2_reduce(basis, vec) == 0, (m, ell, name)
+            span |= {v ^ vec for v in span}
+        assert len(span) == 1 << len(basis), (m, ell, names)
